@@ -17,19 +17,15 @@ rng = np.random.default_rng(0)
 face = Tensor(rng.normal(size=(8, cfg.face_dim)))
 pose = Tensor(rng.normal(size=(8, cfg.pose_dim)))
 
-print(f"{'topology':16s} {'params':>7s} {'heads':>6s}  final prediction")
+# every wiring is one entry of bcfusion.models.TOPOLOGIES; multi-layer wirings
+# also expose the per-layer predictions their training losses supervise
+print(f"{'topology':16s} {'params':>7s}  final   supervised layers")
 for topology in ALL_TOPOLOGIES:
     model = build_model(topology, "detection", cfg, rng_seed=0)
     out = model.forward(face, pose)
-    print(f"{topology.value:16s} {parameter_count(model):>7d} "
-          f"{len(out.intermediates):>6d}  {out.final.data.item():.4f}")
-
-# multi-layer wirings also expose the per-layer predictions their training
-# losses supervise
-model = build_model("one_to_two", "detection", cfg, rng_seed=0)
-out = model.forward(face, pose)
-print("\none_to_two supervised layers:", [tag for tag, _ in out.intermediates])
-print("per-component parameters:", parameter_breakdown(model))
+    print(f"{topology.value:16s} {parameter_count(model):>7d}  {out.final.data.item():.4f}  "
+          f"{[tag for tag, _ in out.intermediates]}")
+    print(f"{'':16s} per component: {parameter_breakdown(model)}")
 
 # changing the pose input moves a cross-attention prediction even when the
 # face input is frozen: the face stream's queries come from the pose stream

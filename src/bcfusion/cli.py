@@ -13,21 +13,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import tensor as T
-from .config import (ConfigError, TrainConfig, parse_config_file, toy_model_config,
-                     train_config_from_mapping)
+from .config import ConfigError, TrainConfig, dataclass_from_mapping, parse_config_file
 from .data import (CorpusError, SynthSpec, load_corpus, synth_generate)
-from .gradcheck import finite_diff_gradcheck
-from .models import (ALL_TOPOLOGIES, FusionTopology, build_model, load_checkpoint,
-                     parameter_count, save_checkpoint)
-from .tensor import Tensor
-from .training import (combined_loss, evaluate_metrics, loss_weights_for, metrics_record,
-                       run_training, write_history_csv, write_metrics_json)
+from .gradcheck import gradcheck_topology
+from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
+from .training import (evaluate_metrics, metrics_record, run_training, write_history_csv,
+                       write_metrics_json)
 
 TOPOLOGY_NAMES = [t.value for t in ALL_TOPOLOGIES]
 
@@ -90,7 +84,7 @@ def _build_parser() -> _Parser:
 # -- helpers -------------------------------------------------------------------
 
 def _load_train_config(args) -> TrainConfig:
-    cfg = train_config_from_mapping(parse_config_file(args.config)) if args.config \
+    cfg = dataclass_from_mapping(TrainConfig, parse_config_file(args.config)) if args.config \
         else TrainConfig()
     overrides = {"topology": getattr(args, "topology", None),
                  "task": getattr(args, "task", None),
@@ -107,22 +101,7 @@ def _load_train_config(args) -> TrainConfig:
 
 
 def _synth_spec(args) -> SynthSpec:
-    mapping = parse_config_file(args.spec)
-    spec_fields = {f.name: f.type for f in fields(SynthSpec)}
-    kwargs = {}
-    for key, raw in mapping.items():
-        if key not in spec_fields:
-            raise ConfigError(f"unknown synth spec key {key!r}")
-        current = getattr(SynthSpec(), key)
-        if isinstance(current, bool):
-            kwargs[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            kwargs[key] = int(raw)
-        elif isinstance(current, float):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
-    spec = SynthSpec(**kwargs)
+    spec = dataclass_from_mapping(SynthSpec, parse_config_file(args.spec))
     if args.seed is not None:
         spec.seed = args.seed
     spec.validate()
@@ -145,24 +124,6 @@ def _train_once(manifest: str, cfg: TrainConfig, out_dir: Path) -> dict:
     return record
 
 
-def gradcheck_topology(topology: FusionTopology | str, tol: float = 1e-4,
-                       h: float = 1e-5, seed: int = 0):
-    """Full-model gradient check at toy dimensions, detection task."""
-    topology = FusionTopology(topology)
-    cfg = toy_model_config()
-    model = build_model(topology, "detection", cfg, rng_seed=seed)
-    rng = np.random.default_rng([seed, 7])
-    face = Tensor(rng.normal(size=(8, cfg.face_dim)))
-    pose = Tensor(rng.normal(size=(8, cfg.pose_dim)))
-    weights = loss_weights_for(topology)
-
-    def f():
-        return combined_loss(model.forward(face, pose, training=False), 1.0,
-                             weights, "detection")
-
-    return finite_diff_gradcheck(f, list(model.named_parameters()), h=h, tol=tol)
-
-
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
@@ -175,8 +136,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_train_config(args)
-    if cfg.topology is None:
-        raise ConfigError("a topology must be given via --topology or the config file")
     record = _train_once(args.manifest, cfg, Path(args.out))
     record.pop("params")  # stdout carries exactly the documented metrics schema
     print(json.dumps(record, sort_keys=True))

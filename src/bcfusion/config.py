@@ -7,8 +7,9 @@ comma-separated list.  Any CLI flag overrides the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -120,24 +121,21 @@ class TrainConfig:
         self.model.validate()
 
 
-def _coerce(raw: str, target_type):
-    raw = raw.strip()
-    if target_type is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
+class ConfigMapping(dict):
+    """Raw ``key -> value`` strings read from a config file.
+
+    ``origin[key]`` is the ``path:line`` the key was read from, so that a bad
+    value can be reported where it was written.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.origin: dict[str, str] = {}
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
+def parse_config_file(path: str | Path) -> ConfigMapping:
     """Read ``key = value`` lines into a string mapping."""
-    out: dict[str, str] = {}
+    out = ConfigMapping()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -147,36 +145,47 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         out[key.strip()] = value.strip()
+        out.origin[key.strip()] = f"{path}:{lineno}"
     return out
 
 
-def train_config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig (with nested ModelConfig) from flat string keys."""
-    cfg = TrainConfig()
-    train_fields = {f.name: f.type for f in fields(TrainConfig)}
-    model_fields = {f.name: f.type for f in fields(ModelConfig)}
-    type_of = {"learning_rate": float, "weight_decay": float, "epochs": int,
-               "batch_size": int, "window_seconds": float, "seed": int,
-               "task": str, "topology": str, "beta1": float, "beta2": float,
-               "adam_eps": float, "dtype": str}
-    model_type_of = {name: (float if name == "dropout" else
-                            bool if name in ("pre_norm", "use_positional_encoding") else int)
-                     for name in model_fields}
+def _parse_value(raw: str, kind):
+    """``raw`` as a value of the annotated field type ``kind``; ValueError if it is not one."""
+    raw = raw.strip()
+    if type(None) in get_args(kind):  # Optional[X]: a value that is written down is an X
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if get_origin(kind) is list:  # comma-separated
+        return [_parse_value(item, get_args(kind)[0]) for item in raw.split(",") if item.strip()]
+    if kind is bool:
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(raw)
+    return kind(raw)
+
+
+def dataclass_from_mapping(cls, mapping: dict[str, str]):
+    """Build dataclass ``cls`` from raw strings, typing each value by its field.
+
+    A key may also name a field of a dataclass-typed field, which is how flat
+    train config files set :class:`ModelConfig` fields.  Errors name the key
+    and, for a mapping from :func:`parse_config_file`, the file and line.
+    """
+    obj = cls()
+    nested = [getattr(obj, name) for name, kind in get_type_hints(cls).items()
+              if is_dataclass(kind)]
+    slots = {name: (owner, kind) for owner in [obj] + nested
+             for name, kind in get_type_hints(type(owner)).items() if not is_dataclass(kind)}
+    origin = getattr(mapping, "origin", {})
     for key, raw in mapping.items():
-        if key == "loss_weights":
-            cfg.loss_weights = [float(v) for v in raw.split(",") if v.strip()]
-        elif key in type_of:
-            setattr(cfg, key, _coerce(raw, type_of[key]))
-        elif key in model_type_of:
-            setattr(cfg.model, key, _coerce(raw, model_type_of[key]))
-        elif key in train_fields:
-            raise ConfigError(f"config key {key!r} cannot be set from a file")
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    return cfg
-
-
-def train_config_to_mapping(cfg: TrainConfig) -> dict[str, object]:
-    """Flatten a TrainConfig for JSON/checkpoint metadata."""
-    out = asdict(cfg)
-    return out
+        where = f"{origin[key]}: " if key in origin else ""
+        if key not in slots:
+            raise ConfigError(f"{where}unknown config key {key!r}")
+        owner, kind = slots[key]
+        try:
+            setattr(owner, key, _parse_value(raw, kind))
+        except ValueError:
+            name = getattr(kind, "__name__", str(kind))
+            raise ConfigError(f"{where}config key {key!r}: expected {name}, got {raw!r}") from None
+    return obj

@@ -4,6 +4,7 @@
 function against central differences, parameter by parameter.  The
 relative error metric is |g - g_fd| / max(1, |g|, |g_fd|), so tiny
 gradients are judged on absolute error and large ones on relative error.
+``gradcheck_topology`` runs it on a whole model under the training loss.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import toy_model_config
+from .models import FusionTopology, build_model
 from .tensor import Tape, Tensor, backward
+from .training import combined_loss, loss_weights_for
 
 
 @dataclass
@@ -76,3 +80,21 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
             worst = max(worst, rel)
         report.per_param[name] = worst
     return report
+
+
+def gradcheck_topology(topology: FusionTopology | str, tol: float = 1e-4,
+                       h: float = 1e-5, seed: int = 0) -> GradcheckReport:
+    """Full-model gradient check at toy dimensions, detection task, default loss weights."""
+    topology = FusionTopology(topology)
+    cfg = toy_model_config()
+    model = build_model(topology, "detection", cfg, rng_seed=seed)
+    rng = np.random.default_rng([seed, 7])
+    face = Tensor(rng.normal(size=(8, cfg.face_dim)))
+    pose = Tensor(rng.normal(size=(8, cfg.pose_dim)))
+    weights = loss_weights_for(topology)
+
+    def f():
+        return combined_loss(model.forward(face, pose, training=False), 1.0,
+                             weights, "detection")
+
+    return finite_diff_gradcheck(f, list(model.named_parameters()), h=h, tol=tol)

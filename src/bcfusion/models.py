@@ -1,5 +1,11 @@
 """The eight model wirings that combine face and pose feature streams.
 
+``TOPOLOGIES`` is the one place a topology is described: its stream
+projections, its transformer stages and how they connect, and the stages
+pooled into its final head.  Model construction, the forward pass, the
+per-layer prediction heads and (in :mod:`bcfusion.training`) the loss
+weights are all derived from it.
+
 Six fused topologies plus the two single-modality ablations:
 
 * ``one_stream``      per-stream projections concatenated per frame, one
@@ -29,6 +35,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -55,6 +62,76 @@ class FusionTopology(str, Enum):
 
 
 ALL_TOPOLOGIES = tuple(FusionTopology)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One transformer layer of a topology.
+
+    ``inputs`` are concatenated per frame, in order.  Each is an embedded
+    stream (``face``, ``pose``, or ``fused`` for their per-frame concat), an
+    earlier stage, or one stream's channel of a split fused stage
+    (``tf1:face``).  ``heads`` names the ModelConfig field holding the head
+    count; ``query`` names the input whose rows supply cross-attention queries.
+    """
+
+    name: str
+    inputs: tuple[str, ...]
+    heads: str
+    query: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class Topology:
+    """One wiring: stream projections (stream -> ModelConfig width field), whether
+    they are concatenated per frame before positional encoding, the transformer
+    stages in order, and the stages mean-pooled into the final head, which is
+    a two-layer feed-forward head when ``ff_head`` is set."""
+
+    streams: dict[str, str]
+    fused: bool
+    stages: tuple[Stage, ...]
+    pooled: tuple[str, ...]
+    ff_head: bool = False
+
+    def depths(self) -> dict[str, int]:
+        """Stage name -> number of transformer layers on its longest input path."""
+        depth: dict[str, int] = {}
+        for st in self.stages:
+            depth[st.name] = 1 + max(depth.get(ref.partition(":")[0], 0) for ref in st.inputs)
+        return depth
+
+    @cached_property
+    def supervised(self) -> tuple[str, ...]:
+        """Stages with their own prediction head: all of them once layers are stacked."""
+        depth = self.depths()
+        return tuple(depth) if max(depth.values()) > 1 else ()
+
+
+_FUSED = {"face": "d_fused_face", "pose": "d_fused_pose"}
+_LATE = {"face": "d_face", "pose": "d_pose"}
+_CROSS = {"face": "d_cross", "pose": "d_cross"}
+_TF1 = Stage("tf1", ("fused",), "fused_heads")
+_TF_X = (Stage("tf1x", ("face",), "face_heads", query="pose"),
+         Stage("tf2x", ("pose",), "pose_heads", query="face"))
+_TF_FACE, _TF_POSE = Stage("tf1", ("face",), "face_heads"), Stage("tf1", ("pose",), "pose_heads")
+
+TOPOLOGIES: dict[FusionTopology, Topology] = {
+    FusionTopology.ONE_STREAM: Topology(_FUSED, True, (_TF1,), ("tf1",)),
+    FusionTopology.ONE_TO_ONE: Topology(
+        _FUSED, True, (_TF1, Stage("tf2", ("tf1",), "fused_heads")), ("tf2",)),
+    FusionTopology.ONE_TO_TWO: Topology(
+        _FUSED, True, (_TF1, Stage("tf2", ("tf1:face",), "face_heads"),
+                       Stage("tf3", ("tf1:pose",), "pose_heads")), ("tf2", "tf3"), ff_head=True),
+    FusionTopology.TWO_TO_ONE: Topology(
+        _LATE, False, (_TF_FACE, Stage("tf2", ("pose",), "pose_heads"),
+                       Stage("tf3", ("tf1", "tf2"), "late_heads")), ("tf3",)),
+    FusionTopology.CROSS_ATTENTION: Topology(_CROSS, False, _TF_X, ("tf1x", "tf2x")),
+    FusionTopology.CROSS_TO_ONE: Topology(
+        _CROSS, False, _TF_X + (Stage("tf3", ("tf1x", "tf2x"), "late_heads"),), ("tf3",)),
+    FusionTopology.FACE_ONLY: Topology({"face": "d_face"}, False, (_TF_FACE,), ("tf1",)),
+    FusionTopology.POSE_ONLY: Topology({"pose": "d_pose"}, False, (_TF_POSE,), ("tf1",)),
+}
 
 
 @dataclass
@@ -126,74 +203,29 @@ class FusionModel:
         self.topology = topology
         self.task = task
         self.config = config
-        sig = task == "detection"
-        c = config
-
-        def layer(d_model: int, n_heads: int) -> TransformerLayer:
-            return TransformerLayer(d_model, n_heads, rng, d_ff=c.ffn_mult * d_model,
-                                    dropout_rate=c.dropout, pre_norm=c.pre_norm)
-
-        self._components: dict[str, object] = {}
-        comp = self._components
-        if topology in (FusionTopology.ONE_STREAM, FusionTopology.ONE_TO_ONE,
-                        FusionTopology.ONE_TO_TWO):
-            comp["face_proj"] = Linear(c.face_dim, c.d_fused_face, rng)
-            comp["pose_proj"] = Linear(c.pose_dim, c.d_fused_pose, rng)
-            comp["tf1"] = layer(c.d_fused, c.fused_heads)
-            if topology is FusionTopology.ONE_STREAM:
-                comp["final"] = PredictionHead(c.d_fused, rng, sig)
-            elif topology is FusionTopology.ONE_TO_ONE:
-                comp["tf2"] = layer(c.d_fused, c.fused_heads)
-                comp["head_tf1"] = PredictionHead(c.d_fused, rng, sig)
-                comp["head_tf2"] = PredictionHead(c.d_fused, rng, sig)
-                comp["final"] = PredictionHead(c.d_fused, rng, sig)
-            else:
-                comp["tf2"] = layer(c.d_fused_face, c.face_heads)
-                comp["tf3"] = layer(c.d_fused_pose, c.pose_heads)
-                comp["head_tf1"] = PredictionHead(c.d_fused, rng, sig)
-                comp["head_tf2"] = PredictionHead(c.d_fused_face, rng, sig)
-                comp["head_tf3"] = PredictionHead(c.d_fused_pose, rng, sig)
-                comp["final"] = FeedForwardHead(c.d_fused, c.ff_hidden, rng, sig)
-        elif topology is FusionTopology.TWO_TO_ONE:
-            comp["face_proj"] = Linear(c.face_dim, c.d_face, rng)
-            comp["pose_proj"] = Linear(c.pose_dim, c.d_pose, rng)
-            comp["tf1"] = layer(c.d_face, c.face_heads)
-            comp["tf2"] = layer(c.d_pose, c.pose_heads)
-            comp["tf3"] = layer(c.d_face + c.d_pose, c.late_heads)
-            comp["head_tf1"] = PredictionHead(c.d_face, rng, sig)
-            comp["head_tf2"] = PredictionHead(c.d_pose, rng, sig)
-            comp["head_tf3"] = PredictionHead(c.d_face + c.d_pose, rng, sig)
-            comp["final"] = PredictionHead(c.d_face + c.d_pose, rng, sig)
-        elif topology in (FusionTopology.CROSS_ATTENTION, FusionTopology.CROSS_TO_ONE):
-            comp["face_proj"] = Linear(c.face_dim, c.d_cross, rng)
-            comp["pose_proj"] = Linear(c.pose_dim, c.d_cross, rng)
-            comp["tf1x"] = layer(c.d_cross, c.face_heads)
-            comp["tf2x"] = layer(c.d_cross, c.pose_heads)
-            if topology is FusionTopology.CROSS_ATTENTION:
-                comp["final"] = PredictionHead(2 * c.d_cross, rng, sig)
-            else:
-                comp["tf3"] = layer(2 * c.d_cross, c.late_heads)
-                comp["head_tf1x"] = PredictionHead(c.d_cross, rng, sig)
-                comp["head_tf2x"] = PredictionHead(c.d_cross, rng, sig)
-                comp["head_tf3"] = PredictionHead(2 * c.d_cross, rng, sig)
-                comp["final"] = PredictionHead(2 * c.d_cross, rng, sig)
-        elif topology is FusionTopology.FACE_ONLY:
-            comp["face_proj"] = Linear(c.face_dim, c.d_face, rng)
-            comp["tf1"] = layer(c.d_face, c.face_heads)
-            comp["final"] = PredictionHead(c.d_face, rng, sig)
-        elif topology is FusionTopology.POSE_ONLY:
-            comp["pose_proj"] = Linear(c.pose_dim, c.d_pose, rng)
-            comp["tf1"] = layer(c.d_pose, c.pose_heads)
-            comp["final"] = PredictionHead(c.d_pose, rng, sig)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown topology {topology}")
+        self.spec = spec = TOPOLOGIES[topology]
+        c, sig = config, task == "detection"
+        # creation order (projections, stages, heads, final) fixes seeded weights and checkpoints
+        self._components = comp = {}
+        width = {s: getattr(c, field) for s, field in spec.streams.items()}
+        for s in spec.streams:
+            comp[f"{s}_proj"] = Linear(getattr(c, f"{s}_dim"), width[s], rng)
+        width["fused"] = sum(width.values())
+        for st in spec.stages:
+            # a channel such as "tf1:face" is as wide as that stream's projection
+            width[st.name] = d = sum(width[ref.rpartition(":")[2]] for ref in st.inputs)
+            comp[st.name] = TransformerLayer(d, getattr(c, st.heads), rng, d_ff=c.ffn_mult * d,
+                                             dropout_rate=c.dropout, pre_norm=c.pre_norm)
+        for name in spec.supervised:
+            comp[f"head_{name}"] = PredictionHead(width[name], rng, sig)
+        d = sum(width[name] for name in spec.pooled)
+        comp["final"] = FeedForwardHead(d, c.ff_hidden, rng, sig) if spec.ff_head \
+            else PredictionHead(d, rng, sig)
 
     # -- forward ------------------------------------------------------------
 
     def _check_inputs(self, face_seq: Tensor, pose_seq: Tensor) -> None:
         c = self.config
-        need_face = self.topology is not FusionTopology.POSE_ONLY
-        need_pose = self.topology is not FusionTopology.FACE_ONLY
         if face_seq.data.ndim != 2 or pose_seq.data.ndim != 2:
             raise ShapeError("inputs must be (T, features) sequences")
         if face_seq.shape[0] != pose_seq.shape[0]:
@@ -202,9 +234,9 @@ class FusionModel:
                 f"pose T={pose_seq.shape[0]}")
         if face_seq.shape[0] < 1:
             raise ValueError("empty sequence: at least one time step required")
-        if need_face and face_seq.shape[1] != c.face_dim:
+        if "face" in self.spec.streams and face_seq.shape[1] != c.face_dim:
             raise ShapeError(f"face width {face_seq.shape[1]} != configured {c.face_dim}")
-        if need_pose and pose_seq.shape[1] != c.pose_dim:
+        if "pose" in self.spec.streams and pose_seq.shape[1] != c.pose_dim:
             raise ShapeError(f"pose width {pose_seq.shape[1]} != configured {c.pose_dim}")
 
     def _pe(self, x: Tensor) -> Tensor:
@@ -212,60 +244,25 @@ class FusionModel:
 
     def forward(self, face_seq: Tensor, pose_seq: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> ForwardOutput:
-        """Run the topology's wiring; positional encoding enters first-layer inputs only."""
+        """Walk the topology's table; positional encoding enters first-layer inputs only."""
         face_seq, pose_seq = T.as_tensor(face_seq), T.as_tensor(pose_seq)
         self._check_inputs(face_seq, pose_seq)
-        comp = self._components
-        topo = self.topology
-        kw = {"training": training, "rng": rng}
-        intermediates: list[tuple[str, Tensor]] = []
-
-        if topo in (FusionTopology.ONE_STREAM, FusionTopology.ONE_TO_ONE,
-                    FusionTopology.ONE_TO_TWO):
-            fused = T.concat([comp["face_proj"](face_seq), comp["pose_proj"](pose_seq)], axis=1)
-            seq1 = comp["tf1"].forward(self._pe(fused), **kw)
-            if topo is FusionTopology.ONE_STREAM:
-                final = comp["final"](mean_pool(seq1))
-            elif topo is FusionTopology.ONE_TO_ONE:
-                seq2 = comp["tf2"].forward(seq1, **kw)
-                intermediates = [("tf1", comp["head_tf1"](mean_pool(seq1))),
-                                 ("tf2", comp["head_tf2"](mean_pool(seq2)))]
-                final = comp["final"](mean_pool(seq2))
-            else:
-                face_ch, pose_ch = split_streams(seq1, self.config.d_fused_face)
-                seq2 = comp["tf2"].forward(face_ch, **kw)
-                seq3 = comp["tf3"].forward(pose_ch, **kw)
-                intermediates = [("tf1", comp["head_tf1"](mean_pool(seq1))),
-                                 ("tf2", comp["head_tf2"](mean_pool(seq2))),
-                                 ("tf3", comp["head_tf3"](mean_pool(seq3)))]
-                final = comp["final"](_concat_vectors(mean_pool(seq2), mean_pool(seq3)))
-        elif topo is FusionTopology.TWO_TO_ONE:
-            seq1 = comp["tf1"].forward(self._pe(comp["face_proj"](face_seq)), **kw)
-            seq2 = comp["tf2"].forward(self._pe(comp["pose_proj"](pose_seq)), **kw)
-            seq3 = comp["tf3"].forward(T.concat([seq1, seq2], axis=1), **kw)
-            intermediates = [("tf1", comp["head_tf1"](mean_pool(seq1))),
-                             ("tf2", comp["head_tf2"](mean_pool(seq2))),
-                             ("tf3", comp["head_tf3"](mean_pool(seq3)))]
-            final = comp["final"](mean_pool(seq3))
-        elif topo in (FusionTopology.CROSS_ATTENTION, FusionTopology.CROSS_TO_ONE):
-            face_emb = self._pe(comp["face_proj"](face_seq))
-            pose_emb = self._pe(comp["pose_proj"](pose_seq))
-            seq1 = comp["tf1x"].forward(face_emb, x_q=pose_emb, **kw)
-            seq2 = comp["tf2x"].forward(pose_emb, x_q=face_emb, **kw)
-            if topo is FusionTopology.CROSS_ATTENTION:
-                final = comp["final"](_concat_vectors(mean_pool(seq1), mean_pool(seq2)))
-            else:
-                seq3 = comp["tf3"].forward(T.concat([seq1, seq2], axis=1), **kw)
-                intermediates = [("tf1x", comp["head_tf1x"](mean_pool(seq1))),
-                                 ("tf2x", comp["head_tf2x"](mean_pool(seq2))),
-                                 ("tf3", comp["head_tf3"](mean_pool(seq3)))]
-                final = comp["final"](mean_pool(seq3))
-        elif topo is FusionTopology.FACE_ONLY:
-            seq1 = comp["tf1"].forward(self._pe(comp["face_proj"](face_seq)), **kw)
-            final = comp["final"](mean_pool(seq1))
-        else:
-            seq1 = comp["tf1"].forward(self._pe(comp["pose_proj"](pose_seq)), **kw)
-            final = comp["final"](mean_pool(seq1))
+        spec, comp, kw = self.spec, self._components, {"training": training, "rng": rng}
+        raw = {"face": face_seq, "pose": pose_seq}
+        seq = {s: comp[f"{s}_proj"](raw[s]) for s in spec.streams}
+        if spec.fused:
+            seq = {"fused": T.concat(list(seq.values()), axis=1)}
+        seq = {s: self._pe(x) for s, x in seq.items()}
+        for st in spec.stages:
+            for s in dict.fromkeys(ref.partition(":")[0] for ref in st.inputs if ref not in seq):
+                seq[s + ":face"], seq[s + ":pose"] = split_streams(seq[s], comp["face_proj"].d_out)
+            xs = [seq[ref] for ref in st.inputs]
+            x = T.concat(xs, axis=1) if len(xs) > 1 else xs[0]
+            seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), **kw)
+        intermediates = [(name, comp[f"head_{name}"](mean_pool(seq[name])))
+                         for name in spec.supervised]
+        pooled = [mean_pool(seq[name]) for name in spec.pooled]
+        final = comp["final"](T.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0])
         return ForwardOutput(final=final, intermediates=intermediates)
 
     __call__ = forward
@@ -278,11 +275,6 @@ class FusionModel:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-
-def _concat_vectors(a: Tensor, b: Tensor) -> Tensor:
-    """Join two pooled (d,) feature vectors into one (d_a + d_b,) vector."""
-    return T.concat([a, b], axis=0)
 
 
 def build_model(topology: FusionTopology | str, task: str, config: ModelConfig,

@@ -150,9 +150,6 @@ class Tape:
                backward_fn: Callable[[np.ndarray], None]) -> None:
         self.records.append((inputs, out, backward_fn))
 
-    def backward(self, output: Tensor) -> None:
-        backward(output, self)
-
 
 def backward(output: Tensor, tape: Tape) -> None:
     """Populate ``grad`` on every requires-grad tensor reachable from ``output``.

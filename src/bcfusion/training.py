@@ -1,16 +1,17 @@
 """Losses, Adam, the per-layer supervision scheme, and the training loop.
 
 Multi-layer topologies are trained with one task loss per supervised
-transformer layer plus one on the final head, mixed by per-topology weight
-tables that always sum to exactly 1.0.  Weights follow an even split:
-0.35 for the first stage, 0.35 for the second (halved across parallel
-layers), 0.3 for the final head.  Single-layer topologies put all weight on
+transformer layer plus one on the final head.  The default weights are
+derived from the topology's stage table: 0.35 per stage depth, split evenly
+across the parallel stages at that depth, and 0.3 for the final head, so
+they always sum to exactly 1.0.  Single-layer topologies put all weight on
 the final prediction.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,28 +21,26 @@ import numpy as np
 from . import tensor as T
 from .config import ConfigError, TrainConfig
 from .data import ProcessedSample
-from .models import ForwardOutput, FusionModel, FusionTopology, build_model
+from .models import TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology, build_model
 from .tensor import Tape, Tensor, backward
 
 BCE_EPS = 1e-7
 
-DEFAULT_LOSS_WEIGHTS: dict[FusionTopology, list[float]] = {
-    FusionTopology.ONE_STREAM: [1.0],
-    FusionTopology.FACE_ONLY: [1.0],
-    FusionTopology.POSE_ONLY: [1.0],
-    FusionTopology.CROSS_ATTENTION: [1.0],
-    FusionTopology.ONE_TO_ONE: [0.35, 0.35, 0.3],
-    FusionTopology.ONE_TO_TWO: [0.35, 0.35 * 0.5, 0.35 * 0.5, 0.3],
-    FusionTopology.TWO_TO_ONE: [0.35 * 0.5, 0.35 * 0.5, 0.35, 0.3],
-    FusionTopology.CROSS_TO_ONE: [0.35 * 0.5, 0.35 * 0.5, 0.35, 0.3],
-}
+STAGE_WEIGHT = 0.35
+FINAL_WEIGHT = 0.3
 
 
 def loss_weights_for(topology: FusionTopology | str,
                      override: Optional[Sequence[float]] = None) -> list[float]:
     """Weight list over (supervised layers..., final head); must sum to 1.0."""
-    weights = list(override) if override is not None else \
-        list(DEFAULT_LOSS_WEIGHTS[FusionTopology(topology)])
+    if override is not None:
+        weights = list(override)
+    else:
+        spec = TOPOLOGIES[FusionTopology(topology)]
+        depth = spec.depths()
+        parallel = Counter(depth[name] for name in spec.supervised)
+        weights = [STAGE_WEIGHT / parallel[depth[name]] for name in spec.supervised]
+        weights.append(FINAL_WEIGHT if weights else 1.0)
     if sum(weights) != 1.0:
         raise ConfigError(f"loss weights must sum to exactly 1.0, got {weights}")
     return weights
@@ -251,8 +250,9 @@ def write_history_csv(path: str | Path, history: Sequence[tuple[int, float, floa
             fh.write("%d,%.17g,%.17g\n" % (epoch, train_loss, val_metric))
 
 
-def metrics_record(task: str, topology: str, split: str, metrics: dict) -> dict:
-    return {"task": task, "topology": str(topology), "split": split,
+def metrics_record(task: str, topology: FusionTopology | str, split: str,
+                   metrics: dict) -> dict:
+    return {"task": task, "topology": FusionTopology(topology).value, "split": split,
             "metric_name": metrics["metric_name"], "value": metrics["value"],
             "n": metrics["n"]}
 

@@ -85,6 +85,12 @@ class TestSynth:
         spec.write_text("n_samples = 3\nkind = xor-cross-modal\n")
         assert run_command(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
 
+    def test_mistyped_spec_value_names_file_line_and_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT.replace("n_samples = 8", "n_samples = 8.5"))
+        assert run_command(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert f"{spec}:2: config key 'n_samples'" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_artifacts_and_json_stdout(self, corpus_dir, config_file, tmp_path, capsys):
@@ -119,6 +125,12 @@ class TestTrain:
                 "one_stream", "--task", "detection", "--config", str(config_file),
                 "--out", str(tmp_path / "o")]
         assert run_command(args) == 2
+
+    def test_mistyped_config_value_names_file_line_and_key(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG_TEXT.replace("epochs = 2", "epochs = 3.0"))
+        assert run_command(train_args(corpus_dir, config, tmp_path / "run")) == 1
+        assert f"{config}:9: config key 'epochs'" in capsys.readouterr().err
 
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",

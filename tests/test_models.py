@@ -1,5 +1,7 @@
 """Topology wiring, determinism, parameter accounting, and checkpoint round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,60 @@ class TestCheckpoint:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+# Per topology at toy_model_config() and seed 0, recorded before the topology
+# table replaced the hand-written wiring: top-level component order, SHA-256
+# of the ordered "name shape" parameter listing, SHA-256 of the concatenated
+# initial values, and the eval-mode final output on toy_inputs().  A change
+# in any of them breaks existing checkpoints and the benchmark's reference
+# losses.
+PINNED_WIRING = {
+    "one_stream": ("face_proj pose_proj tf1 final",
+        "90ada1a7de3e4da35b5d768a96ddb50473c9219207f1360b8c39ccb744fef15d",
+        "65f3d7cc6535753db0baee510809a482a8303cafec41e894274ffd0e503aaf78",
+        0.5299933812717881),
+    "one_to_one": ("face_proj pose_proj tf1 tf2 head_tf1 head_tf2 final",
+        "43e84e59ee4c060dbc8568aff8bdd8cd1949675e159e2338fb4f2804dc688622",
+        "f2d16481ecaa2a9357027913ec01fd6c223d8b0814e2f025c3f61f2e93d1df4f",
+        0.6279718965893747),
+    "one_to_two": ("face_proj pose_proj tf1 tf2 tf3 head_tf1 head_tf2 head_tf3 final",
+        "2ac4897df908a915ab5993f3264eafd49cb7e99bd15226edc6a516ffcdddc842",
+        "e1bd6bec8f37fc0f3819524ad6e9f9297c659d7a1b8ad62c2601453edfa440fc",
+        0.43105433314933705),
+    "two_to_one": ("face_proj pose_proj tf1 tf2 tf3 head_tf1 head_tf2 head_tf3 final",
+        "d880dca003bc189abe7d5a0142ed6e469588a1fbbc14c856e129eacb1d3b9a69",
+        "8adc668d821f759157a75868c5f1b4bca0aa20272894f32ffd69ddf2f96e701e",
+        0.545183864753171),
+    "cross_attention": ("face_proj pose_proj tf1x tf2x final",
+        "eb3374326604e10030ecd1310f1941d5fce008614dd939d26b7e5d00abc3bc79",
+        "4495238c37008e920f7e5b05c29c629f2b9a65508867496920898b85dfc62b2a",
+        0.3753983519291902),
+    "cross_to_one": ("face_proj pose_proj tf1x tf2x tf3 head_tf1x head_tf2x head_tf3 final",
+        "3dda4a450466ac8bce238e03e8e666352cd52fbebb289b99d78620d7409664e2",
+        "8adc668d821f759157a75868c5f1b4bca0aa20272894f32ffd69ddf2f96e701e",
+        0.5472736322374607),
+    "face_only": ("face_proj tf1 final",
+        "df35ae3d7f19a1fb7de3f502962db7e0e2880fdc095f97d73f882055ea6e733b",
+        "f5fb424a4f7c48bf94ae8bfa578ac699e45ef5c03e925d019531f4bf1da4d7f0",
+        0.33984904114234377),
+    "pose_only": ("pose_proj tf1 final",
+        "db09198156e732040a05302fe0a2b26f2a9e8f1c2437e97a1b857f8025fef606",
+        "1e9d6c8f14223b1a723a9d37185494163d0c3afa16663cbe678abdbf4c58cfd1",
+        0.30847104735759096),
+}
+
+
+class TestPinnedWiring:
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_layout_init_and_output_match_recorded_values(self, topology):
+        components, layout_sha, init_sha, final = PINNED_WIRING[topology.value]
+        model = build_model(topology, "detection", TOY, rng_seed=0)
+        params = list(model.named_parameters())
+        assert " ".join(dict.fromkeys(n.split(".", 1)[0] for n, _ in params)) == components
+        layout = "\n".join(f"{n} {p.data.shape}" for n, p in params)
+        assert hashlib.sha256(layout.encode()).hexdigest() == layout_sha
+        values = b"".join(p.data.astype("<f8").tobytes() for _, p in params)
+        assert hashlib.sha256(values).hexdigest() == init_sha
+        out = model.forward(*toy_inputs(), training=False)
+        np.testing.assert_allclose(out.final.data.item(), final, rtol=1e-12, atol=0)

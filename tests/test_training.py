@@ -10,8 +10,8 @@ from bcfusion.data import SynthSpec, load_corpus, synth_generate
 from bcfusion.models import ALL_TOPOLOGIES, ForwardOutput, FusionTopology
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, bce_loss, combined_loss,
-                               evaluate_metrics, loss_weights_for, mse_loss,
-                               run_training, write_history_csv)
+                               evaluate_metrics, loss_weights_for, metrics_record,
+                               mse_loss, run_training, write_history_csv)
 
 
 class TestBceLoss:
@@ -197,6 +197,16 @@ class TestEvaluateMetrics:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             evaluate_metrics(_StubModel({}), [], "detection")
+
+
+class TestMetricsRecord:
+    @pytest.mark.parametrize("topology", [FusionTopology.ONE_TO_ONE, "one_to_one"],
+                             ids=["enum", "str"])
+    def test_topology_is_written_by_value(self, topology):
+        metrics = {"metric_name": "accuracy", "value": 0.5, "n": 4}
+        record = metrics_record("detection", topology, "validation", metrics)
+        assert record == {"task": "detection", "topology": "one_to_one", "split": "validation",
+                          "metric_name": "accuracy", "value": 0.5, "n": 4}
 
 
 @pytest.fixture(scope="module")
