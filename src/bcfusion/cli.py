@@ -20,8 +20,8 @@ from .config import ConfigError, TrainConfig, dataclass_from_mapping, parse_conf
 from .data import (CorpusError, SynthSpec, load_corpus, synth_generate)
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
-from .training import (evaluate_metrics, metrics_record, run_training, write_history_csv,
-                       write_metrics_json)
+from .training import (evaluate_metrics, loss_weights_for, metrics_record, run_training,
+                       write_history_csv, write_metrics_json)
 
 TOPOLOGY_NAMES = [t.value for t in ALL_TOPOLOGIES]
 
@@ -97,6 +97,7 @@ def _load_train_config(args) -> TrainConfig:
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
+    loss_weights_for(cfg.topology, cfg.loss_weights)  # fails before the corpus loads
     return cfg
 
 

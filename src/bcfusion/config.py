@@ -48,17 +48,13 @@ class ModelConfig:
     pre_norm: bool = False
     use_positional_encoding: bool = True
 
-    @property
-    def d_fused(self) -> int:
-        return self.d_fused_face + self.d_fused_pose
-
     def validate(self) -> None:
         checks = [
             ("d_face", self.d_face, self.face_heads),
             ("d_pose", self.d_pose, self.pose_heads),
             ("d_fused_face", self.d_fused_face, self.face_heads),
             ("d_fused_pose", self.d_fused_pose, self.pose_heads),
-            ("fused width", self.d_fused, self.fused_heads),
+            ("fused width", self.d_fused_face + self.d_fused_pose, self.fused_heads),
             ("d_cross", self.d_cross, self.face_heads),
             ("d_cross", self.d_cross, self.pose_heads),
             ("cross concat width", 2 * self.d_cross, self.late_heads),

@@ -87,9 +87,16 @@ def write_matrix_csv(path: str | Path, array: np.ndarray) -> None:
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise CorpusError(f"{path}: unreadable numeric data ({exc})") from exc
+    if arr.size == 0:
+        raise CorpusError(f"{path}: no data rows")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise CorpusError(f"{path}: row {np.argmin(finite) + 1}: non-finite value")
     return arr
 
 

@@ -24,20 +24,17 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 class Linear:
     """Affine map x @ w + b for row-major sequences or single vectors."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
-        self.d_in = d_in
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.d_out = d_out
         self.w = uniform_init(rng, (d_in, d_out), d_in)
-        self.b = uniform_init(rng, (d_out,), d_in) if bias else None
+        self.b = uniform_init(rng, (d_out,), d_in)
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.w)
-        return T.add(out, self.b) if self.b is not None else out
+        return T.add(T.matmul(x, self.w), self.b)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}w", self.w
-        if self.b is not None:
-            yield f"{prefix}b", self.b
+        yield f"{prefix}b", self.b
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -117,7 +114,8 @@ def sinusoidal_positional_encoding(n_positions: int, d_model: int) -> Tensor:
 
 
 def add_positional_encoding(x: Tensor) -> Tensor:
-    return T.add(x, sinusoidal_positional_encoding(x.shape[0], x.shape[1]))
+    pe = sinusoidal_positional_encoding(x.shape[0], x.shape[1]).data
+    return T.add(x, Tensor(pe.astype(x.data.dtype, copy=False)))
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
@@ -128,7 +126,7 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
     if rng is None:
         raise ValueError("dropout in training mode needs a random generator")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return T.mul(x, Tensor(mask))
+    return T.mul(x, Tensor(mask.astype(x.data.dtype, copy=False)))
 
 
 class TransformerLayer:

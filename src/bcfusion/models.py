@@ -245,7 +245,9 @@ class FusionModel:
     def forward(self, face_seq: Tensor, pose_seq: Tensor, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> ForwardOutput:
         """Walk the topology's table; positional encoding enters first-layer inputs only."""
-        face_seq, pose_seq = T.as_tensor(face_seq), T.as_tensor(pose_seq)
+        dtype = next(self.named_parameters())[1].data.dtype
+        face_seq, pose_seq = (x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
+                              for x in (T.as_tensor(face_seq), T.as_tensor(pose_seq)))
         self._check_inputs(face_seq, pose_seq)
         spec, comp, kw = self.spec, self._components, {"training": training, "rng": rng}
         raw = {"face": face_seq, "pose": pose_seq}
@@ -324,7 +326,7 @@ def save_checkpoint(model: FusionModel, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
-    """Rebuild a model from a checkpoint; forward outputs reproduce bitwise."""
+    """Rebuild a model in its stored precision; forward outputs reproduce bitwise."""
     path = Path(path)
     with np.load(path) as z:
         if "__meta__" not in z:
@@ -341,9 +343,12 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
     if set(names) != set(arrays):
         missing = set(names) ^ set(arrays)
         raise ValueError(f"{path}: parameter set mismatch: {sorted(missing)[:5]}")
+    dtype = arrays[next(iter(names))].dtype
     for name, p in names.items():
         stored = arrays[name]
         if stored.shape != p.data.shape:
             raise ValueError(f"{path}: shape mismatch for {name}")
+        if stored.dtype != dtype or dtype not in (np.float64, np.float32):
+            raise ValueError(f"{path}: {name} is {stored.dtype}; need all float64 or all float32")
         p.data = stored
     return model, meta

@@ -26,8 +26,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "set_default_dtype",
-    "get_default_dtype",
     "as_tensor",
     "backward",
     "matmul",
@@ -54,33 +52,19 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an op's contract."""
 
 
-_DTYPES = {"float64": np.float64, "float32": np.float32}
-_default_dtype = np.float64
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the element type for newly created tensors ("float64" or "float32")."""
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ValueError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
-
-
 class Tensor:
     """An n-dimensional array that can participate in a differentiation tape.
 
     ``data`` is immutable by convention once the tensor has been used in an
-    op; only ``grad`` is mutated (by ``backward`` and the optimizer).
+    op; only ``grad`` is mutated (by ``backward`` and the optimizer).  A
+    floating-point array keeps its dtype; anything else becomes float64.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -176,7 +160,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap op output; record on the active tape when gradients are needed."""
-    out = Tensor(out_data, dtype=out_data.dtype)
+    out = Tensor(out_data)
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True

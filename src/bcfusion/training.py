@@ -33,10 +33,16 @@ FINAL_WEIGHT = 0.3
 def loss_weights_for(topology: FusionTopology | str,
                      override: Optional[Sequence[float]] = None) -> list[float]:
     """Weight list over (supervised layers..., final head); must sum to 1.0."""
+    if topology not in TOPOLOGIES:
+        raise ConfigError(f"config key 'topology': {topology!r} is not one of "
+                          f"{', '.join(TOPOLOGIES)}")
+    spec = TOPOLOGIES[topology]
     if override is not None:
         weights = list(override)
+        if len(weights) != len(spec.supervised) + 1:
+            raise ConfigError(f"config key 'loss_weights': {FusionTopology(topology).value} "
+                              f"takes {len(spec.supervised) + 1} weights, got {len(weights)}")
     else:
-        spec = TOPOLOGIES[FusionTopology(topology)]
         depth = spec.depths()
         parallel = Counter(depth[name] for name in spec.supervised)
         weights = [STAGE_WEIGHT / parallel[depth[name]] for name in spec.supervised]
@@ -46,19 +52,19 @@ def loss_weights_for(topology: FusionTopology | str,
     return weights
 
 
-def _label_array(y, shape) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
+def _label_array(y, pred: Tensor) -> np.ndarray:
+    arr = np.asarray(y, dtype=pred.data.dtype)
     if arr.shape == ():
-        arr = np.full(shape, float(arr))
-    if arr.shape != tuple(shape):
-        raise ValueError(f"label shape {arr.shape} does not match prediction shape {shape}")
+        arr = np.full(pred.shape, arr)
+    if arr.shape != pred.shape:
+        raise ValueError(f"label shape {arr.shape} does not match prediction shape {pred.shape}")
     return arr
 
 
 def bce_loss(p: Tensor, y) -> Tensor:
     """Binary cross entropy, averaged over elements; p clamped away from {0, 1}."""
     p = T.as_tensor(p)
-    y_arr = _label_array(y, p.shape)
+    y_arr = _label_array(y, p)
     if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
         raise ValueError(f"detection labels must be 0 or 1, got {np.unique(y_arr)}")
     pc = T.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -70,7 +76,7 @@ def bce_loss(p: Tensor, y) -> Tensor:
 def mse_loss(pred: Tensor, y) -> Tensor:
     """Mean squared error over elements."""
     pred = T.as_tensor(pred)
-    diff = T.sub(pred, Tensor(_label_array(y, pred.shape)))
+    diff = T.sub(pred, Tensor(_label_array(y, pred)))
     return T.tmean(T.mul(diff, diff))
 
 
@@ -174,15 +180,14 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     Mini-batches are reshuffled every epoch from a seeded generator; after every
     epoch the validation metric decides whether to snapshot the parameters
     (higher accuracy / lower MSE wins; ties keep the earlier epoch).  The
-    history holds one (epoch, train_loss, val_metric) row per epoch.
+    history holds one (epoch, train_loss, val_metric) row per epoch.  The new
+    parameters are cast to ``config.dtype``, which the model and its checkpoint keep.
     """
     config.validate()
     train = corpus.get("train") or []
     val = corpus.get("validation") or []
     if not train or not val:
         raise ConfigError("training needs nonempty 'train' and 'validation' splits")
-    if config.dtype != T.get_default_dtype().name:
-        T.set_default_dtype(config.dtype)
     sample = train[0]
     if sample.face_seq.shape[1] != config.model.face_dim or \
             sample.pose_seq.shape[1] != config.model.pose_dim:
@@ -193,6 +198,8 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     model = build_model(config.topology, config.task, config.model, rng_seed=config.seed)
     weights = loss_weights_for(config.topology, config.loss_weights)
     params = model.parameters()
+    for p in params:
+        p.data = p.data.astype(config.dtype, copy=False)
     state = AdamState.for_params(params, config.beta1, config.beta2, config.adam_eps)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])

@@ -132,6 +132,25 @@ class TestTrain:
         assert run_command(train_args(corpus_dir, config, tmp_path / "run")) == 1
         assert f"{config}:9: config key 'epochs'" in capsys.readouterr().err
 
+    def test_unknown_topology_rejected_before_corpus_loads(self, config_file, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + "topology = bogus\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--task", "detection",
+                "--config", str(config), "--out", str(tmp_path / "o")]
+        assert run_command(args) == 1
+        err = capsys.readouterr().err
+        assert "config key 'topology': 'bogus'" in err and "one_stream, one_to_one" in err
+
+    def test_loss_weight_count_rejected_before_corpus_loads(self, config_file, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + "loss_weights = 0.5,0.5\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
+                "one_to_one", "--task", "detection", "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        assert run_command(args) == 1
+        assert "config key 'loss_weights': one_to_one takes 3 weights, got 2" \
+            in capsys.readouterr().err
+
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
                 "one_stream", "--task", "detection", "--out", str(tmp_path / "o")]
@@ -159,6 +178,23 @@ class TestEval:
         assert run_command(["eval", "--checkpoint", str(out / "checkpoint.npz"),
                             "--manifest", str(corpus_dir / "manifest.csv"),
                             "--split", "test"]) == 1
+
+
+    def test_non_finite_feature_is_validation_error(self, corpus_dir, config_file, tmp_path,
+                                                    capsys):
+        out = tmp_path / "run"
+        assert run_command(train_args(corpus_dir, config_file, out)) == 0
+        capsys.readouterr()
+        sample = sorted(corpus_dir.glob("*_face.csv"))[0]
+        rows = sample.read_text().splitlines()
+        rows[1] = "nan" + rows[1][rows[1].index(","):]
+        sample.write_text("\n".join(rows) + "\n")
+        assert run_command(["eval", "--checkpoint", str(out / "checkpoint.npz"),
+                            "--manifest", str(corpus_dir / "manifest.csv"),
+                            "--split", "validation"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{sample}: row 2: non-finite value" in captured.err
 
 
 class TestGradcheck:

@@ -34,6 +34,21 @@ class TestMatrixCsv:
         write_matrix_csv(path, arr)
         np.testing.assert_array_equal(read_matrix_csv(path), arr)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value_naming_row(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n3,4\n5,{value}\n")
+        with pytest.raises(CorpusError, match=rf"{path}: row 3: non-finite"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_has_no_data_rows(self, tmp_path, text, recwarn):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"^{path}: no data rows$"):
+            read_matrix_csv(path)
+        assert not recwarn.list
+
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(CorpusError):
             write_matrix_csv(tmp_path / "x.csv", np.zeros(3))

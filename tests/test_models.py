@@ -233,6 +233,21 @@ class TestCheckpoint:
         assert meta["topology"] == topology
         assert meta["window_seconds"] == 3.0
 
+    @pytest.mark.parametrize("cast", ["one", "all"])
+    def test_rejects_parameters_not_all_float64_or_all_float32(self, tmp_path, cast):
+        model = build_model("one_stream", "detection", TOY, rng_seed=0)
+        params = dict(model.named_parameters())
+        if cast == "one":
+            params["tf1.attn.wq"].data = params["tf1.attn.wq"].data.astype(np.float32)
+        else:
+            for p in params.values():
+                p.data = p.data.astype(np.float16)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        name = "tf1.attn.wq" if cast == "one" else next(iter(params))
+        with pytest.raises(ValueError, match=rf"{path}: {name} is float(32|16)"):
+            load_checkpoint(path)
+
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcfusion import tensor as T
+from bcfusion.config import ConfigError, TrainConfig
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
 
 
@@ -267,18 +268,24 @@ class TestTape:
 
 class TestDtype:
     def test_float32_selectable(self):
-        T.set_default_dtype("float32")
-        try:
-            x = Tensor([1.0, 2.0])
-            assert x.data.dtype == np.float32
-            out = T.softmax(x)
-            assert out.data.dtype == np.float32
-        finally:
-            T.set_default_dtype("float64")
+        x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]], dtype=np.float32), requires_grad=True)
+        gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            h = T.layer_norm(T.add(T.matmul(x, T.transpose(x)), 1.0), gain, bias)
+            out = T.tmean(T.mul(T.sigmoid(T.softmax(T.relu(h))), 0.5))
+        backward(out, tape)
+        assert out.data.dtype == np.float32
+        assert {t.grad.dtype for t in (x, gain, bias)} == {np.dtype(np.float32)}
+
+    def test_non_float_data_becomes_float64(self):
+        assert Tensor(1.0).data.dtype == np.float64
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor(np.array([True])).data.dtype == np.float64
 
     def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            T.set_default_dtype("float16")
+        with pytest.raises(ConfigError, match="float16"):
+            TrainConfig(dtype="float16").validate()
 
 
 class TestFiniteness:

@@ -7,7 +7,8 @@ import pytest
 
 from bcfusion.config import ConfigError, TrainConfig, toy_model_config
 from bcfusion.data import SynthSpec, load_corpus, synth_generate
-from bcfusion.models import ALL_TOPOLOGIES, ForwardOutput, FusionTopology
+from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, load_checkpoint,
+                             save_checkpoint)
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, bce_loss, combined_loss,
                                evaluate_metrics, loss_weights_for, metrics_record,
@@ -269,6 +270,34 @@ class TestRunTraining:
         result = run_training(tiny_corpus, tiny_config(epochs=4))
         recomputed = evaluate_metrics(result.model, tiny_corpus["validation"], "detection")
         assert recomputed["value"] == result.best_val_metric
+
+
+class TestPrecision:
+    """A model computes in its parameters' dtype; no run changes another's precision."""
+
+    @pytest.fixture(scope="class")
+    def agreement_corpus(self, tmp_path_factory):
+        spec = SynthSpec(n_samples=16, t_raw=15, fps=5.0, kind="redundant", noise=0.05, seed=3,
+                         task="agreement", face_dim=6, pose_dim=4, val_frac=0.25)
+        manifest = synth_generate(spec, tmp_path_factory.mktemp("agreement"))
+        return load_corpus(manifest, "agreement", 3.0, face_dim=6, pose_dim=4)
+
+    def test_float32_checkpoint_scores_as_in_training(self, agreement_corpus, tmp_path):
+        cfg = dict(task="agreement", topology="one_to_one", epochs=3)
+        before = run_training(agreement_corpus, tiny_config(**cfg))
+        f32 = run_training(agreement_corpus, tiny_config(dtype="float32", **cfg))
+        after = run_training(agreement_corpus, tiny_config(**cfg))
+        assert before.history == after.history
+        assert Tensor(1.0).data.dtype == np.float64
+
+        save_checkpoint(f32.model, tmp_path / "f32.npz")
+        model, _ = load_checkpoint(tmp_path / "f32.npz")
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+        val = agreement_corpus["validation"]
+        assert evaluate_metrics(model, val, "agreement")["value"] == f32.best_val_metric
+        out = model.forward(Tensor(val[0].face_seq), Tensor(val[0].pose_seq))
+        assert {p.data.dtype for p in [out.final] + [p for _, p in out.intermediates]} \
+            == {np.dtype(np.float32)}
 
 
 class TestHistoryCsv:
