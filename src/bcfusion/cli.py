@@ -173,6 +173,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _load_train_config(args)
+    if base.loss_weights is not None:  # the topologies take 1, 3 or 4 weights
+        raise ConfigError("config key 'loss_weights': sweep trains topologies with different "
+                          "weight counts and takes no override")
     out_root = Path(args.out)
     rows = []
     for topology in TOPOLOGY_NAMES:

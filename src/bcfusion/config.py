@@ -29,6 +29,10 @@ class ModelConfig:
     Cross-attention streams share a common width (304) so that exchanged
     query/key widths agree; late fusion layers over concatenated stream
     outputs (752 or 608 wide) run with 8 heads.
+
+    Only what the paper's topologies vary is settable: every transformer
+    layer is the post-norm encoder layer with a feed-forward block twice its
+    width (see :class:`bcfusion.layers.TransformerLayer`).
     """
 
     face_dim: int = 675
@@ -42,10 +46,8 @@ class ModelConfig:
     pose_heads: int = 2
     fused_heads: int = 10
     late_heads: int = 8
-    ffn_mult: int = 2
     ff_hidden: int = 64
     dropout: float = 0.1
-    pre_norm: bool = False
     use_positional_encoding: bool = True
 
     def validate(self) -> None:
@@ -67,8 +69,8 @@ class ModelConfig:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
         if self.face_dim < 1 or self.pose_dim < 1:
             raise ConfigError("stream input widths must be >= 1")
-        if self.ffn_mult < 1 or self.ff_hidden < 1:
-            raise ConfigError("feed-forward widths must be >= 1")
+        if self.ff_hidden < 1:
+            raise ConfigError("ff_hidden must be >= 1")
 
 
 def toy_model_config(face_dim: int = 12, pose_dim: int = 6, **overrides) -> ModelConfig:
@@ -86,7 +88,11 @@ TASKS = ("detection", "agreement")
 
 @dataclass
 class TrainConfig:
-    """All training hyperparameters; defaults follow the standard recipe."""
+    """All training hyperparameters; defaults follow the standard recipe.
+
+    Adam's constants (beta1 0.9, beta2 0.999, eps 1e-8) are fixed in
+    :class:`bcfusion.training.AdamState`.
+    """
 
     learning_rate: float = 0.0005
     weight_decay: float = 0.0005
@@ -96,9 +102,6 @@ class TrainConfig:
     seed: int = 0
     task: str = "detection"
     topology: str = "one_stream"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     dtype: str = "float64"
     loss_weights: list[float] | None = None
     model: ModelConfig = field(default_factory=ModelConfig)

@@ -130,32 +130,24 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
 
 
 class TransformerLayer:
-    """Self-attention block: attention, residual, norm, feed-forward, residual, norm.
+    """Post-norm encoder layer (Vaswani et al. 2017): attention, residual, norm,
+    feed-forward at twice the model width, residual, norm.
 
-    Post-norm ordering by default (norm after each residual add); pre-norm is
-    available behind ``pre_norm``.  For cross-attention, pass ``x_q`` to source
-    the queries from another stream; keys, values, and the residual path stay
-    on the layer's own input.
+    For cross-attention, pass ``x_q`` to source the queries from another
+    stream; keys, values, and the residual path stay on the layer's own input.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
-                 d_ff: Optional[int] = None, dropout_rate: float = 0.1,
-                 pre_norm: bool = False, eps: float = 1e-5):
+                 dropout_rate: float = 0.1):
         self.d_model = d_model
         self.dropout_rate = dropout_rate
-        self.pre_norm = pre_norm
-        self.eps = eps
         self.attn = MultiHeadAttention(d_model, n_heads, rng)
-        d_ff = d_ff if d_ff is not None else 2 * d_model
-        self.ffn1 = Linear(d_model, d_ff, rng)
-        self.ffn2 = Linear(d_ff, d_model, rng)
+        self.ffn1 = Linear(d_model, 2 * d_model, rng)
+        self.ffn2 = Linear(2 * d_model, d_model, rng)
         self.ln1_gain = Tensor(np.ones(d_model), requires_grad=True)
         self.ln1_bias = Tensor(np.zeros(d_model), requires_grad=True)
         self.ln2_gain = Tensor(np.ones(d_model), requires_grad=True)
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
-
-    def _ffn(self, x: Tensor) -> Tensor:
-        return self.ffn2(T.relu(self.ffn1(x)))
 
     def forward(self, x: Tensor, x_q: Optional[Tensor] = None, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -163,17 +155,11 @@ class TransformerLayer:
             raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
         if x_q is not None and x_q.shape != x.shape:
             raise ShapeError(f"query stream shape {x_q.shape} != input shape {x.shape}")
-        if self.pre_norm:
-            xn = T.layer_norm(x, self.ln1_gain, self.ln1_bias, self.eps)
-            qn = xn if x_q is None else T.layer_norm(x_q, self.ln1_gain, self.ln1_bias, self.eps)
-            h = T.add(x, dropout(self.attn(qn, xn), self.dropout_rate, rng, training))
-            hn = T.layer_norm(h, self.ln2_gain, self.ln2_bias, self.eps)
-            return T.add(h, dropout(self._ffn(hn), self.dropout_rate, rng, training))
         q_src = x if x_q is None else x_q
         a = dropout(self.attn(q_src, x), self.dropout_rate, rng, training)
-        h = T.layer_norm(T.add(x, a), self.ln1_gain, self.ln1_bias, self.eps)
-        f = dropout(self._ffn(h), self.dropout_rate, rng, training)
-        return T.layer_norm(T.add(h, f), self.ln2_gain, self.ln2_bias, self.eps)
+        h = T.layer_norm(T.add(x, a), self.ln1_gain, self.ln1_bias)
+        f = dropout(self.ffn2(T.relu(self.ffn1(h))), self.dropout_rate, rng, training)
+        return T.layer_norm(T.add(h, f), self.ln2_gain, self.ln2_bias)
 
     __call__ = forward
 

@@ -25,15 +25,17 @@ Six fused topologies plus the two single-modality ablations:
 
 Multi-layer topologies expose intermediate predictions (one small pooled
 linear head per supervised layer) alongside the final prediction so the
-training loss can supervise every layer.  Detection heads end in a sigmoid;
-agreement (regression) heads are linear.
+training loss can supervise every layer.  Every head is a linear map (the
+``one_to_two`` final head a two-layer perceptron); for detection the forward
+pass squashes each prediction with a sigmoid, for agreement (regression) it
+leaves them linear.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -48,6 +50,9 @@ from .tensor import ShapeError, Tensor
 
 CHECKPOINT_FORMAT = "bcfusion-checkpoint"
 CHECKPOINT_VERSION = 1
+# ModelConfig keys that version-1 files written before they became constants
+# still hold, with the one value each may take.
+_RETIRED_MODEL_KEYS = {"pre_norm": False, "ffn_mult": 2}
 
 
 class FusionTopology(str, Enum):
@@ -156,32 +161,15 @@ def split_streams(x: Tensor, d_a: int) -> tuple[Tensor, Tensor]:
     return T.slice_cols(x, 0, d_a), T.slice_cols(x, d_a, width)
 
 
-class PredictionHead:
-    """Linear map from a pooled feature vector to one output; squashed for detection."""
-
-    def __init__(self, d_in: int, rng: np.random.Generator, sigmoid_output: bool):
-        self.fc = Linear(d_in, 1, rng)
-        self.sigmoid_output = sigmoid_output
-
-    def __call__(self, features: Tensor) -> Tensor:
-        out = self.fc(features)
-        return T.sigmoid(out) if self.sigmoid_output else out
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.fc.named_parameters(prefix)
-
-
 class FeedForwardHead:
     """Two-layer perceptron head used where a single linear map is not enough."""
 
-    def __init__(self, d_in: int, hidden: int, rng: np.random.Generator, sigmoid_output: bool):
+    def __init__(self, d_in: int, hidden: int, rng: np.random.Generator):
         self.fc1 = Linear(d_in, hidden, rng)
         self.fc2 = Linear(hidden, 1, rng)
-        self.sigmoid_output = sigmoid_output
 
     def __call__(self, features: Tensor) -> Tensor:
-        out = self.fc2(T.relu(self.fc1(features)))
-        return T.sigmoid(out) if self.sigmoid_output else out
+        return self.fc2(T.relu(self.fc1(features)))
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield from self.fc1.named_parameters(f"{prefix}fc1.")
@@ -204,7 +192,7 @@ class FusionModel:
         self.task = task
         self.config = config
         self.spec = spec = TOPOLOGIES[topology]
-        c, sig = config, task == "detection"
+        c = config
         # creation order (projections, stages, heads, final) fixes seeded weights and checkpoints
         self._components = comp = {}
         width = {s: getattr(c, field) for s, field in spec.streams.items()}
@@ -214,13 +202,11 @@ class FusionModel:
         for st in spec.stages:
             # a channel such as "tf1:face" is as wide as that stream's projection
             width[st.name] = d = sum(width[ref.rpartition(":")[2]] for ref in st.inputs)
-            comp[st.name] = TransformerLayer(d, getattr(c, st.heads), rng, d_ff=c.ffn_mult * d,
-                                             dropout_rate=c.dropout, pre_norm=c.pre_norm)
+            comp[st.name] = TransformerLayer(d, getattr(c, st.heads), rng, dropout_rate=c.dropout)
         for name in spec.supervised:
-            comp[f"head_{name}"] = PredictionHead(width[name], rng, sig)
+            comp[f"head_{name}"] = Linear(width[name], 1, rng)
         d = sum(width[name] for name in spec.pooled)
-        comp["final"] = FeedForwardHead(d, c.ff_hidden, rng, sig) if spec.ff_head \
-            else PredictionHead(d, rng, sig)
+        comp["final"] = FeedForwardHead(d, c.ff_hidden, rng) if spec.ff_head else Linear(d, 1, rng)
 
     # -- forward ------------------------------------------------------------
 
@@ -261,11 +247,12 @@ class FusionModel:
             xs = [seq[ref] for ref in st.inputs]
             x = T.concat(xs, axis=1) if len(xs) > 1 else xs[0]
             seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), **kw)
-        intermediates = [(name, comp[f"head_{name}"](mean_pool(seq[name])))
+        squash = T.sigmoid if self.task == "detection" else (lambda x: x)
+        intermediates = [(name, squash(comp[f"head_{name}"](mean_pool(seq[name]))))
                          for name in spec.supervised]
         pooled = [mean_pool(seq[name]) for name in spec.pooled]
         final = comp["final"](T.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0])
-        return ForwardOutput(final=final, intermediates=intermediates)
+        return ForwardOutput(final=squash(final), intermediates=intermediates)
 
     __call__ = forward
 
@@ -306,7 +293,6 @@ def parameter_breakdown(model: FusionModel) -> dict[str, int]:
 def save_checkpoint(model: FusionModel, path: str | Path,
                     extra_meta: Optional[dict] = None) -> None:
     """Write a versioned npz container with topology, config, and all parameters."""
-    from dataclasses import asdict
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -337,7 +323,18 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {meta.get('version')!r}")
         arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
-    config = ModelConfig(**meta["model_config"])
+    for key in ("topology", "task", "model_config"):
+        if key not in meta:
+            raise ValueError(f"{path}: checkpoint meta has no {key!r}")
+    stored = dict(meta["model_config"])
+    for key, value in _RETIRED_MODEL_KEYS.items():
+        if stored.pop(key, value) != value:
+            raise ValueError(f"{path}: model_config key {key!r} must be {value!r}, "
+                             f"got {meta['model_config'][key]!r}")
+    unknown = set(stored) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise ValueError(f"{path}: unknown model_config key {min(unknown)!r}")
+    config = ModelConfig(**stored)
     model = build_model(meta["topology"], meta["task"], config, rng_seed=0)
     names = dict(model.named_parameters())
     if set(names) != set(arrays):

@@ -197,7 +197,7 @@ def transpose(x: Tensor) -> Tensor:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-    return _emit((x,), x.data.T.copy(), lambda g: _accum(x, g.T) if x.requires_grad else None)
+    return _emit((x,), x.data.T.copy(), lambda g: _accum(x, g.T))
 
 
 def _is_scalar_operand(v) -> bool:
@@ -213,7 +213,7 @@ def add(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
     if _is_scalar_operand(b):
         c = float(b)
-        return _emit((a,), a.data + c, lambda g: _accum(a, g) if a.requires_grad else None)
+        return _emit((a,), a.data + c, lambda g: _accum(a, g))
     b = as_tensor(b)
     if a.shape == b.shape:
         def bw_same(g: np.ndarray) -> None:
@@ -234,7 +234,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def neg(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    return _emit((x,), -x.data, lambda g: _accum(x, -g) if x.requires_grad else None)
+    return _emit((x,), -x.data, lambda g: _accum(x, -g))
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -248,7 +248,7 @@ def mul(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
     if _is_scalar_operand(b):
         c = float(b)
-        return _emit((a,), a.data * c, lambda g: _accum(a, g * c) if a.requires_grad else None)
+        return _emit((a,), a.data * c, lambda g: _accum(a, g * c))
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes differ: {a.shape} vs {b.shape}")
@@ -269,8 +269,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
-    return _emit((x,), np.where(mask, x.data, 0.0),
-                 lambda g: _accum(x, g * mask) if x.requires_grad else None)
+    return _emit((x,), np.where(mask, x.data, 0.0), lambda g: _accum(x, g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -279,26 +278,20 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
-    def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            _accum(x, g * out_data * (1.0 - out_data))
-
-    return _emit((x,), out_data, bw)
+    return _emit((x,), out_data, lambda g: _accum(x, g * out_data * (1.0 - out_data)))
 
 
 def log(x: Tensor) -> Tensor:
     """Natural log; inputs must be strictly positive."""
     x = as_tensor(x)
-    return _emit((x,), np.log(x.data),
-                 lambda g: _accum(x, g / x.data) if x.requires_grad else None)
+    return _emit((x,), np.log(x.data), lambda g: _accum(x, g / x.data))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
     x = as_tensor(x)
     mask = (x.data >= lo) & (x.data <= hi)
-    return _emit((x,), np.clip(x.data, lo, hi),
-                 lambda g: _accum(x, g * mask) if x.requires_grad else None)
+    return _emit((x,), np.clip(x.data, lo, hi), lambda g: _accum(x, g * mask))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -311,9 +304,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out_data = e / e.sum(axis=axis, keepdims=True)
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            _accum(x, out_data * (g - inner))
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        _accum(x, out_data * (g - inner))
 
     return _emit((x,), out_data, bw)
 
@@ -350,7 +342,7 @@ def tsum(x: Tensor) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
     x = as_tensor(x)
     return _emit((x,), np.asarray(x.data.sum()),
-                 lambda g: _accum(x, np.broadcast_to(g, x.shape).copy()) if x.requires_grad else None)
+                 lambda g: _accum(x, np.broadcast_to(g, x.shape).copy()))
 
 
 def tmean(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -359,15 +351,13 @@ def tmean(x: Tensor, axis: Optional[int] = None) -> Tensor:
     if axis is None:
         n = x.data.size
         return _emit((x,), np.asarray(x.data.mean()),
-                     lambda g: _accum(x, np.broadcast_to(g / n, x.shape).copy())
-                     if x.requires_grad else None)
+                     lambda g: _accum(x, np.broadcast_to(g / n, x.shape).copy()))
     if axis != 0:
         raise ShapeError("tmean supports axis=None or axis=0")
     if x.data.ndim != 2 or x.shape[0] < 1:
         raise ShapeError(f"tmean(axis=0) expects a nonempty 2-D tensor, got {x.shape}")
     n = x.shape[0]
-    return _emit((x,), x.data.mean(axis=0),
-                 lambda g: _accum(x, np.tile(g / n, (n, 1))) if x.requires_grad else None)
+    return _emit((x,), x.data.mean(axis=0), lambda g: _accum(x, np.tile(g / n, (n, 1))))
 
 
 def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
@@ -406,9 +396,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_cols: [{start}, {stop}) out of range for width {x.shape[1]}")
 
     def bw(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            _accum(x, full)
+        full = np.zeros_like(x.data)
+        full[:, start:stop] = g
+        _accum(x, full)
 
     return _emit((x,), x.data[:, start:stop].copy(), bw)

@@ -113,11 +113,9 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
         return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params],
-                   beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
@@ -182,6 +180,8 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     (higher accuracy / lower MSE wins; ties keep the earlier epoch).  The
     history holds one (epoch, train_loss, val_metric) row per epoch.  The new
     parameters are cast to ``config.dtype``, which the model and its checkpoint keep.
+    A non-finite batch loss or gradient raises RuntimeError before the Adam step,
+    naming the epoch and the batch's sample ids.
     """
     config.validate()
     train = corpus.get("train") or []
@@ -200,7 +200,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     params = model.parameters()
     for p in params:
         p.data = p.data.astype(config.dtype, copy=False)
-    state = AdamState.for_params(params, config.beta1, config.beta2, config.adam_eps)
+    state = AdamState.for_params(params)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
 
@@ -224,10 +224,13 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
                     total = loss if total is None else T.add(total, loss)
                 batch_loss = T.scale(total, 1.0 / len(batch))
             value = batch_loss.data.item()
-            if not np.isfinite(value):
-                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
-            backward(batch_loss, tape)
+            if np.isfinite(value):
+                backward(batch_loss, tape)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            if not (np.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+                what = "gradient" if np.isfinite(value) else "loss"
+                raise RuntimeError(f"training diverged at epoch {epoch}: non-finite {what} "
+                                   f"on samples {', '.join(s.id for s in batch)}")
             adam_step(params, grads, state, config.learning_rate, config.weight_decay)
             for p in params:
                 p.zero_grad()

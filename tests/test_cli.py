@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bcfusion.cli import run_command
+from bcfusion.config import toy_model_config
+from bcfusion.models import build_model, save_checkpoint
 
 SPEC_TEXT = """\
 # tiny detection corpus
@@ -151,6 +153,19 @@ class TestTrain:
         assert "config key 'loss_weights': one_to_one takes 3 weights, got 2" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["pre_norm = false", "ffn_mult = 2", "beta1 = 0.9",
+                                      "beta2 = 0.999", "adam_eps = 1e-8"])
+    def test_removed_setting_is_unknown_key(self, config_file, tmp_path, capsys, line):
+        config = tmp_path / "old.cfg"
+        config.write_text(config_file.read_text() + line + "\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
+                "one_stream", "--task", "detection", "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        assert run_command(args) == 1
+        n_lines = len(CONFIG_TEXT.splitlines()) + 1
+        key = line.split(" ")[0]
+        assert f"{config}:{n_lines}: unknown config key {key!r}" in capsys.readouterr().err
+
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
                 "one_stream", "--task", "detection", "--out", str(tmp_path / "o")]
@@ -196,6 +211,27 @@ class TestEval:
         assert captured.out == ""
         assert f"{sample}: row 2: non-finite value" in captured.err
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta["model_config"].update(n_layers=2), "n_layers"),
+        (lambda meta: meta.pop("topology"), "topology"),
+    ], ids=["unknown_key", "no_topology"])
+    def test_malformed_checkpoint_meta_is_validation_error(self, tmp_path, capsys, edit, key):
+        model = build_model("one_stream", "detection", toy_model_config(face_dim=7, pose_dim=5))
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        edit(meta)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                            str(tmp_path / "missing.csv"), "--split", "validation"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {path}: ") and repr(key) in line
+
 
 class TestGradcheck:
     def test_single_topology_passes(self, capsys):
@@ -231,6 +267,17 @@ class TestSweep:
         assert (out / "results.txt").exists()
         stdout_lines = capsys.readouterr().out.strip().splitlines()
         assert stdout_lines == csv_lines
+
+    def test_loss_weights_rejected_before_training(self, corpus_dir, config_file, tmp_path,
+                                                   capsys):
+        config = tmp_path / "weights.cfg"
+        config.write_text(config_file.read_text() + "loss_weights = 1.0\n")
+        out = tmp_path / "sweep"
+        args = ["sweep", "--manifest", str(corpus_dir / "manifest.csv"), "--task",
+                "detection", "--config", str(config), "--out", str(out), "--epochs", "1"]
+        assert run_command(args) == 1
+        assert "config key 'loss_weights'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

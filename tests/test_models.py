@@ -1,6 +1,8 @@
 """Topology wiring, determinism, parameter accounting, and checkpoint round-trips."""
 
 import hashlib
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +31,21 @@ def toy_inputs(seed=0, t=8):
     rng = np.random.default_rng(seed)
     return (Tensor(rng.normal(size=(t, TOY.face_dim))),
             Tensor(rng.normal(size=(t, TOY.pose_dim))))
+
+
+def read_meta(path):
+    with np.load(path) as z:
+        return json.loads(bytes(z["__meta__"]).decode("utf-8"))
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to a checkpoint's meta in place."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = read_meta(path)
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 class TestBuildModel:
@@ -246,6 +263,31 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         name = "tf1.attn.wq" if cast == "one" else next(iter(params))
         with pytest.raises(ValueError, match=rf"{path}: {name} is float(32|16)"):
+            load_checkpoint(path)
+
+    def test_loads_meta_with_retired_model_config_keys_bitwise(self, tmp_path):
+        # version-1 files written while pre_norm and ffn_mult were settings hold
+        # a 16-key model_config; the values every such file holds still load
+        model = build_model("one_to_two", "detection", TOY, rng_seed=3)
+        face, pose = toy_inputs(seed=8)
+        before = model.forward(face, pose)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        assert list(read_meta(path)["model_config"]) == [f.name for f in fields(ModelConfig)]
+        rewrite_meta(path, lambda meta: meta["model_config"].update(ffn_mult=2, pre_norm=False))
+        assert len(read_meta(path)["model_config"]) == 16
+        loaded, _ = load_checkpoint(path)
+        after = loaded.forward(face, pose)
+        assert after.final.data.tobytes() == before.final.data.tobytes()
+        for (_, pa), (_, pb) in zip(before.intermediates, after.intermediates):
+            assert pa.data.tobytes() == pb.data.tobytes()
+
+    @pytest.mark.parametrize("key, value", [("pre_norm", True), ("ffn_mult", 3)])
+    def test_rejects_retired_key_with_other_value(self, tmp_path, key, value):
+        path = tmp_path / "model.npz"
+        save_checkpoint(build_model("one_stream", "detection", TOY), path)
+        rewrite_meta(path, lambda meta: meta["model_config"].update({key: value}))
+        with pytest.raises(ValueError, match=rf"{path}: model_config key '{key}'"):
             load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):

@@ -1,14 +1,16 @@
 """Losses, weight tables, Adam, and the training loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bcfusion import training
 from bcfusion.config import ConfigError, TrainConfig, toy_model_config
 from bcfusion.data import SynthSpec, load_corpus, synth_generate
-from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, load_checkpoint,
-                             save_checkpoint)
+from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, build_model,
+                             load_checkpoint, save_checkpoint)
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, bce_loss, combined_loss,
                                evaluate_metrics, loss_weights_for, metrics_record,
@@ -265,6 +267,34 @@ class TestRunTraining:
         cfg = tiny_config(task="agreement", epochs=5, batch_size=2, learning_rate=1e200)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
             run_training(corpus, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_features_name_epoch_and_samples(self, tiny_corpus):
+        train = list(tiny_corpus["train"])
+        bad = train[1]
+        train[1] = replace(bad, face_seq=bad.face_seq * 1e200)
+        corpus = {"train": train, "validation": tiny_corpus["validation"]}
+        with pytest.raises(RuntimeError, match="at epoch 1: non-finite loss on samples") as exc:
+            run_training(corpus, tiny_config(batch_size=2))
+        batch = str(exc.value).rpartition("samples ")[2].split(", ")
+        assert bad.id in batch and len(batch) == 2
+
+    def test_non_finite_gradient_stops_before_the_update(self, tiny_corpus, monkeypatch):
+        built = []
+
+        def keep_model(*args, **kwargs):
+            built.append(build_model(*args, **kwargs))
+            return built[-1]
+
+        def poisoned_backward(output, tape):
+            backward(output, tape)
+            built[0].parameters()[-1].grad[...] = np.nan
+
+        monkeypatch.setattr(training, "build_model", keep_model)
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        monkeypatch.setattr(training, "adam_step", lambda *a, **k: pytest.fail("Adam ran"))
+        with pytest.raises(RuntimeError, match="at epoch 1: non-finite gradient on samples "):
+            run_training(tiny_corpus, tiny_config())
 
     def test_best_model_restored(self, tiny_corpus):
         result = run_training(tiny_corpus, tiny_config(epochs=4))
