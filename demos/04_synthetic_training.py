@@ -6,7 +6,7 @@ modality and labels each sample with the XOR of the two burst flags.  By
 construction neither modality alone predicts the label above chance, so a
 single-modality model is stuck near 0.5 while a fused one can solve the
 task outright.  (A scaled-down version of the acceptance experiment; takes
-a minute or two on a laptop.)
+a few seconds.)
 """
 
 import tempfile

@@ -1,8 +1,14 @@
 """Attention and transformer-encoder building blocks.
 
-Everything here operates on single sequences shaped (T, d): batching is the
-caller's concern.  Parameters are plain ``Tensor`` objects created with
-uniform fan-in initialization, U(-sqrt(1/fan_in), +sqrt(1/fan_in)).
+A mini-batch of B sequences of equal length T is stacked into (B·T, d) rows,
+sample after sample, so projections, the feed-forward block and layer norm
+run as one 2-D op over every frame of the batch; the ``batch`` argument tells
+attention, positional encoding and pooling where one sequence ends and the
+next begins.  Attention runs over (B·H, T, d_head) stacks, heads and samples
+alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
+single (T, d) sequence is a batch of one.  Parameters are plain ``Tensor``
+objects created with uniform fan-in initialization,
+U(-sqrt(1/fan_in), +sqrt(1/fan_in)).
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class MultiHeadAttention:
 
     Queries are projected from ``x_q`` and keys/values from ``x_kv``;
     self-attention is the ``x_q is x_kv`` case.  Projections are packed as
-    single (d_model, d_model) matrices and sliced into per-head columns.
+    single (d_model, d_model) matrices whose column blocks are the heads.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -74,19 +80,16 @@ class MultiHeadAttention:
         self.wv = uniform_init(rng, (d_model, d_model), d_model)
         self.wo = uniform_init(rng, (d_model, d_model), d_model)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, batch: int = 1) -> Tensor:
+        """Attend within each of ``batch`` stacked sequences: rows (B·T_q, d), (B·T_k, d)."""
         if x_q.shape[-1] != self.d_model or x_kv.shape[-1] != self.d_model:
             raise ShapeError(
                 f"attention width mismatch: inputs {x_q.shape}/{x_kv.shape}, d_model {self.d_model}")
-        q = T.matmul(x_q, self.wq)
-        k = T.matmul(x_kv, self.wk)
-        v = T.matmul(x_kv, self.wv)
-        heads = []
-        for i in range(self.n_heads):
-            lo, hi = i * self.d_head, (i + 1) * self.d_head
-            heads.append(scaled_dot_product_attention(
-                T.slice_cols(q, lo, hi), T.slice_cols(k, lo, hi), T.slice_cols(v, lo, hi)))
-        return T.matmul(T.concat(heads, axis=1), self.wo)
+        q, k, v = (T.split_heads(T.matmul(x, w), self.n_heads, batch)
+                   for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
+        scores = T.scale(T.batched_matmul(q, k, transpose_b=True), 1.0 / math.sqrt(self.d_head))
+        heads = T.batched_matmul(T.softmax(scores, axis=-1), v)
+        return T.matmul(T.merge_heads(heads, batch), self.wo)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}wq", self.wq
@@ -113,19 +116,15 @@ def sinusoidal_positional_encoding(n_positions: int, d_model: int) -> Tensor:
     return Tensor(pe)
 
 
-def add_positional_encoding(x: Tensor) -> Tensor:
-    pe = sinusoidal_positional_encoding(x.shape[0], x.shape[1]).data
-    return T.add(x, Tensor(pe.astype(x.data.dtype, copy=False)))
+def add_positional_encoding(x: Tensor, batch: int = 1) -> Tensor:
+    """Add the position signal to each of ``batch`` stacked sequences."""
+    pe = sinusoidal_positional_encoding(x.shape[0] // batch, x.shape[1]).data
+    return T.add(x, Tensor(np.tile(pe.astype(x.data.dtype, copy=False), (batch, 1))))
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
-            training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs a random generator")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+def dropout(x: Tensor, rate: float, uniforms: np.ndarray) -> Tensor:
+    """Inverted dropout, keeping the entries whose uniform draw is at least ``rate``."""
+    mask = (uniforms.reshape(x.shape) >= rate) / (1.0 - rate)
     return T.mul(x, Tensor(mask.astype(x.data.dtype, copy=False)))
 
 
@@ -150,15 +149,31 @@ class TransformerLayer:
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
 
     def forward(self, x: Tensor, x_q: Optional[Tensor] = None, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> Tensor:
+                rng: Optional[np.random.Generator] = None, batch: int = 1,
+                noise: Optional[np.ndarray] = None) -> Tensor:
+        """Encode ``batch`` stacked sequences, rows (B·T, d_model).
+
+        In training, dropout masks are cut from ``noise``, the (B, 2, T, d_model)
+        uniforms of each sample's attention and feed-forward masks; without
+        ``noise`` they are drawn from ``rng`` in that order.
+        """
         if x.data.ndim != 2 or x.shape[1] != self.d_model:
             raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
         if x_q is not None and x_q.shape != x.shape:
             raise ShapeError(f"query stream shape {x_q.shape} != input shape {x.shape}")
+        drop = training and self.dropout_rate > 0.0
+        if drop and noise is None:
+            if rng is None:
+                raise ValueError("dropout in training mode needs a random generator")
+            noise = rng.random((batch, 2, x.shape[0] // batch, self.d_model))
         q_src = x if x_q is None else x_q
-        a = dropout(self.attn(q_src, x), self.dropout_rate, rng, training)
+        a = self.attn(q_src, x, batch)
+        if drop:
+            a = dropout(a, self.dropout_rate, noise[:, 0])
         h = T.layer_norm(T.add(x, a), self.ln1_gain, self.ln1_bias)
-        f = dropout(self.ffn2(T.relu(self.ffn1(h))), self.dropout_rate, rng, training)
+        f = self.ffn2(T.relu(self.ffn1(h)))
+        if drop:
+            f = dropout(f, self.dropout_rate, noise[:, 1])
         return T.layer_norm(T.add(h, f), self.ln2_gain, self.ln2_bias)
 
     __call__ = forward
@@ -173,8 +188,9 @@ class TransformerLayer:
         yield f"{prefix}ln2_bias", self.ln2_bias
 
 
-def mean_pool(x: Tensor) -> Tensor:
-    """Arithmetic mean over the time axis: (T, d) -> (d,)."""
+def mean_pool(x: Tensor, batch: Optional[int] = None) -> Tensor:
+    """Arithmetic mean over the time axis: (T, d) -> (d,), or per sequence of
+    ``batch`` stacked ones, (B·T, d) -> (B, d)."""
     if x.data.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"mean_pool needs a nonempty (T, d) sequence, got {x.shape}")
-    return T.tmean(x, axis=0)
+    return T.tmean(x, axis=0) if batch is None else T.row_mean(x, batch)

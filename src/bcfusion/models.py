@@ -35,16 +35,16 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, get_type_hints
 
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, ModelConfig
+from .config import TASKS, ConfigError, ModelConfig
 from .layers import (Linear, TransformerLayer, add_positional_encoding, mean_pool)
 from .tensor import ShapeError, Tensor
 
@@ -143,7 +143,8 @@ TOPOLOGIES: dict[FusionTopology, Topology] = {
 class ForwardOutput:
     """Final prediction plus per-supervised-layer intermediate predictions.
 
-    Each entry is (layer tag, size-1 tensor); for detection every prediction
+    Each prediction is a (B, 1) tensor, one row per sample of the batch; each
+    intermediate is paired with its layer tag.  For detection every prediction
     is a probability in (0, 1).
     """
 
@@ -152,7 +153,7 @@ class ForwardOutput:
 
 
 def split_streams(x: Tensor, d_a: int) -> tuple[Tensor, Tensor]:
-    """Split (T, d_a + d_b) at feature index d_a; exact inverse of concat."""
+    """Split rows (B·T, d_a + d_b) at feature index d_a; exact inverse of concat."""
     if x.data.ndim != 2:
         raise ShapeError(f"split_streams expects a 2-D tensor, got {x.shape}")
     width = x.shape[1]
@@ -207,51 +208,82 @@ class FusionModel:
             comp[f"head_{name}"] = Linear(width[name], 1, rng)
         d = sum(width[name] for name in spec.pooled)
         comp["final"] = FeedForwardHead(d, c.ff_hidden, rng) if spec.ff_head else Linear(d, 1, rng)
+        self._stage_widths = [width[st.name] for st in spec.stages]
+        self.max_width = max(self._stage_widths)
 
     # -- forward ------------------------------------------------------------
 
-    def _check_inputs(self, face_seq: Tensor, pose_seq: Tensor) -> None:
+    def _check_inputs(self, face: np.ndarray, pose: np.ndarray) -> None:
         c = self.config
-        if face_seq.data.ndim != 2 or pose_seq.data.ndim != 2:
-            raise ShapeError("inputs must be (T, features) sequences")
-        if face_seq.shape[0] != pose_seq.shape[0]:
+        if face.ndim != 3 or pose.ndim != 3:
+            raise ShapeError("inputs must be (T, features) sequences or (B, T, features) stacks")
+        if face.shape[:2] != pose.shape[:2]:
             raise ShapeError(
-                f"modalities are not frame-aligned: face T={face_seq.shape[0]}, "
-                f"pose T={pose_seq.shape[0]}")
-        if face_seq.shape[0] < 1:
+                f"modalities are not frame-aligned: (batch, steps) face {face.shape[:2]}, "
+                f"pose {pose.shape[:2]}")
+        if face.shape[0] < 1 or face.shape[1] < 1:
             raise ValueError("empty sequence: at least one time step required")
-        if "face" in self.spec.streams and face_seq.shape[1] != c.face_dim:
-            raise ShapeError(f"face width {face_seq.shape[1]} != configured {c.face_dim}")
-        if "pose" in self.spec.streams and pose_seq.shape[1] != c.pose_dim:
-            raise ShapeError(f"pose width {pose_seq.shape[1]} != configured {c.pose_dim}")
+        if "face" in self.spec.streams and face.shape[2] != c.face_dim:
+            raise ShapeError(f"face width {face.shape[2]} != configured {c.face_dim}")
+        if "pose" in self.spec.streams and pose.shape[2] != c.pose_dim:
+            raise ShapeError(f"pose width {pose.shape[2]} != configured {c.pose_dim}")
 
-    def _pe(self, x: Tensor) -> Tensor:
-        return add_positional_encoding(x) if self.config.use_positional_encoding else x
+    def dropout_noise(self, length: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw the uniforms one sample's training-mode dropout masks are cut from.
 
-    def forward(self, face_seq: Tensor, pose_seq: Tensor, training: bool = False,
-                rng: Optional[np.random.Generator] = None) -> ForwardOutput:
-        """Walk the topology's table; positional encoding enters first-layer inputs only."""
+        They come in the order a forward pass over that sample alone used to
+        draw them: per stage, the attention mask and then the feed-forward
+        mask, each (length, stage width).  Empty, drawing nothing, when the
+        dropout rate is zero.
+        """
+        per_step = 2 * sum(self._stage_widths) if self.config.dropout > 0.0 else 0
+        return rng.random(length * per_step)
+
+    def forward(self, face_seq, pose_seq, training: bool = False,
+                noise: Optional[np.ndarray] = None) -> ForwardOutput:
+        """Walk the topology's table over a batch of equally long sequences.
+
+        ``face_seq`` and ``pose_seq`` are (B, T, features) stacks, or one
+        (T, features) sequence each, a batch of one.  The B·T frames run as
+        stacked rows; positional encoding enters first-layer inputs only.  In
+        training, row b of ``noise`` is :meth:`dropout_noise` of sample b.
+        """
         dtype = next(self.named_parameters())[1].data.dtype
-        face_seq, pose_seq = (x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
-                              for x in (T.as_tensor(face_seq), T.as_tensor(pose_seq)))
-        self._check_inputs(face_seq, pose_seq)
-        spec, comp, kw = self.spec, self._components, {"training": training, "rng": rng}
-        raw = {"face": face_seq, "pose": pose_seq}
+        face, pose = (np.asarray(T.as_tensor(x).data, dtype=dtype) for x in (face_seq, pose_seq))
+        if face.ndim == 2 and pose.ndim == 2:
+            face, pose = face[None], pose[None]
+        self._check_inputs(face, pose)
+        batch, steps = face.shape[:2]
+        spec, comp = self.spec, self._components
+        drop = training and self.config.dropout > 0.0
+        noise_parts = [None] * len(spec.stages)
+        if drop:
+            sizes = [2 * steps * w for w in self._stage_widths]
+            if noise is None or noise.shape != (batch, sum(sizes)):
+                raise ValueError(f"training with dropout needs ({batch}, {sum(sizes)}) noise "
+                                 f"from dropout_noise, got {getattr(noise, 'shape', None)}")
+            noise_parts = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
+        raw = {"face": Tensor(face.reshape(batch * steps, -1)),
+               "pose": Tensor(pose.reshape(batch * steps, -1))}
         seq = {s: comp[f"{s}_proj"](raw[s]) for s in spec.streams}
         if spec.fused:
             seq = {"fused": T.concat(list(seq.values()), axis=1)}
-        seq = {s: self._pe(x) for s, x in seq.items()}
-        for st in spec.stages:
+        if self.config.use_positional_encoding:
+            seq = {s: add_positional_encoding(x, batch) for s, x in seq.items()}
+        for st, part in zip(spec.stages, noise_parts):
             for s in dict.fromkeys(ref.partition(":")[0] for ref in st.inputs if ref not in seq):
                 seq[s + ":face"], seq[s + ":pose"] = split_streams(seq[s], comp["face_proj"].d_out)
             xs = [seq[ref] for ref in st.inputs]
             x = T.concat(xs, axis=1) if len(xs) > 1 else xs[0]
-            seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), **kw)
+            if part is not None:
+                part = part.reshape(batch, 2, steps, -1)
+            seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), training=drop,
+                                                 batch=batch, noise=part)
         squash = T.sigmoid if self.task == "detection" else (lambda x: x)
-        intermediates = [(name, squash(comp[f"head_{name}"](mean_pool(seq[name]))))
+        intermediates = [(name, squash(comp[f"head_{name}"](mean_pool(seq[name], batch))))
                          for name in spec.supervised]
-        pooled = [mean_pool(seq[name]) for name in spec.pooled]
-        final = comp["final"](T.concat(pooled, axis=0) if len(pooled) > 1 else pooled[0])
+        pooled = [mean_pool(seq[name], batch) for name in spec.pooled]
+        final = comp["final"](T.concat(pooled, axis=1) if len(pooled) > 1 else pooled[0])
         return ForwardOutput(final=squash(final), intermediates=intermediates)
 
     __call__ = forward
@@ -323,17 +355,30 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported version {meta.get('version')!r}")
         arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
-    for key in ("topology", "task", "model_config"):
+    for key, allowed in (("topology", [t.value for t in FusionTopology]), ("task", TASKS),
+                         ("model_config", None)):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint meta has no {key!r}")
+        if allowed is not None and meta[key] not in allowed:
+            raise ValueError(f"{path}: checkpoint meta key {key!r}: {meta[key]!r} is not one "
+                             f"of {', '.join(allowed)}")
+    if not isinstance(meta["model_config"], dict):
+        raise ValueError(f"{path}: checkpoint meta key 'model_config' must be an object, "
+                         f"got {meta['model_config']!r}")
     stored = dict(meta["model_config"])
     for key, value in _RETIRED_MODEL_KEYS.items():
         if stored.pop(key, value) != value:
             raise ValueError(f"{path}: model_config key {key!r} must be {value!r}, "
                              f"got {meta['model_config'][key]!r}")
-    unknown = set(stored) - {f.name for f in fields(ModelConfig)}
-    if unknown:
-        raise ValueError(f"{path}: unknown model_config key {min(unknown)!r}")
+    kinds = get_type_hints(ModelConfig)
+    for key, value in sorted(stored.items()):
+        if key not in kinds:
+            raise ValueError(f"{path}: unknown model_config key {key!r}")
+        # JSON keeps the type: an int is also a valid float, but a bool is no number
+        allowed = (int, float) if kinds[key] is float else kinds[key]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and kinds[key] is not bool):
+            raise ValueError(f"{path}: model_config key {key!r}: expected "
+                             f"{kinds[key].__name__}, got {value!r}")
     config = ModelConfig(**stored)
     model = build_model(meta["topology"], meta["task"], config, rng_seed=0)
     names = dict(model.named_parameters())

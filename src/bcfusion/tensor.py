@@ -29,6 +29,7 @@ __all__ = [
     "as_tensor",
     "backward",
     "matmul",
+    "batched_matmul",
     "transpose",
     "add",
     "sub",
@@ -45,6 +46,9 @@ __all__ = [
     "tmean",
     "concat",
     "slice_cols",
+    "split_heads",
+    "merge_heads",
+    "row_mean",
 ]
 
 
@@ -140,7 +144,9 @@ def backward(output: Tensor, tape: Tape) -> None:
 
     ``output`` must be a size-1 tensor produced on ``tape``.  Gradients
     accumulate additively across fan-out; ops whose result never reached
-    the output are skipped (their output gradient stays ``None``).
+    the output are skipped.  Every consumer of a record's output comes later
+    on the tape, so once the record's rule has run its output gradient is
+    complete and spent: it is released, and only leaves keep a gradient.
     """
     if output.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {output.shape}")
@@ -149,6 +155,7 @@ def backward(output: Tensor, tape: Tape) -> None:
         if out.grad is None:
             continue
         backward_fn(out.grad)
+        out.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -191,6 +198,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accum(b, a.data.T @ g)
 
     return _emit((a, b), out_data, bw)
+
+
+def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Stacked matrix products of 3-D tensors: ``a[i] @ b[i]``, or ``a[i] @ b[i].T``
+    when ``transpose_b`` is set."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"batched_matmul expects two equal-length 3-D stacks, "
+                         f"got {a.shape} @ {b.shape}")
+    bm = b.data.swapaxes(1, 2) if transpose_b else b.data
+    if a.shape[2] != bm.shape[1]:
+        raise ShapeError(f"batched_matmul inner dimensions disagree: {a.shape} @ {bm.shape}")
+
+    def bw(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accum(a, g @ bm.swapaxes(1, 2))
+        if b.requires_grad:
+            _accum(b, g.swapaxes(1, 2) @ a.data if transpose_b else a.data.swapaxes(1, 2) @ g)
+
+    return _emit((a, b), a.data @ bm, bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -401,3 +428,47 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         _accum(x, full)
 
     return _emit((x,), x.data[:, start:stop].copy(), bw)
+
+
+def _heads_to_rows(x: np.ndarray, batch: int) -> np.ndarray:
+    """(B·H, T, dh) -> (B·T, H·dh)."""
+    bh, t, dh = x.shape
+    return x.reshape(batch, bh // batch, t, dh).transpose(0, 2, 1, 3).reshape(batch * t, -1)
+
+
+def _rows_to_heads(x: np.ndarray, n_heads: int, batch: int) -> np.ndarray:
+    """(B·T, H·dh) -> (B·H, T, dh)."""
+    rows, width = x.shape
+    t, dh = rows // batch, width // n_heads
+    return x.reshape(batch, t, n_heads, dh).transpose(0, 2, 1, 3).reshape(batch * n_heads, t, dh)
+
+
+def split_heads(x: Tensor, n_heads: int, batch: int) -> Tensor:
+    """Cut the rows of ``batch`` stacked sequences into attention heads:
+    (B·T, H·dh) -> (B·H, T, dh), head h taking feature columns [h·dh, (h+1)·dh)."""
+    x = as_tensor(x)
+    if x.data.ndim != 2 or x.shape[0] % batch or x.shape[1] % n_heads:
+        raise ShapeError(f"split_heads: {x.shape} is not {batch} sequences of "
+                         f"{n_heads} equal heads")
+    return _emit((x,), _rows_to_heads(x.data, n_heads, batch),
+                 lambda g: _accum(x, _heads_to_rows(g, batch)))
+
+
+def merge_heads(x: Tensor, batch: int) -> Tensor:
+    """Inverse of :func:`split_heads`: (B·H, T, dh) -> (B·T, H·dh)."""
+    x = as_tensor(x)
+    if x.data.ndim != 3 or x.shape[0] % batch:
+        raise ShapeError(f"merge_heads: {x.shape} is not {batch} sequences of heads")
+    n_heads = x.shape[0] // batch
+    return _emit((x,), _heads_to_rows(x.data, batch),
+                 lambda g: _accum(x, _rows_to_heads(g, n_heads, batch)))
+
+
+def row_mean(x: Tensor, batch: int) -> Tensor:
+    """Mean over each of ``batch`` equal row blocks: (B·T, d) -> (B, d)."""
+    x = as_tensor(x)
+    if x.data.ndim != 2 or batch < 1 or x.shape[0] < batch or x.shape[0] % batch:
+        raise ShapeError(f"row_mean: {x.shape} is not {batch} nonempty equal row blocks")
+    t = x.shape[0] // batch
+    return _emit((x,), x.data.reshape(batch, t, -1).mean(axis=1),
+                 lambda g: _accum(x, np.repeat(g / t, t, axis=0)))

@@ -140,17 +140,41 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
 
 # -- evaluation --------------------------------------------------------------------
 
-def predict(model: FusionModel, sample: ProcessedSample) -> float:
-    out = model.forward(Tensor(sample.face_seq), Tensor(sample.pose_seq), training=False)
-    return out.final.data.item()
+# Most activation elements (rows x widest stage width) one evaluation forward holds.
+EVAL_CHUNK_ELEMENTS = 1 << 16
+
+
+def _length_groups(samples: Sequence[ProcessedSample]) -> list[list[int]]:
+    """Indices of ``samples`` grouped by sequence length, each group in sample order."""
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        groups.setdefault(len(s.face_seq), []).append(i)
+    return list(groups.values())
+
+
+def _stacked(samples: Sequence[ProcessedSample]) -> tuple[Tensor, Tensor]:
+    return (Tensor(np.stack([s.face_seq for s in samples])),
+            Tensor(np.stack([s.pose_seq for s in samples])))
 
 
 def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
                      task: str) -> dict:
-    """Accuracy at threshold 0.5 (detection) or mean squared error (agreement)."""
+    """Accuracy at threshold 0.5 (detection) or mean squared error (agreement).
+
+    Samples of one sequence length are scored together, in forward passes of
+    as many samples as keep rows x ``model.max_width`` within
+    ``EVAL_CHUNK_ELEMENTS`` (at least one), so memory stays flat at paper widths.
+    """
     if not samples:
         raise ValueError("cannot evaluate an empty split")
-    preds = np.array([predict(model, s) for s in samples])
+    preds = np.empty(len(samples))
+    for group in _length_groups(samples):
+        steps = len(samples[group[0]].face_seq)
+        chunk = max(1, EVAL_CHUNK_ELEMENTS // (steps * model.max_width))
+        for lo in range(0, len(group), chunk):
+            part = group[lo:lo + chunk]
+            out = model.forward(*_stacked([samples[i] for i in part]), training=False)
+            preds[part] = out.final.data[:, 0]
     labels = np.array([s.label for s in samples])
     if task == "detection":
         value = float(np.mean((preds >= 0.5) == (labels == 1.0)))
@@ -162,6 +186,28 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
 
 
 # -- training loop -------------------------------------------------------------------
+
+def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
+                   weights: Sequence[float], task: str, rng: np.random.Generator) -> Tensor:
+    """Training-mode mean of the samples' combined losses.
+
+    The batch runs as one forward pass per sequence length in it (usually
+    one), each length's mean loss weighted by its share of the batch.  The
+    dropout noise is drawn first, sample by sample in batch order, so a
+    sample's masks do not depend on how the batch splits by length.
+    """
+    noise = [model.dropout_noise(len(s.face_seq), rng) for s in batch]
+    total: Optional[Tensor] = None
+    for group in _length_groups(batch):
+        samples = [batch[i] for i in group]
+        out = model.forward(*_stacked(samples), training=True,
+                            noise=np.stack([noise[i] for i in group]))
+        loss = combined_loss(out, np.array([[s.label] for s in samples]), weights, task)
+        if len(group) < len(batch):
+            loss = T.scale(loss, len(group) / len(batch))
+        total = loss if total is None else T.add(total, loss)
+    return total
+
 
 @dataclass
 class TrainResult:
@@ -175,10 +221,11 @@ class TrainResult:
 def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) -> TrainResult:
     """Train one topology; returns the model restored to its best-validation epoch.
 
-    Mini-batches are reshuffled every epoch from a seeded generator; after every
-    epoch the validation metric decides whether to snapshot the parameters
-    (higher accuracy / lower MSE wins; ties keep the earlier epoch).  The
-    history holds one (epoch, train_loss, val_metric) row per epoch.  The new
+    Mini-batches are reshuffled every epoch from a seeded generator; each takes
+    one tape, one backward pass and one Adam step (see :func:`minibatch_loss`).
+    After every epoch the validation metric decides whether to snapshot the
+    parameters (higher accuracy / lower MSE wins; ties keep the earlier epoch).
+    The history holds one (epoch, train_loss, val_metric) row per epoch.  The new
     parameters are cast to ``config.dtype``, which the model and its checkpoint keep.
     A non-finite batch loss or gradient raises RuntimeError before the Adam step,
     naming the epoch and the batch's sample ids.
@@ -216,13 +263,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
             with Tape() as tape:
-                total: Optional[Tensor] = None
-                for s in batch:
-                    out = model.forward(Tensor(s.face_seq), Tensor(s.pose_seq),
-                                        training=True, rng=dropout_rng)
-                    loss = combined_loss(out, s.label, weights, config.task)
-                    total = loss if total is None else T.add(total, loss)
-                batch_loss = T.scale(total, 1.0 / len(batch))
+                batch_loss = minibatch_loss(model, batch, weights, config.task, dropout_rng)
             value = batch_loss.data.item()
             if np.isfinite(value):
                 backward(batch_loss, tape)

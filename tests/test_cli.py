@@ -232,6 +232,14 @@ class TestEval:
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: {path}: ") and repr(key) in line
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda meta: meta["model_config"].update(d_face="8"), "d_face"),
+        (lambda meta: meta.update(model_config=[8, 2]), "model_config"),
+        (lambda meta: meta.update(topology="bogus"), "topology"),
+    ], ids=["mistyped_value", "non_object_model_config", "unknown_topology"])
+    def test_mistyped_checkpoint_meta_is_validation_error(self, tmp_path, capsys, edit, key):
+        self.test_malformed_checkpoint_meta_is_validation_error(tmp_path, capsys, edit, key)
+
 
 class TestGradcheck:
     def test_single_topology_passes(self, capsys):

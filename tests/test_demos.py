@@ -10,8 +10,8 @@ import pytest
 import bcfusion
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-# 04_synthetic_training.py trains real models for about 20 s and is left out.
-QUICK_DEMOS = ["01_autodiff_basics.py", "02_attention_and_layers.py", "03_fusion_topologies.py"]
+QUICK_DEMOS = ["01_autodiff_basics.py", "02_attention_and_layers.py", "03_fusion_topologies.py",
+               "04_synthetic_training.py"]
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)

@@ -116,6 +116,32 @@ class TestOpGradients:
 
         check(f, [("x", x), ("y", y)])
 
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_matmul(self, seed, transpose_b):
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 5, 4) if transpose_b else (3, 4, 5)), requires_grad=True)
+        proj = random_projection(rng, (3, 2, 5))
+        check(lambda: proj(T.batched_matmul(a, b, transpose_b=transpose_b)),
+              [("a", a), ("b", b)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_and_merge_heads(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2 * 3, 3 * 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2 * 3, 3, 2)))
+        proj = random_projection(rng, (2 * 3, 3 * 2))
+        # the product keeps the merge's gradient from being the split's exact inverse
+        check(lambda: proj(T.merge_heads(T.mul(T.split_heads(x, 3, 2), w), 2)), [("x", x)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_mean(self, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3 * 4, 5)), requires_grad=True)
+        proj = random_projection(rng, (3, 5))
+        check(lambda: proj(T.row_mean(x, 3)), [("x", x)])
+
 
 class TestGradcheckTool:
     def test_linear_function_is_exact(self):

@@ -155,6 +155,39 @@ class TestElementwise:
         np.testing.assert_array_equal(T.slice_cols(joined, 3, 8).data, b)
 
 
+class TestBatchedOps:
+    def test_batched_matmul_is_per_matrix_product(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+        out = T.batched_matmul(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], naive_matmul(a[i], b[i]), rtol=0, atol=1e-12)
+        out_t = T.batched_matmul(Tensor(a), Tensor(b.swapaxes(1, 2)), transpose_b=True).data
+        np.testing.assert_array_equal(out_t, out)
+
+    def test_batched_matmul_shape_errors(self):
+        with pytest.raises(ShapeError):
+            T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeError):
+            T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))))
+
+    def test_heads_are_column_blocks_of_each_sequence(self):
+        x = np.arange(2 * 3 * 6, dtype=float).reshape(2 * 3, 6)  # 2 sequences, T=3, 3 heads of 2
+        heads = T.split_heads(Tensor(x), 3, 2).data
+        assert heads.shape == (6, 3, 2)
+        for b in range(2):
+            for h in range(3):
+                np.testing.assert_array_equal(heads[b * 3 + h], x[b * 3:(b + 1) * 3, 2 * h:2 * h + 2])
+        np.testing.assert_array_equal(T.merge_heads(Tensor(heads), 2).data, x)
+
+    def test_row_mean_per_block(self):
+        x = np.arange(12.0).reshape(6, 2)
+        np.testing.assert_array_equal(T.row_mean(Tensor(x), 2).data,
+                                      [x[:3].mean(axis=0), x[3:].mean(axis=0)])
+        with pytest.raises(ShapeError):
+            T.row_mean(Tensor(x), 4)
+
+
 class TestBackward:
     def test_square_derivative(self):
         x = Tensor(3.0, requires_grad=True)
@@ -212,6 +245,15 @@ class TestBackward:
         backward(y, tape)
         assert z.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with Tape() as tape:
+            h = T.relu(T.matmul(x, Tensor(np.ones((3, 2)))))
+            y = T.tsum(T.mul(h, h))
+        backward(y, tape)
+        assert all(out.grad is None for _, out, _ in tape.records)
+        np.testing.assert_array_equal(x.grad, np.tile(4.0 * np.array([[3.0], [12.0]]), (1, 3)))
 
 
 class TestTape:

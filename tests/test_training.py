@@ -159,14 +159,18 @@ class TestAdam:
 
 
 class _StubModel:
-    """Duck-typed model returning scripted predictions keyed by sample id."""
+    """Duck-typed model returning scripted predictions keyed by sample id, one
+    (B, 1) row per sample of a (B, T, features) batch."""
+
+    max_width = 1
 
     def __init__(self, predictions):
         self.predictions = predictions
 
-    def forward(self, face_seq, pose_seq, training=False, rng=None):
-        key = face_seq.data[0, 0].item()
-        return ForwardOutput(final=Tensor([self.predictions[key]]), intermediates=[])
+    def forward(self, face_seq, pose_seq, training=False, noise=None):
+        keys = face_seq.data[:, 0, 0]
+        return ForwardOutput(final=Tensor([[self.predictions[k.item()]] for k in keys]),
+                             intermediates=[])
 
 
 def stub_samples(labels):
