@@ -24,7 +24,7 @@ w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 v = Tensor(rng.normal(size=(5, 4)))
 r = Tensor(rng.normal(size=(5, 3)))
 with Tape() as tape:
-    out = T.tmean(T.mul(T.softmax(T.matmul(v, w), axis=-1), r))
+    out = T.tmean(T.mul(T.softmax(T.matmul(v, w)), r))
 backward(out, tape)
 print("grad shape:", w.grad.shape, "grad norm: %.3e" % np.linalg.norm(w.grad))
 

@@ -3,8 +3,9 @@
 
 import numpy as np
 
-from bcfusion import (MultiHeadAttention, TransformerLayer, mean_pool,
-                      scaled_dot_product_attention, sinusoidal_positional_encoding)
+from bcfusion import (MultiHeadAttention, TransformerLayer, scaled_dot_product_attention,
+                      sinusoidal_positional_encoding)
+from bcfusion import tensor as T
 from bcfusion.tensor import Tensor
 
 rng = np.random.default_rng(0)
@@ -39,5 +40,5 @@ base = layer.forward(Tensor(seq)).data
 shuffled = layer.forward(Tensor(seq[perm])).data
 print("permutation equivariant:", np.allclose(shuffled, base[perm], atol=1e-9))
 
-# pooling reduces a sequence to one feature vector for the prediction heads
-print("pooled:", mean_pool(Tensor(seq)).shape)
+# pooling reduces each sequence of a batch to one feature row for the prediction heads
+print("pooled:", T.row_mean(Tensor(seq), 1).shape)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -145,7 +146,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
-    window = float(meta.get("window_seconds", 3.0))
+    window = meta.get("window_seconds", 3.0)
+    if isinstance(window, bool) or not isinstance(window, (int, float)) \
+            or not (math.isfinite(window) and window > 0):
+        raise ConfigError(f"{args.checkpoint}: checkpoint meta key 'window_seconds' must be "
+                          f"a finite positive number, got {window!r}")
     corpus = load_corpus(args.manifest, model.task, window,
                          face_dim=model.config.face_dim - 1,
                          pose_dim=model.config.pose_dim - 1)

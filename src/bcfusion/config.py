@@ -7,6 +7,7 @@ comma-separated list.  Any CLI flag overrides the file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -107,8 +108,13 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        for key, value in (("learning_rate", self.learning_rate),
+                           ("window_seconds", self.window_seconds)):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"config key {key!r} must be a finite number > 0, got {value!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"config key 'weight_decay' must be a finite number >= 0, "
+                              f"got {self.weight_decay!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:

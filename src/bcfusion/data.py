@@ -20,6 +20,7 @@ frame-index column per modality.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,8 +146,8 @@ def load_manifest(path: str | Path, task: str | None = None) -> list[SampleDescr
                 fps = float(fps_raw)
             except ValueError as exc:
                 raise CorpusError(f"{path}: row {row_no}: bad fps {fps_raw!r}") from exc
-            if fps <= 0:
-                raise CorpusError(f"{path}: row {row_no}: fps must be positive")
+            if not (math.isfinite(fps) and fps > 0):
+                raise CorpusError(f"{path}: row {row_no}: fps must be a finite positive number")
             if split not in SPLITS:
                 raise CorpusError(f"{path}: row {row_no}: split must be one of {SPLITS}")
             label = _parse_label(label_raw, task, row_no, path)

@@ -3,8 +3,8 @@
 A mini-batch of B sequences of equal length T is stacked into (B·T, d) rows,
 sample after sample, so projections, the feed-forward block and layer norm
 run as one 2-D op over every frame of the batch; the ``batch`` argument tells
-attention, positional encoding and pooling where one sequence ends and the
-next begins.  Attention runs over (B·H, T, d_head) stacks, heads and samples
+attention and positional encoding where one sequence ends and the next
+begins.  Attention runs over (B·H, T, d_head) stacks, heads and samples
 alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
 single (T, d) sequence is a batch of one.  Parameters are plain ``Tensor``
 objects created with uniform fan-in initialization,
@@ -28,7 +28,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 class Linear:
-    """Affine map x @ w + b for row-major sequences or single vectors."""
+    """Affine map x @ w + b applied to every row of a 2-D input."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.d_out = d_out
@@ -58,7 +58,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention: k/v lengths differ: {k.shape} vs {v.shape}")
     d_k = q.shape[1]
     scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
-    return T.matmul(T.softmax(scores, axis=-1), v)
+    return T.matmul(T.softmax(scores), v)
 
 
 class MultiHeadAttention:
@@ -88,7 +88,7 @@ class MultiHeadAttention:
         q, k, v = (T.split_heads(T.matmul(x, w), self.n_heads, batch)
                    for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
         scores = T.scale(T.batched_matmul(q, k, transpose_b=True), 1.0 / math.sqrt(self.d_head))
-        heads = T.batched_matmul(T.softmax(scores, axis=-1), v)
+        heads = T.batched_matmul(T.softmax(scores), v)
         return T.matmul(T.merge_heads(heads, batch), self.wo)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
@@ -149,13 +149,12 @@ class TransformerLayer:
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
 
     def forward(self, x: Tensor, x_q: Optional[Tensor] = None, training: bool = False,
-                rng: Optional[np.random.Generator] = None, batch: int = 1,
-                noise: Optional[np.ndarray] = None) -> Tensor:
+                batch: int = 1, noise: Optional[np.ndarray] = None) -> Tensor:
         """Encode ``batch`` stacked sequences, rows (B·T, d_model).
 
-        In training, dropout masks are cut from ``noise``, the (B, 2, T, d_model)
-        uniforms of each sample's attention and feed-forward masks; without
-        ``noise`` they are drawn from ``rng`` in that order.
+        In training with dropout, the masks are cut from ``noise``, which is
+        required: the (B, 2, T, d_model) uniforms of each sample's attention
+        and feed-forward masks, in that order.
         """
         if x.data.ndim != 2 or x.shape[1] != self.d_model:
             raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
@@ -163,9 +162,7 @@ class TransformerLayer:
             raise ShapeError(f"query stream shape {x_q.shape} != input shape {x.shape}")
         drop = training and self.dropout_rate > 0.0
         if drop and noise is None:
-            if rng is None:
-                raise ValueError("dropout in training mode needs a random generator")
-            noise = rng.random((batch, 2, x.shape[0] // batch, self.d_model))
+            raise ValueError("dropout in training mode needs noise")
         q_src = x if x_q is None else x_q
         a = self.attn(q_src, x, batch)
         if drop:
@@ -186,11 +183,3 @@ class TransformerLayer:
         yield f"{prefix}ln1_bias", self.ln1_bias
         yield f"{prefix}ln2_gain", self.ln2_gain
         yield f"{prefix}ln2_bias", self.ln2_bias
-
-
-def mean_pool(x: Tensor, batch: Optional[int] = None) -> Tensor:
-    """Arithmetic mean over the time axis: (T, d) -> (d,), or per sequence of
-    ``batch`` stacked ones, (B·T, d) -> (B, d)."""
-    if x.data.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"mean_pool needs a nonempty (T, d) sequence, got {x.shape}")
-    return T.tmean(x, axis=0) if batch is None else T.row_mean(x, batch)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TASKS, ConfigError, ModelConfig
-from .layers import (Linear, TransformerLayer, add_positional_encoding, mean_pool)
+from .layers import Linear, TransformerLayer, add_positional_encoding
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_FORMAT = "bcfusion-checkpoint"
@@ -267,23 +267,23 @@ class FusionModel:
                "pose": Tensor(pose.reshape(batch * steps, -1))}
         seq = {s: comp[f"{s}_proj"](raw[s]) for s in spec.streams}
         if spec.fused:
-            seq = {"fused": T.concat(list(seq.values()), axis=1)}
+            seq = {"fused": T.concat(list(seq.values()))}
         if self.config.use_positional_encoding:
             seq = {s: add_positional_encoding(x, batch) for s, x in seq.items()}
         for st, part in zip(spec.stages, noise_parts):
             for s in dict.fromkeys(ref.partition(":")[0] for ref in st.inputs if ref not in seq):
                 seq[s + ":face"], seq[s + ":pose"] = split_streams(seq[s], comp["face_proj"].d_out)
             xs = [seq[ref] for ref in st.inputs]
-            x = T.concat(xs, axis=1) if len(xs) > 1 else xs[0]
+            x = T.concat(xs) if len(xs) > 1 else xs[0]
             if part is not None:
                 part = part.reshape(batch, 2, steps, -1)
             seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), training=drop,
                                                  batch=batch, noise=part)
         squash = T.sigmoid if self.task == "detection" else (lambda x: x)
-        intermediates = [(name, squash(comp[f"head_{name}"](mean_pool(seq[name], batch))))
+        intermediates = [(name, squash(comp[f"head_{name}"](T.row_mean(seq[name], batch))))
                          for name in spec.supervised]
-        pooled = [mean_pool(seq[name], batch) for name in spec.pooled]
-        final = comp["final"](T.concat(pooled, axis=1) if len(pooled) > 1 else pooled[0])
+        pooled = [T.row_mean(seq[name], batch) for name in spec.pooled]
+        final = comp["final"](T.concat(pooled) if len(pooled) > 1 else pooled[0])
         return ForwardOutput(final=squash(final), intermediates=intermediates)
 
     __call__ = forward
@@ -380,6 +380,10 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
             raise ValueError(f"{path}: model_config key {key!r}: expected "
                              f"{kinds[key].__name__}, got {value!r}")
     config = ModelConfig(**stored)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ValueError(f"{path}: model_config: {exc}") from None
     model = build_model(meta["topology"], meta["task"], config, rng_seed=0)
     names = dict(model.named_parameters())
     if set(names) != set(arrays):

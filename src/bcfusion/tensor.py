@@ -6,18 +6,22 @@ executed while it is active.  ``backward`` replays the tape in reverse,
 accumulating gradients additively, so fan-out works without any graph
 bookkeeping beyond execution order.
 
-Broadcasting is restricted to the cases the network layers need (scalar
-operands and bias vectors added over leading rows); anything else raises a
-``ShapeError`` up front rather than silently broadcasting.
+The op set is what the batched engine records: products of 2-D matrices
+and of 3-D stacks, elementwise ops, layer norm, softmax over the last axis,
+feature-axis concat and slicing, the head reshapes, per-sequence row means,
+and all-element sums and means for losses.  Broadcasting is restricted to the
+cases the network layers need (scalar operands and bias vectors added over
+leading rows); anything else raises a ``ShapeError`` up front rather than
+silently broadcasting.
 
-Tapes are kept on a thread-local stack: a tape and the tensors it references
-belong to one thread, and independent tapes may run concurrently in separate
-threads.  With no active tape, ops run as plain numpy (inference mode).
+Active tapes form one module-level stack, so tapes nest and the innermost
+one records.  The stack belongs to the process, not to a thread: tapes are
+not shared across threads.  With no active tape, ops run as plain numpy
+(inference mode).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -96,20 +100,11 @@ def as_tensor(x) -> Tensor:
 # Tape
 # --------------------------------------------------------------------------
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tapes: list["Tape"] = []
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -126,13 +121,12 @@ class Tape:
         self.records: list[tuple[tuple[Tensor, ...], Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        assert stack and stack[-1] is self, "tape stack corrupted"
-        stack.pop()
+        assert _tapes and _tapes[-1] is self, "tape stack corrupted"
+        _tapes.pop()
 
     def record(self, inputs: tuple[Tensor, ...], out: Tensor,
                backward_fn: Callable[[np.ndarray], None]) -> None:
@@ -180,24 +174,20 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  ``a`` may be 1-D (vector @ matrix) or 2-D; ``b`` is 2-D."""
+    """Product of two 2-D matrices, such as stacked (B·T, d) rows @ a weight."""
     a, b = as_tensor(a), as_tensor(b)
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 1-D/2-D @ 2-D, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
             _accum(a, g @ b.data.T)
         if b.requires_grad:
-            if a.data.ndim == 1:
-                _accum(b, np.outer(a.data, g))
-            else:
-                _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g)
 
-    return _emit((a, b), out_data, bw)
+    return _emit((a, b), a.data @ b.data, bw)
 
 
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
@@ -321,17 +311,15 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _emit((x,), np.clip(x.data, lo, hi), lambda g: _accum(x, g * mask))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Probability-normalized exponentials along ``axis`` (max-shifted for stability)."""
+def softmax(x: Tensor) -> Tensor:
+    """Probability-normalized exponentials along the last axis (max-shifted for stability)."""
     x = as_tensor(x)
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(x, out_data * (g - inner))
 
     return _emit((x,), out_data, bw)
@@ -372,46 +360,30 @@ def tsum(x: Tensor) -> Tensor:
                  lambda g: _accum(x, np.broadcast_to(g, x.shape).copy()))
 
 
-def tmean(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    """Mean over all elements (axis=None) or over rows (axis=0)."""
+def tmean(x: Tensor) -> Tensor:
+    """Mean of all elements, as a 0-d tensor."""
     x = as_tensor(x)
-    if axis is None:
-        n = x.data.size
-        return _emit((x,), np.asarray(x.data.mean()),
-                     lambda g: _accum(x, np.broadcast_to(g / n, x.shape).copy()))
-    if axis != 0:
-        raise ShapeError("tmean supports axis=None or axis=0")
-    if x.data.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"tmean(axis=0) expects a nonempty 2-D tensor, got {x.shape}")
-    n = x.shape[0]
-    return _emit((x,), x.data.mean(axis=0), lambda g: _accum(x, np.tile(g / n, (n, 1))))
+    n = x.data.size
+    return _emit((x,), np.asarray(x.data.mean()),
+                 lambda g: _accum(x, np.broadcast_to(g / n, x.shape).copy()))
 
 
-def concat(parts: Iterable[Tensor], axis: int = 1) -> Tensor:
-    """Concatenate tensors: 1-D vectors end to end, or 2-D along axis 0 or 1."""
+def concat(parts: Iterable[Tensor]) -> Tensor:
+    """Join 2-D tensors with equal row counts along the feature axis, in order."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat: no tensors given")
-    ndim = parts[0].data.ndim
-    if any(p.data.ndim != ndim for p in parts) or ndim not in (1, 2):
-        raise ShapeError(f"concat: incompatible ranks {[p.shape for p in parts]}")
-    if ndim == 1:
-        axis = 0
-    elif axis not in (0, 1):
-        raise ShapeError("concat supports axis 0 or 1")
-    if ndim == 2:
-        other = 1 - axis
-        if any(p.shape[other] != parts[0].shape[other] for p in parts):
-            raise ShapeError(f"concat: mismatched shapes {[p.shape for p in parts]}")
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeError(f"concat expects 2-D tensors with equal row counts, "
+                         f"got {[p.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def bw(g: np.ndarray) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _accum(p, g[lo:hi] if axis == 0 or ndim == 1 else g[:, lo:hi])
+                _accum(p, g[:, lo:hi])
 
-    return _emit(tuple(parts), out_data, bw)
+    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), bw)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:

@@ -223,7 +223,7 @@ class TestCriterion8StructuralInvariants:
     def test_softmax_row_sums(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            out = T.softmax(Tensor(rng.normal(size=(5, 11)) * 20), axis=-1).data
+            out = T.softmax(Tensor(rng.normal(size=(5, 11)) * 20)).data
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_transformer_layer_permutation_equivariance(self):

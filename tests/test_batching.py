@@ -14,7 +14,7 @@ from bcfusion import tensor as T
 from bcfusion import training
 from bcfusion.config import toy_model_config
 from bcfusion.data import ProcessedSample
-from bcfusion.layers import add_positional_encoding, mean_pool
+from bcfusion.layers import add_positional_encoding
 from bcfusion.models import ALL_TOPOLOGIES, build_model
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (combined_loss, evaluate_metrics, loss_weights_for,
@@ -85,8 +85,8 @@ class TestBatchedStep:
         assert len(batched.records) == len(plain.records)
 
     def test_dropout_masks_follow_per_stage_draws(self):
-        # a one-sample forward cuts its masks from one block that equals the
-        # draws its layers make one after another, attention then feed-forward
+        # a one-sample forward cuts its masks from one block that equals one
+        # (1, 2, T, d) draw per layer, one after another, attention then feed-forward
         model = build_model("one_to_one", "agreement", CFG, rng_seed=2)
         comp = model._components
         [s] = make_samples([8], "agreement", seed=3)
@@ -94,10 +94,10 @@ class TestBatchedStep:
         out = model.forward(face, pose, training=True,
                             noise=model.dropout_noise(8, np.random.default_rng(9))[None])
         rng = np.random.default_rng(9)
-        x = add_positional_encoding(T.concat([comp["face_proj"](face), comp["pose_proj"](pose)]))
-        h = comp["tf1"].forward(x, training=True, rng=rng)
-        h = comp["tf2"].forward(h, training=True, rng=rng)
-        final = comp["final"](mean_pool(h, 1))
+        h = add_positional_encoding(T.concat([comp["face_proj"](face), comp["pose_proj"](pose)]))
+        for layer in (comp["tf1"], comp["tf2"]):
+            h = layer.forward(h, training=True, noise=rng.random((1, 2, 8, layer.d_model)))
+        final = comp["final"](T.row_mean(h, 1))
         assert out.final.data.tobytes() == final.data.tobytes()
 
     def test_training_forward_without_noise_is_rejected(self):

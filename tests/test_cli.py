@@ -54,6 +54,30 @@ def config_file(tmp_path):
     return path
 
 
+def sole_error_line(capsys):
+    """The one stderr line of a failed command that printed nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
+def eval_with_edited_meta(tmp_path, edit):
+    """Save a toy checkpoint, apply ``edit`` to its meta, and run ``eval`` on it."""
+    model = build_model("one_stream", "detection", toy_model_config(face_dim=7, pose_dim=5))
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                        str(tmp_path / "missing.csv"), "--split", "validation"]) == 1
+    return path
+
+
 def train_args(corpus_dir, config_file, out_dir, **extra):
     args = ["train", "--manifest", str(corpus_dir / "manifest.csv"),
             "--topology", extra.pop("topology", "one_stream"), "--task", "detection",
@@ -166,6 +190,24 @@ class TestTrain:
         key = line.split(" ")[0]
         assert f"{config}:{n_lines}: unknown config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("weight_decay = -1", "weight_decay"),
+        ("weight_decay = nan", "weight_decay"),
+        ("window_seconds = nan", "window_seconds"),
+        ("window_seconds = inf", "window_seconds"),
+    ])
+    def test_non_finite_or_negative_setting_rejected_before_corpus_loads(
+            self, config_file, tmp_path, capsys, line, key):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + line + "\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
+                "one_stream", "--task", "detection", "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        assert run_command(args) == 1
+        assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
+
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
                 "one_stream", "--task", "detection", "--out", str(tmp_path / "o")]
@@ -216,20 +258,8 @@ class TestEval:
         (lambda meta: meta.pop("topology"), "topology"),
     ], ids=["unknown_key", "no_topology"])
     def test_malformed_checkpoint_meta_is_validation_error(self, tmp_path, capsys, edit, key):
-        model = build_model("one_stream", "detection", toy_model_config(face_dim=7, pose_dim=5))
-        path = tmp_path / "model.npz"
-        save_checkpoint(model, path)
-        with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
-        edit(meta)
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez(path, **arrays)
-        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
-                            str(tmp_path / "missing.csv"), "--split", "validation"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        path = eval_with_edited_meta(tmp_path, edit)
+        line = sole_error_line(capsys)
         assert line.startswith(f"error: {path}: ") and repr(key) in line
 
     @pytest.mark.parametrize("edit, key", [
@@ -239,6 +269,36 @@ class TestEval:
     ], ids=["mistyped_value", "non_object_model_config", "unknown_topology"])
     def test_mistyped_checkpoint_meta_is_validation_error(self, tmp_path, capsys, edit, key):
         self.test_malformed_checkpoint_meta_is_validation_error(tmp_path, capsys, edit, key)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda meta: meta["model_config"].update(d_fused_face=9),
+         "model_config: d_fused_face (9) must be"),
+        (lambda meta: meta.update(window_seconds=None),
+         "checkpoint meta key 'window_seconds' must be a finite positive number, got None"),
+        (lambda meta: meta.update(window_seconds="abc"),
+         "checkpoint meta key 'window_seconds' must be a finite positive number, got 'abc'"),
+    ], ids=["invalid_model_config", "null_window", "text_window"])
+    def test_invalid_checkpoint_meta_names_file_and_key(self, tmp_path, capsys, edit, where):
+        path = eval_with_edited_meta(tmp_path, edit)
+        assert sole_error_line(capsys).startswith(f"error: {path}: {where}")
+
+    @pytest.mark.parametrize("fps", ["inf", "nan", "-inf"])
+    def test_non_finite_manifest_fps_names_file_and_row(self, corpus_dir, tmp_path, capsys,
+                                                         fps):
+        path = tmp_path / "model.npz"
+        save_checkpoint(build_model("one_stream", "detection",
+                                    toy_model_config(face_dim=7, pose_dim=5)), path)
+        manifest = corpus_dir / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        fields = rows[1].split(",")
+        fields[3] = fps
+        rows[1] = ",".join(fields)
+        manifest.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest", str(manifest),
+                            "--split", "validation"]) == 1
+        assert sole_error_line(capsys) == \
+            f"error: {manifest}: row 2: fps must be a finite positive number"
 
 
 class TestGradcheck:

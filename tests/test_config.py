@@ -3,6 +3,7 @@
 import inspect
 from dataclasses import fields
 
+from bcfusion import tensor as T
 from bcfusion.config import ModelConfig, TrainConfig
 from bcfusion.layers import TransformerLayer
 from bcfusion.training import AdamState
@@ -25,6 +26,20 @@ class TestSettableSurface:
     def test_transformer_layer_arguments(self):
         params = inspect.signature(TransformerLayer.__init__).parameters
         assert list(params) == ["self", "d_model", "n_heads", "rng", "dropout_rate"]
+
+    def test_tensor_ops_take_the_batched_forms_only(self):
+        assert T.__all__ == [
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "batched_matmul",
+            "transpose", "add", "sub", "neg", "mul", "scale", "relu", "sigmoid", "log", "clip",
+            "softmax", "layer_norm", "tsum", "tmean", "concat", "slice_cols", "split_heads",
+            "merge_heads", "row_mean"]
+        assert all(hasattr(T, name) for name in T.__all__)
+        # one form each: softmax over the last axis, all-element mean, feature-axis concat
+        for op, args in ((T.concat, ["parts"]), (T.softmax, ["x"]), (T.tmean, ["x"])):
+            assert list(inspect.signature(op).parameters) == args, op.__name__
+        # training dropout takes its masks from ``noise``; there is no generator fallback
+        params = inspect.signature(TransformerLayer.forward).parameters
+        assert list(params) == ["self", "x", "x_q", "training", "batch", "noise"]
 
     def test_adam_takes_only_parameters(self):
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]

