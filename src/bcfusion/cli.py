@@ -17,12 +17,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, TrainConfig, dataclass_from_mapping, parse_config_file
+from .config import (ConfigError, ModelConfig, TrainConfig, dataclass_from_mapping,
+                     parse_config_file)
 from .data import (CorpusError, SynthSpec, load_corpus, synth_generate)
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
-from .training import (evaluate_metrics, loss_weights_for, metrics_record, run_training,
-                       write_history_csv, write_metrics_json)
+from .training import (evaluate_metrics, metrics_record, run_training, write_history_csv,
+                       write_metrics_json)
 
 TOPOLOGY_NAMES = [t.value for t in ALL_TOPOLOGIES]
 
@@ -97,8 +98,7 @@ def _load_train_config(args) -> TrainConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    cfg.validate()
-    loss_weights_for(cfg.topology, cfg.loss_weights)  # fails before the corpus loads
+    cfg.validate()  # fails before the corpus loads
     return cfg
 
 
@@ -110,9 +110,13 @@ def _synth_spec(args) -> SynthSpec:
     return spec
 
 
-def _train_once(manifest: str, cfg: TrainConfig, out_dir: Path) -> dict:
-    corpus = load_corpus(manifest, cfg.task, cfg.window_seconds,
-                         face_dim=cfg.model.face_dim - 1, pose_dim=cfg.model.pose_dim - 1)
+def _load_corpus(manifest: str, task: str, window: float, model: ModelConfig) -> dict:
+    """The corpus at the raw widths ``model`` takes, before the frame-index column."""
+    return load_corpus(manifest, task, window,
+                       face_dim=model.face_dim - 1, pose_dim=model.pose_dim - 1)
+
+
+def _train_once(corpus: dict, cfg: TrainConfig, out_dir: Path) -> dict:
     result = run_training(corpus, cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.model, out_dir / "checkpoint.npz",
@@ -138,7 +142,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_train_config(args)
-    record = _train_once(args.manifest, cfg, Path(args.out))
+    corpus = _load_corpus(args.manifest, cfg.task, cfg.window_seconds, cfg.model)
+    record = _train_once(corpus, cfg, Path(args.out))
     record.pop("params")  # stdout carries exactly the documented metrics schema
     print(json.dumps(record, sort_keys=True))
     return 0
@@ -151,9 +156,7 @@ def _cmd_eval(args) -> int:
             or not (math.isfinite(window) and window > 0):
         raise ConfigError(f"{args.checkpoint}: checkpoint meta key 'window_seconds' must be "
                           f"a finite positive number, got {window!r}")
-    corpus = load_corpus(args.manifest, model.task, window,
-                         face_dim=model.config.face_dim - 1,
-                         pose_dim=model.config.pose_dim - 1)
+    corpus = _load_corpus(args.manifest, model.task, window, model.config)
     samples = corpus[args.split]
     if not samples:
         raise ConfigError(f"split {args.split!r} is empty in {args.manifest}")
@@ -178,15 +181,14 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _load_train_config(args)
-    if base.loss_weights is not None:  # the topologies take 1, 3 or 4 weights
-        raise ConfigError("config key 'loss_weights': sweep trains topologies with different "
-                          "weight counts and takes no override")
+    # every topology shares the task, the window and the stream widths
+    corpus = _load_corpus(args.manifest, base.task, base.window_seconds, base.model)
     out_root = Path(args.out)
     rows = []
     for topology in TOPOLOGY_NAMES:
         cfg = replace(base, topology=topology, model=replace(base.model))
         started = time.perf_counter()
-        record = _train_once(args.manifest, cfg, out_root / topology)
+        record = _train_once(corpus, cfg, out_root / topology)
         elapsed = time.perf_counter() - started
         rows.append((topology, record["value"], record["params"], elapsed))
         print(f"{topology}: {record['metric_name']}={record['value']:.4f} "

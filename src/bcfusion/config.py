@@ -1,8 +1,8 @@
 """Model and training configuration, plus the flat key-value config file format.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
-allowed.  Keys mirror the dataclass fields below; ``loss_weights`` takes a
-comma-separated list.  Any CLI flag overrides the file.
+allowed.  Keys mirror the dataclass fields below.  Any CLI flag overrides
+the file.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -19,17 +19,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    """Stream widths, head counts, and layer hyperparameters.
+    """Stream widths and layer hyperparameters.
 
     Defaults target the full face/pose feature set: 674 face and 76 pose
     features per frame, each with one appended frame-index column.  Streams
-    start with a learned projection so every width is divisible by its head
-    count: face 675 -> 676 (4 heads), pose 77 -> 76 (2 heads).  The fused
-    stream concatenates per-stream projections of 676 + 74 = 750 (10 heads);
-    the 676/74 boundary is where the one-to-two split separates channels.
-    Cross-attention streams share a common width (304) so that exchanged
-    query/key widths agree; late fusion layers over concatenated stream
-    outputs (752 or 608 wide) run with 8 heads.
+    start with a learned projection so every width is divisible by the head
+    count its layer has in :data:`bcfusion.models.TOPOLOGIES`: face 675 -> 676
+    (4 heads), pose 77 -> 76 (2 heads).  The fused stream concatenates
+    per-stream projections of 676 + 74 = 750 (10 heads); the 676/74 boundary
+    is where the one-to-two split separates channels.  Cross-attention
+    streams share a common width (304) so that exchanged query/key widths
+    agree; late fusion layers over concatenated stream outputs (752 or 608
+    wide) run with 8 heads.
 
     Only what the paper's topologies vary is settable: every transformer
     layer is the post-norm encoder layer with a feed-forward block twice its
@@ -43,29 +44,19 @@ class ModelConfig:
     d_fused_face: int = 676
     d_fused_pose: int = 74
     d_cross: int = 304
-    face_heads: int = 4
-    pose_heads: int = 2
-    fused_heads: int = 10
-    late_heads: int = 8
     ff_hidden: int = 64
     dropout: float = 0.1
     use_positional_encoding: bool = True
 
     def validate(self) -> None:
-        checks = [
-            ("d_face", self.d_face, self.face_heads),
-            ("d_pose", self.d_pose, self.pose_heads),
-            ("d_fused_face", self.d_fused_face, self.face_heads),
-            ("d_fused_pose", self.d_fused_pose, self.pose_heads),
-            ("fused width", self.d_fused_face + self.d_fused_pose, self.fused_heads),
-            ("d_cross", self.d_cross, self.face_heads),
-            ("d_cross", self.d_cross, self.pose_heads),
-            ("cross concat width", 2 * self.d_cross, self.late_heads),
-            ("late concat width", self.d_face + self.d_pose, self.late_heads),
-        ]
-        for name, width, heads in checks:
-            if width < heads or width % heads != 0:
-                raise ConfigError(f"{name} ({width}) must be a positive multiple of {heads} heads")
+        from .models import TOPOLOGIES  # models imports this module
+        for spec in TOPOLOGIES.values():
+            widths = spec.widths(self)
+            for st in spec.stages:
+                width, heads = widths[st.name], st.heads
+                if width < heads or width % heads != 0:
+                    raise ConfigError(f"{' + '.join(spec.width_fields[st.name])} ({width}) "
+                                      f"must be a positive multiple of {heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
         if self.face_dim < 1 or self.pose_dim < 1:
@@ -104,10 +95,13 @@ class TrainConfig:
     task: str = "detection"
     topology: str = "one_stream"
     dtype: str = "float64"
-    loss_weights: list[float] | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self) -> None:
+        from .models import TOPOLOGIES  # models imports this module
+        if self.topology not in TOPOLOGIES:
+            raise ConfigError(f"config key 'topology': {self.topology!r} is not one of "
+                              f"{', '.join(TOPOLOGIES)}")
         for key, value in (("learning_rate", self.learning_rate),
                            ("window_seconds", self.window_seconds)):
             if not (math.isfinite(value) and value > 0):
@@ -157,10 +151,6 @@ def parse_config_file(path: str | Path) -> ConfigMapping:
 def _parse_value(raw: str, kind):
     """``raw`` as a value of the annotated field type ``kind``; ValueError if it is not one."""
     raw = raw.strip()
-    if type(None) in get_args(kind):  # Optional[X]: a value that is written down is an X
-        kind = next(arg for arg in get_args(kind) if arg is not type(None))
-    if get_origin(kind) is list:  # comma-separated
-        return [_parse_value(item, get_args(kind)[0]) for item in raw.split(",") if item.strip()]
     if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True

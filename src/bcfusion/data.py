@@ -225,6 +225,8 @@ def load_corpus(manifest_path: str | Path, task: str, window_seconds: float = 3.
 # -- synthetic corpora -----------------------------------------------------------
 
 SIGNAL_KINDS = ("single-modality", "redundant", "xor-cross-modal")
+# A full-strength burst adds +0.5 and -0.5 to alternating frames of its stream.
+BURST_AMPLITUDE = 0.5
 
 
 @dataclass
@@ -249,7 +251,6 @@ class SynthSpec:
     face_dim: int = FACE_RAW_DIM
     pose_dim: int = POSE_RAW_DIM
     modality: str = "face"
-    amplitude: float = 1.0
     val_frac: float = 0.2
     test_frac: float = 0.0
 
@@ -267,10 +268,13 @@ class SynthSpec:
                                   f"n_samples divisible by {need} for exact class balance")
         if self.modality not in ("face", "pose"):
             raise CorpusError("modality must be 'face' or 'pose'")
-        if self.t_raw < 2 or self.fps <= 0:
-            raise CorpusError("t_raw must be >= 2 and fps positive")
-        if self.noise < 0 or self.amplitude <= 0:
-            raise CorpusError("noise must be >= 0 and amplitude positive")
+        if self.t_raw < 2:
+            raise CorpusError("t_raw must be >= 2")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise CorpusError(f"config key 'fps' must be a finite number > 0, got {self.fps!r}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise CorpusError(f"config key 'noise' must be a finite number >= 0, "
+                              f"got {self.noise!r}")
         if not (0 <= self.val_frac and 0 <= self.test_frac
                 and self.val_frac + self.test_frac < 1):
             raise CorpusError("val_frac/test_frac must be >= 0 and sum below 1")
@@ -339,7 +343,7 @@ def _render_sample(plan: dict, spec: SynthSpec,
         base = rng.normal(0.0, 1.0, size=(1, dim))
         frames = base + rng.normal(0.0, spec.noise, size=(t, dim))
         if strength > 0:
-            wave = 0.5 * spec.amplitude * strength * ((-1.0) ** np.arange(start, start + seg_len))
+            wave = BURST_AMPLITUDE * strength * ((-1.0) ** np.arange(start, start + seg_len))
             frames[start:start + seg_len] += wave[:, None]
         return frames
 

@@ -50,9 +50,10 @@ from .tensor import ShapeError, Tensor
 
 CHECKPOINT_FORMAT = "bcfusion-checkpoint"
 CHECKPOINT_VERSION = 1
-# ModelConfig keys that version-1 files written before they became constants
-# still hold, with the one value each may take.
-_RETIRED_MODEL_KEYS = {"pre_norm": False, "ffn_mult": 2}
+# ModelConfig keys of version-1 files that are no settings now (constants, or head
+# counts in TOPOLOGIES), with the one value each may take.
+_RETIRED_MODEL_KEYS = {"pre_norm": False, "ffn_mult": 2, "face_heads": 4, "pose_heads": 2,
+                       "fused_heads": 10, "late_heads": 8}
 
 
 class FusionTopology(str, Enum):
@@ -76,13 +77,13 @@ class Stage:
     ``inputs`` are concatenated per frame, in order.  Each is an embedded
     stream (``face``, ``pose``, or ``fused`` for their per-frame concat), an
     earlier stage, or one stream's channel of a split fused stage
-    (``tf1:face``).  ``heads`` names the ModelConfig field holding the head
-    count; ``query`` names the input whose rows supply cross-attention queries.
+    (``tf1:face``).  ``heads`` is the layer's attention head count; ``query``
+    names the input whose rows supply cross-attention queries.
     """
 
     name: str
     inputs: tuple[str, ...]
-    heads: str
+    heads: int
     query: Optional[str] = None
 
 
@@ -98,6 +99,20 @@ class Topology:
     stages: tuple[Stage, ...]
     pooled: tuple[str, ...]
     ff_head: bool = False
+
+    @cached_property
+    def width_fields(self) -> dict[str, tuple[str, ...]]:
+        """Stream, ``fused`` and stage name -> the ModelConfig width fields it sums;
+        a channel such as ``tf1:face`` is as wide as that stream's projection."""
+        fields = {s: (field,) for s, field in self.streams.items()}
+        fields["fused"] = tuple(self.streams.values())
+        for st in self.stages:
+            fields[st.name] = sum((fields[ref.rpartition(":")[2]] for ref in st.inputs), ())
+        return fields
+
+    def widths(self, config: ModelConfig) -> dict[str, int]:
+        return {name: sum(getattr(config, f) for f in fields)
+                for name, fields in self.width_fields.items()}
 
     def depths(self) -> dict[str, int]:
         """Stage name -> number of transformer layers on its longest input path."""
@@ -116,24 +131,24 @@ class Topology:
 _FUSED = {"face": "d_fused_face", "pose": "d_fused_pose"}
 _LATE = {"face": "d_face", "pose": "d_pose"}
 _CROSS = {"face": "d_cross", "pose": "d_cross"}
-_TF1 = Stage("tf1", ("fused",), "fused_heads")
-_TF_X = (Stage("tf1x", ("face",), "face_heads", query="pose"),
-         Stage("tf2x", ("pose",), "pose_heads", query="face"))
-_TF_FACE, _TF_POSE = Stage("tf1", ("face",), "face_heads"), Stage("tf1", ("pose",), "pose_heads")
+# head counts: 10 on the fused stream, 4 on face, 2 on pose, 8 on late fusion
+_TF1 = Stage("tf1", ("fused",), 10)
+_TF_X = (Stage("tf1x", ("face",), 4, query="pose"), Stage("tf2x", ("pose",), 2, query="face"))
+_TF_FACE, _TF_POSE = Stage("tf1", ("face",), 4), Stage("tf1", ("pose",), 2)
 
 TOPOLOGIES: dict[FusionTopology, Topology] = {
     FusionTopology.ONE_STREAM: Topology(_FUSED, True, (_TF1,), ("tf1",)),
     FusionTopology.ONE_TO_ONE: Topology(
-        _FUSED, True, (_TF1, Stage("tf2", ("tf1",), "fused_heads")), ("tf2",)),
+        _FUSED, True, (_TF1, Stage("tf2", ("tf1",), 10)), ("tf2",)),
     FusionTopology.ONE_TO_TWO: Topology(
-        _FUSED, True, (_TF1, Stage("tf2", ("tf1:face",), "face_heads"),
-                       Stage("tf3", ("tf1:pose",), "pose_heads")), ("tf2", "tf3"), ff_head=True),
+        _FUSED, True, (_TF1, Stage("tf2", ("tf1:face",), 4), Stage("tf3", ("tf1:pose",), 2)),
+        ("tf2", "tf3"), ff_head=True),
     FusionTopology.TWO_TO_ONE: Topology(
-        _LATE, False, (_TF_FACE, Stage("tf2", ("pose",), "pose_heads"),
-                       Stage("tf3", ("tf1", "tf2"), "late_heads")), ("tf3",)),
+        _LATE, False, (_TF_FACE, Stage("tf2", ("pose",), 2), Stage("tf3", ("tf1", "tf2"), 8)),
+        ("tf3",)),
     FusionTopology.CROSS_ATTENTION: Topology(_CROSS, False, _TF_X, ("tf1x", "tf2x")),
     FusionTopology.CROSS_TO_ONE: Topology(
-        _CROSS, False, _TF_X + (Stage("tf3", ("tf1x", "tf2x"), "late_heads"),), ("tf3",)),
+        _CROSS, False, _TF_X + (Stage("tf3", ("tf1x", "tf2x"), 8),), ("tf3",)),
     FusionTopology.FACE_ONLY: Topology({"face": "d_face"}, False, (_TF_FACE,), ("tf1",)),
     FusionTopology.POSE_ONLY: Topology({"pose": "d_pose"}, False, (_TF_POSE,), ("tf1",)),
 }
@@ -196,14 +211,11 @@ class FusionModel:
         c = config
         # creation order (projections, stages, heads, final) fixes seeded weights and checkpoints
         self._components = comp = {}
-        width = {s: getattr(c, field) for s, field in spec.streams.items()}
+        width = spec.widths(c)
         for s in spec.streams:
             comp[f"{s}_proj"] = Linear(getattr(c, f"{s}_dim"), width[s], rng)
-        width["fused"] = sum(width.values())
         for st in spec.stages:
-            # a channel such as "tf1:face" is as wide as that stream's projection
-            width[st.name] = d = sum(width[ref.rpartition(":")[2]] for ref in st.inputs)
-            comp[st.name] = TransformerLayer(d, getattr(c, st.heads), rng, dropout_rate=c.dropout)
+            comp[st.name] = TransformerLayer(width[st.name], st.heads, rng, dropout_rate=c.dropout)
         for name in spec.supervised:
             comp[f"head_{name}"] = Linear(width[name], 1, rng)
         d = sum(width[name] for name in spec.pooled)

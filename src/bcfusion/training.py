@@ -30,25 +30,13 @@ STAGE_WEIGHT = 0.35
 FINAL_WEIGHT = 0.3
 
 
-def loss_weights_for(topology: FusionTopology | str,
-                     override: Optional[Sequence[float]] = None) -> list[float]:
-    """Weight list over (supervised layers..., final head); must sum to 1.0."""
-    if topology not in TOPOLOGIES:
-        raise ConfigError(f"config key 'topology': {topology!r} is not one of "
-                          f"{', '.join(TOPOLOGIES)}")
-    spec = TOPOLOGIES[topology]
-    if override is not None:
-        weights = list(override)
-        if len(weights) != len(spec.supervised) + 1:
-            raise ConfigError(f"config key 'loss_weights': {FusionTopology(topology).value} "
-                              f"takes {len(spec.supervised) + 1} weights, got {len(weights)}")
-    else:
-        depth = spec.depths()
-        parallel = Counter(depth[name] for name in spec.supervised)
-        weights = [STAGE_WEIGHT / parallel[depth[name]] for name in spec.supervised]
-        weights.append(FINAL_WEIGHT if weights else 1.0)
-    if sum(weights) != 1.0:
-        raise ConfigError(f"loss weights must sum to exactly 1.0, got {weights}")
+def loss_weights_for(topology: FusionTopology | str) -> list[float]:
+    """Weight list over (supervised layers..., final head); sums to exactly 1.0."""
+    spec = TOPOLOGIES[FusionTopology(topology)]
+    depth = spec.depths()
+    parallel = Counter(depth[name] for name in spec.supervised)
+    weights = [STAGE_WEIGHT / parallel[depth[name]] for name in spec.supervised]
+    weights.append(FINAL_WEIGHT if weights else 1.0)
     return weights
 
 
@@ -243,7 +231,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
             f"do not match model config ({config.model.face_dim}, {config.model.pose_dim})")
 
     model = build_model(config.topology, config.task, config.model, rng_seed=config.seed)
-    weights = loss_weights_for(config.topology, config.loss_weights)
+    weights = loss_weights_for(config.topology)
     params = model.parameters()
     for p in params:
         p.data = p.data.astype(config.dtype, copy=False)

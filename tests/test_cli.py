@@ -7,7 +7,7 @@ import pytest
 
 from bcfusion.cli import run_command
 from bcfusion.config import toy_model_config
-from bcfusion.models import build_model, save_checkpoint
+from bcfusion.models import build_model, load_checkpoint, parameter_count, save_checkpoint
 
 SPEC_TEXT = """\
 # tiny detection corpus
@@ -111,6 +111,25 @@ class TestSynth:
         spec.write_text("n_samples = 3\nkind = xor-cross-modal\n")
         assert run_command(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("line, key", [
+        ("fps = inf", "fps"), ("fps = nan", "fps"), ("noise = nan", "noise"),
+        ("noise = inf", "noise"),
+    ])
+    def test_non_finite_spec_value_rejected(self, tmp_path, capsys, line, key):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT + line + "\n")
+        out = tmp_path / "o"
+        assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
+        assert not out.exists()
+
+    def test_amplitude_is_unknown_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT + "amplitude = 1.0\n")
+        assert run_command(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        n_lines = len(SPEC_TEXT.splitlines()) + 1
+        assert sole_error_line(capsys) == f"error: {spec}:{n_lines}: unknown config key 'amplitude'"
+
     def test_mistyped_spec_value_names_file_line_and_key(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT.replace("n_samples = 8", "n_samples = 8.5"))
@@ -167,18 +186,10 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config key 'topology': 'bogus'" in err and "one_stream, one_to_one" in err
 
-    def test_loss_weight_count_rejected_before_corpus_loads(self, config_file, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text(config_file.read_text() + "loss_weights = 0.5,0.5\n")
-        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
-                "one_to_one", "--task", "detection", "--config", str(config),
-                "--out", str(tmp_path / "o")]
-        assert run_command(args) == 1
-        assert "config key 'loss_weights': one_to_one takes 3 weights, got 2" \
-            in capsys.readouterr().err
-
     @pytest.mark.parametrize("line", ["pre_norm = false", "ffn_mult = 2", "beta1 = 0.9",
-                                      "beta2 = 0.999", "adam_eps = 1e-8"])
+                                      "beta2 = 0.999", "adam_eps = 1e-8",
+                                      "loss_weights = 0.35,0.35,0.3", "face_heads = 4",
+                                      "late_heads = 8"])
     def test_removed_setting_is_unknown_key(self, config_file, tmp_path, capsys, line):
         config = tmp_path / "old.cfg"
         config.write_text(config_file.read_text() + line + "\n")
@@ -272,7 +283,7 @@ class TestEval:
 
     @pytest.mark.parametrize("edit, where", [
         (lambda meta: meta["model_config"].update(d_fused_face=9),
-         "model_config: d_fused_face (9) must be"),
+         "model_config: d_fused_face + d_fused_pose (11) must be"),
         (lambda meta: meta.update(window_seconds=None),
          "checkpoint meta key 'window_seconds' must be a finite positive number, got None"),
         (lambda meta: meta.update(window_seconds="abc"),
@@ -336,16 +347,26 @@ class TestSweep:
         stdout_lines = capsys.readouterr().out.strip().splitlines()
         assert stdout_lines == csv_lines
 
-    def test_loss_weights_rejected_before_training(self, corpus_dir, config_file, tmp_path,
+    def test_rows_match_single_topology_train_runs(self, corpus_dir, config_file, tmp_path,
                                                    capsys):
-        config = tmp_path / "weights.cfg"
-        config.write_text(config_file.read_text() + "loss_weights = 1.0\n")
+        # the sweep loads the corpus once; each row must still be what ``train`` reports
         out = tmp_path / "sweep"
-        args = ["sweep", "--manifest", str(corpus_dir / "manifest.csv"), "--task",
-                "detection", "--config", str(config), "--out", str(out), "--epochs", "1"]
-        assert run_command(args) == 1
-        assert "config key 'loss_weights'" in capsys.readouterr().err
-        assert not out.exists()
+        assert run_command(["sweep", "--manifest", str(corpus_dir / "manifest.csv"), "--task",
+                            "detection", "--config", str(config_file), "--out", str(out),
+                            "--seed", "0", "--epochs", "2"]) == 0
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        capsys.readouterr()
+        for topology, metric, params, _ in rows:
+            run = tmp_path / topology
+            assert run_command(train_args(corpus_dir, config_file, run, topology=topology)) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert float(metric) == record["value"], topology
+            assert (out / topology / "metrics.json").read_bytes() == \
+                (run / "metrics.json").read_bytes()
+            assert (out / topology / "history.csv").read_bytes() == \
+                (run / "history.csv").read_bytes()
+            model, _ = load_checkpoint(run / "checkpoint.npz")
+            assert int(params) == parameter_count(model)
 
 
 class TestUsage:

@@ -1,10 +1,15 @@
 """The settable surface: which knobs the configuration and the layers expose."""
 
 import inspect
+import re
 from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from bcfusion import tensor as T
-from bcfusion.config import ModelConfig, TrainConfig
+from bcfusion.config import ConfigError, ModelConfig, TrainConfig
 from bcfusion.layers import TransformerLayer
 from bcfusion.training import AdamState
 
@@ -15,13 +20,21 @@ class TestSettableSurface:
     def test_model_config_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
             "face_dim", "pose_dim", "d_face", "d_pose", "d_fused_face", "d_fused_pose",
-            "d_cross", "face_heads", "pose_heads", "fused_heads", "late_heads", "ff_hidden",
-            "dropout", "use_positional_encoding"]
+            "d_cross", "ff_hidden", "dropout", "use_positional_encoding"]
 
     def test_train_config_fields(self):
         assert [f.name for f in fields(TrainConfig)] == [
             "learning_rate", "weight_decay", "epochs", "batch_size", "window_seconds", "seed",
-            "task", "topology", "dtype", "loss_weights", "model"]
+            "task", "topology", "dtype", "model"]
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"Training keys are(.*?)any other key", readme, re.S)
+        listed = [name for name in re.findall(r"`(\w+)`", section.group(1))
+                  if name not in ("TrainConfig", "ModelConfig")]
+        keys = [f.name for cls in (TrainConfig, ModelConfig) for f in fields(cls)
+                if f.name != "model"]
+        assert sorted(listed) == sorted(keys)
 
     def test_transformer_layer_arguments(self):
         params = inspect.signature(TransformerLayer.__init__).parameters
@@ -45,3 +58,40 @@ class TestSettableSurface:
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]
         state = AdamState.for_params([])
         assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+
+
+def old_width_table_accepts(c: ModelConfig) -> bool:
+    """The hand-written width/head table ModelConfig.validate held before the
+    head counts moved into TOPOLOGIES (face 4, pose 2, fused 10, late 8 heads)."""
+    checks = [(c.d_face, 4), (c.d_pose, 2), (c.d_fused_face, 4), (c.d_fused_pose, 2),
+              (c.d_fused_face + c.d_fused_pose, 10), (c.d_cross, 4), (c.d_cross, 2),
+              (2 * c.d_cross, 8), (c.d_face + c.d_pose, 8)]
+    return all(width >= heads and width % heads == 0 for width, heads in checks)
+
+
+class TestWidthRule:
+    WIDTHS = ("d_face", "d_pose", "d_fused_face", "d_fused_pose", "d_cross")
+
+    def test_derived_rule_accepts_what_the_old_table_accepted(self):
+        # Uniform widths almost never pass every check, so each width is drawn
+        # from the multiples of 4 most of the time: the sample then holds many
+        # accepted configs and many that miss by one width.
+        rng = np.random.default_rng(0)
+        outcomes = []
+        for _ in range(3000):
+            widths = {name: int(4 * rng.integers(1, 7) if rng.random() < 0.8
+                                else rng.integers(1, 25)) for name in self.WIDTHS}
+            cfg = ModelConfig(**widths)
+            try:
+                cfg.validate()
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == old_width_table_accepts(cfg), widths
+            outcomes.append(accepted)
+        assert 100 <= sum(outcomes) <= len(outcomes) - 100
+
+    def test_error_names_the_fields_that_make_up_the_width(self):
+        with pytest.raises(ConfigError, match=r"^d_fused_face \+ d_fused_pose \(11\) must be "
+                                              r"a positive multiple of 10 heads$"):
+            ModelConfig(d_fused_face=9, d_fused_pose=2).validate()

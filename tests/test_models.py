@@ -266,15 +266,17 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_loads_meta_with_retired_model_config_keys_bitwise(self, tmp_path):
-        # version-1 files written while pre_norm and ffn_mult were settings hold
-        # a 16-key model_config; the values every such file holds still load
+        # version-1 files written while pre_norm, ffn_mult and the four head
+        # counts were settings hold a 16-key model_config; the values every
+        # such file holds still load
         model = build_model("one_to_two", "detection", TOY, rng_seed=3)
         face, pose = toy_inputs(seed=8)
         before = model.forward(face, pose)
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         assert list(read_meta(path)["model_config"]) == [f.name for f in fields(ModelConfig)]
-        rewrite_meta(path, lambda meta: meta["model_config"].update(ffn_mult=2, pre_norm=False))
+        rewrite_meta(path, lambda meta: meta["model_config"].update(
+            ffn_mult=2, pre_norm=False, face_heads=4, pose_heads=2, fused_heads=10, late_heads=8))
         assert len(read_meta(path)["model_config"]) == 16
         loaded, _ = load_checkpoint(path)
         after = loaded.forward(face, pose)
@@ -282,7 +284,8 @@ class TestCheckpoint:
         for (_, pa), (_, pb) in zip(before.intermediates, after.intermediates):
             assert pa.data.tobytes() == pb.data.tobytes()
 
-    @pytest.mark.parametrize("key, value", [("pre_norm", True), ("ffn_mult", 3)])
+    @pytest.mark.parametrize("key, value", [("pre_norm", True), ("ffn_mult", 3),
+                                            ("face_heads", 5)])
     def test_rejects_retired_key_with_other_value(self, tmp_path, key, value):
         path = tmp_path / "model.npz"
         save_checkpoint(build_model("one_stream", "detection", TOY), path)

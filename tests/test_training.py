@@ -70,10 +70,6 @@ class TestLossWeights:
         assert loss_weights_for("two_to_one") == [0.175, 0.175, 0.35, 0.3]
         assert loss_weights_for("cross_to_one") == [0.175, 0.175, 0.35, 0.3]
 
-    def test_override_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            loss_weights_for("one_to_one", override=[0.5, 0.2, 0.2])
-
 
 class TestCombinedLoss:
     def test_convex_combination_of_equal_losses(self):
