@@ -17,9 +17,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (ConfigError, ModelConfig, TrainConfig, dataclass_from_mapping,
+from .config import (TASKS, ConfigError, ModelConfig, TrainConfig, dataclass_from_mapping,
                      parse_config_file)
-from .data import (CorpusError, SynthSpec, load_corpus, synth_generate)
+from .data import SPLITS, CorpusError, SynthSpec, load_corpus, synth_generate
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
 from .training import (evaluate_metrics, metrics_record, run_training, write_history_csv,
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train one topology")
     p.add_argument("--manifest", required=True)
     p.add_argument("--topology", choices=TOPOLOGY_NAMES, default=None)
-    p.add_argument("--task", choices=["detection", "agreement"], default=None)
+    p.add_argument("--task", choices=TASKS, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", choices=["train", "validation", "test"], required=True)
+    p.add_argument("--split", choices=SPLITS, required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification at toy dims")
     group = p.add_mutually_exclusive_group()
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="train every topology and tabulate results")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--task", choices=["detection", "agreement"], required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -167,6 +167,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     names = [args.topology] if args.topology else TOPOLOGY_NAMES
     all_passed = True
     for name in names:
@@ -193,7 +195,7 @@ def _cmd_sweep(args) -> int:
         rows.append((topology, record["value"], record["params"], elapsed))
         print(f"{topology}: {record['metric_name']}={record['value']:.4f} "
               f"({elapsed:.1f}s)", file=sys.stderr)
-    metric_name = "accuracy" if base.task == "detection" else "mse"
+    metric_name = record["metric_name"]
     out_root.mkdir(parents=True, exist_ok=True)
     csv_lines = ["topology,metric,params,seconds"]
     csv_lines += ["%s,%.17g,%d,%.3f" % row for row in rows]

@@ -109,6 +109,8 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"config key 'weight_decay' must be a finite number >= 0, "
                               f"got {self.weight_decay!r}")
+        if self.seed < 0:
+            raise ConfigError(f"config key 'seed' must be an integer >= 0, got {self.seed!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import TASKS
+
 FACE_RAW_DIM = 674
 POSE_RAW_DIM = 76
 SPLITS = ("train", "validation", "test")
@@ -259,7 +261,9 @@ class SynthSpec:
             raise CorpusError("n_samples must be >= 2")
         if self.kind not in SIGNAL_KINDS:
             raise CorpusError(f"kind must be one of {SIGNAL_KINDS}, got {self.kind!r}")
-        if self.task not in ("detection", "agreement"):
+        if self.seed < 0:
+            raise CorpusError(f"config key 'seed' must be an integer >= 0, got {self.seed!r}")
+        if self.task not in TASKS:
             raise CorpusError(f"task must be detection or agreement, got {self.task!r}")
         if self.task == "detection":
             need = 4 if self.kind == "xor-cross-modal" else 2
@@ -369,9 +373,8 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> Path:
         face_rel, pose_rel = f"{sid}_face.csv", f"{sid}_pose.csv"
         write_matrix_csv(out_dir / face_rel, face)
         write_matrix_csv(out_dir / pose_rel, pose)
-        label = plan["label"]
-        label_str = "%d" % label if spec.task == "detection" else "%.17g" % label
-        rows.append([sid, face_rel, pose_rel, "%.17g" % spec.fps, label_str, plan["split"]])
+        rows.append([sid, face_rel, pose_rel, "%.17g" % spec.fps, "%.17g" % plan["label"],
+                     plan["split"]])
     manifest = out_dir / "manifest.csv"
     with manifest.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

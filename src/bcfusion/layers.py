@@ -57,7 +57,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"attention: k/v lengths differ: {k.shape} vs {v.shape}")
     d_k = q.shape[1]
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
+    scores = T.mul(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(d_k))
     return T.matmul(T.softmax(scores), v)
 
 
@@ -87,8 +87,8 @@ class MultiHeadAttention:
                 f"attention width mismatch: inputs {x_q.shape}/{x_kv.shape}, d_model {self.d_model}")
         q, k, v = (T.split_heads(T.matmul(x, w), self.n_heads, batch)
                    for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
-        scores = T.scale(T.batched_matmul(q, k, transpose_b=True), 1.0 / math.sqrt(self.d_head))
-        heads = T.batched_matmul(T.softmax(scores), v)
+        scores = T.mul(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(self.d_head))
+        heads = T.matmul(T.softmax(scores), v)
         return T.matmul(T.merge_heads(heads, batch), self.wo)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:

@@ -202,7 +202,7 @@ class FusionModel:
     def __init__(self, topology: FusionTopology, task: str, config: ModelConfig,
                  rng: np.random.Generator):
         config.validate()
-        if task not in ("detection", "agreement"):
+        if task not in TASKS:
             raise ConfigError(f"task must be 'detection' or 'agreement', got {task!r}")
         self.topology = topology
         self.task = task

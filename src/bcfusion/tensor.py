@@ -6,13 +6,13 @@ executed while it is active.  ``backward`` replays the tape in reverse,
 accumulating gradients additively, so fan-out works without any graph
 bookkeeping beyond execution order.
 
-The op set is what the batched engine records: products of 2-D matrices
-and of 3-D stacks, elementwise ops, layer norm, softmax over the last axis,
-feature-axis concat and slicing, the head reshapes, per-sequence row means,
-and all-element sums and means for losses.  Broadcasting is restricted to the
-cases the network layers need (scalar operands and bias vectors added over
-leading rows); anything else raises a ``ShapeError`` up front rather than
-silently broadcasting.
+The op set is what the batched engine records: one product op for 2-D
+matrices and 3-D stacks, elementwise ops, layer norm, softmax over the last
+axis, feature-axis concat and slicing, the head reshapes, per-sequence row
+means, and all-element sums and means for losses.  Broadcasting is
+restricted to the cases the network layers need (scalar operands and bias
+vectors added over leading rows); anything else raises a ``ShapeError`` up
+front rather than silently broadcasting.
 
 Active tapes form one module-level stack, so tapes nest and the innermost
 one records.  The stack belongs to the process, not to a thread: tapes are
@@ -33,13 +33,10 @@ __all__ = [
     "as_tensor",
     "backward",
     "matmul",
-    "batched_matmul",
-    "transpose",
     "add",
     "sub",
     "neg",
     "mul",
-    "scale",
     "relu",
     "sigmoid",
     "log",
@@ -173,48 +170,28 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
 # Ops
 # --------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of two 2-D matrices, such as stacked (B·T, d) rows @ a weight."""
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight, or
+    matrix by matrix for two equal-length 3-D stacks, such as (B·H, T, d_head)
+    attention heads; with ``transpose_b``, each b matrix enters transposed."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _emit((a, b), a.data @ b.data, bw)
-
-
-def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Stacked matrix products of 3-D tensors: ``a[i] @ b[i]``, or ``a[i] @ b[i].T``
-    when ``transpose_b`` is set."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"batched_matmul expects two equal-length 3-D stacks, "
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim \
+            or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul expects 2-D @ 2-D or equal-length 3-D @ 3-D stacks, "
                          f"got {a.shape} @ {b.shape}")
-    bm = b.data.swapaxes(1, 2) if transpose_b else b.data
-    if a.shape[2] != bm.shape[1]:
-        raise ShapeError(f"batched_matmul inner dimensions disagree: {a.shape} @ {bm.shape}")
+    bm = b.data.swapaxes(-1, -2) if transpose_b else b.data
+    if a.shape[-1] != bm.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
+                         f"{' with transpose_b' if transpose_b else ''}")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ bm.swapaxes(1, 2))
+            _accum(a, g @ (b.data if transpose_b else b.data.swapaxes(-1, -2)))
         if b.requires_grad:
-            _accum(b, g.swapaxes(1, 2) @ a.data if transpose_b else a.data.swapaxes(1, 2) @ g)
+            _accum(b, g.swapaxes(-1, -2) @ a.data if transpose_b
+                   else a.data.swapaxes(-1, -2) @ g)
 
     return _emit((a, b), a.data @ bm, bw)
-
-
-def transpose(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {x.shape}")
-    return _emit((x,), x.data.T.copy(), lambda g: _accum(x, g.T))
 
 
 def _is_scalar_operand(v) -> bool:
@@ -277,10 +254,6 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(b, g * a.data)
 
     return _emit((a, b), a.data * b.data, bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    return mul(x, float(c))
 
 
 def relu(x: Tensor) -> Tensor:

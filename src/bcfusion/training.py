@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -82,7 +82,7 @@ def combined_loss(output: ForwardOutput, y, weights: Sequence[float], task: str)
     preds = [p for _, p in output.intermediates] + [output.final]
     total: Optional[Tensor] = None
     for w, pred in zip(weights, preds):
-        term = T.scale(loss_fn(pred, y), w)
+        term = T.mul(loss_fn(pred, y), w)
         total = term if total is None else T.add(total, term)
     return total
 
@@ -192,7 +192,7 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
                             noise=np.stack([noise[i] for i in group]))
         loss = combined_loss(out, np.array([[s.label] for s in samples]), weights, task)
         if len(group) < len(batch):
-            loss = T.scale(loss, len(group) / len(batch))
+            loss = T.mul(loss, len(group) / len(batch))
         total = loss if total is None else T.add(total, loss)
     return total
 
@@ -203,7 +203,6 @@ class TrainResult:
     history: list[tuple[int, float, float]]
     best_epoch: int
     best_val_metric: float
-    weights: list[float] = field(default_factory=list)
 
 
 def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) -> TrainResult:
@@ -277,7 +276,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     for p, snap in zip(params, best_params):
         p.data = snap
     return TrainResult(model=model, history=history, best_epoch=best_epoch,
-                       best_val_metric=float(best_metric), weights=weights)
+                       best_val_metric=float(best_metric))
 
 
 def write_history_csv(path: str | Path, history: Sequence[tuple[int, float, float]]) -> None:

@@ -42,7 +42,7 @@ def loop_loss(model, batch, weights, task, rng):
                             noise=model.dropout_noise(len(s.face_seq), rng)[None])
         loss = combined_loss(out, s.label, weights, task)
         total = loss if total is None else T.add(total, loss)
-    return T.scale(total, 1.0 / len(batch))
+    return T.mul(total, 1.0 / len(batch))
 
 
 def loss_and_grads(model, make_loss):

@@ -123,6 +123,16 @@ class TestSynth:
         assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, line", [(["--seed", "-3"], ""), ([], "seed = -3\n")],
+                             ids=["flag", "spec_file"])
+    def test_negative_seed_rejected_before_writing(self, tmp_path, capsys, flags, line):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT + line)
+        out = tmp_path / "o"
+        assert run_command(["synth", "--spec", str(spec), "--out", str(out)] + flags) == 1
+        assert sole_error_line(capsys) == "error: config key 'seed' must be an integer >= 0, got -3"
+        assert not out.exists()
+
     def test_amplitude_is_unknown_key(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT + "amplitude = 1.0\n")
@@ -218,6 +228,18 @@ class TestTrain:
                 "--out", str(tmp_path / "o")]
         assert run_command(args) == 1
         assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
+
+    @pytest.mark.parametrize("flags, line", [(["--seed", "-1"], ""), ([], "seed = -1\n")],
+                             ids=["flag", "config_file"])
+    def test_negative_seed_rejected_before_corpus_loads(self, config_file, tmp_path, capsys,
+                                                        flags, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + line)
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
+                "one_stream", "--task", "detection", "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        assert run_command(args + flags) == 1
+        assert sole_error_line(capsys) == "error: config key 'seed' must be an integer >= 0, got -1"
 
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
@@ -324,6 +346,10 @@ class TestGradcheck:
         assert run_command(["gradcheck", "--topology", "one_stream", "--tol", "0"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_negative_seed_rejected(self, capsys):
+        assert run_command(["gradcheck", "--topology", "one_stream", "--seed", "-1"]) == 1
+        assert sole_error_line(capsys) == "error: --seed must be an integer >= 0, got -1"
 
 
 class TestSweep:

@@ -42,13 +42,14 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "batched_matmul",
-            "transpose", "add", "sub", "neg", "mul", "scale", "relu", "sigmoid", "log", "clip",
-            "softmax", "layer_norm", "tsum", "tmean", "concat", "slice_cols", "split_heads",
-            "merge_heads", "row_mean"]
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "add", "sub",
+            "neg", "mul", "relu", "sigmoid", "log", "clip", "softmax", "layer_norm", "tsum",
+            "tmean", "concat", "slice_cols", "split_heads", "merge_heads", "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
-        # one form each: softmax over the last axis, all-element mean, feature-axis concat
-        for op, args in ((T.concat, ["parts"]), (T.softmax, ["x"]), (T.tmean, ["x"])):
+        # one form each: one product op for 2-D and 3-D operands, softmax over the last
+        # axis, all-element mean, feature-axis concat
+        for op, args in ((T.matmul, ["a", "b", "transpose_b"]), (T.concat, ["parts"]),
+                         (T.softmax, ["x"]), (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__
         # training dropout takes its masks from ``noise``; there is no generator fallback
         params = inspect.signature(TransformerLayer.forward).parameters

@@ -26,10 +26,15 @@ class TestOpGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul(self, seed):
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        proj = random_projection(rng, (3, 2))
-        check(lambda: proj(T.matmul(a, b)), [("a", a), ("b", b)])
+        # 2-D matrices and 3-D stacks, each with b as stored and transposed
+        for lead in ((), (3,)):
+            for transpose_b in (False, True):
+                a = Tensor(rng.normal(size=lead + (2, 4)), requires_grad=True)
+                b = Tensor(rng.normal(size=lead + ((5, 4) if transpose_b else (4, 5))),
+                           requires_grad=True)
+                proj = random_projection(rng, lead + (2, 5))
+                check(lambda: proj(T.matmul(a, b, transpose_b=transpose_b)),
+                      [("a", a), ("b", b)])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax(self, seed):
@@ -96,13 +101,6 @@ class TestOpGradients:
         check(lambda: T.tmean(x), [("x", x)])
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_transpose(self, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        proj = random_projection(rng, (4, 3))
-        check(lambda: proj(T.transpose(x)), [("x", x)])
-
-    @pytest.mark.parametrize("seed", range(5))
     def test_sub_neg_scale_clip(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-0.8, 0.8, size=(3, 3)), requires_grad=True)
@@ -110,19 +108,9 @@ class TestOpGradients:
 
         def f():
             # all values stay strictly inside the clip range: differentiable
-            return T.tsum(T.clip(T.scale(T.sub(x, T.neg(y)), 0.25), -1.0, 1.0))
+            return T.tsum(T.clip(T.mul(T.sub(x, T.neg(y)), 0.25), -1.0, 1.0))
 
         check(f, [("x", x), ("y", y)])
-
-    @pytest.mark.parametrize("transpose_b", [False, True])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batched_matmul(self, seed, transpose_b):
-        rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 5, 4) if transpose_b else (3, 4, 5)), requires_grad=True)
-        proj = random_projection(rng, (3, 2, 5))
-        check(lambda: proj(T.batched_matmul(a, b, transpose_b=transpose_b)),
-              [("a", a), ("b", b)])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_split_and_merge_heads(self, seed):

@@ -46,8 +46,7 @@ class TestScaledDotProductAttention:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             q, k = rng.normal(size=(4, 6)), rng.normal(size=(7, 6))
-            scores = T.scale(T.matmul(Tensor(q), T.transpose(Tensor(k))), 1 / math.sqrt(6))
-            attn = T.softmax(scores).data
+            attn = T.softmax(Tensor(q @ k.T / math.sqrt(6))).data
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
 
     def test_shape_errors(self):

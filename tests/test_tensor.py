@@ -156,20 +156,24 @@ class TestElementwise:
 
 
 class TestBatchedOps:
-    def test_batched_matmul_is_per_matrix_product(self):
+    def test_matmul_of_stacks_is_per_matrix_product(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
-        out = T.batched_matmul(Tensor(a), Tensor(b)).data
+        out = T.matmul(Tensor(a), Tensor(b)).data
         for i in range(3):
             np.testing.assert_allclose(out[i], naive_matmul(a[i], b[i]), rtol=0, atol=1e-12)
-        out_t = T.batched_matmul(Tensor(a), Tensor(b.swapaxes(1, 2)), transpose_b=True).data
+        out_t = T.matmul(Tensor(a), Tensor(b.swapaxes(1, 2)), transpose_b=True).data
         np.testing.assert_array_equal(out_t, out)
 
-    def test_batched_matmul_shape_errors(self):
-        with pytest.raises(ShapeError):
-            T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
-        with pytest.raises(ShapeError):
-            T.batched_matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))))
+    @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
+        ((4,), (4, 3), False), ((2, 4), (3, 4, 5), False), ((2, 3, 4), (3, 4, 5), False),
+        ((2, 3, 4), (2, 5, 4), False), ((3, 4), (5, 3), True),
+    ], ids=["vector_operand", "2d_at_3d", "unequal_stacks", "inner_mismatch",
+            "inner_mismatch_transpose_b"])
+    def test_matmul_shape_errors_name_both_shapes(self, a_shape, b_shape, transpose_b):
+        pattern = r"\(" + ", ".join(map(str, a_shape)) + ".*" + ", ".join(map(str, b_shape))
+        with pytest.raises(ShapeError, match=pattern):
+            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)), transpose_b=transpose_b)
 
     def test_heads_are_column_blocks_of_each_sequence(self):
         x = np.arange(2 * 3 * 6, dtype=float).reshape(2 * 3, 6)  # 2 sequences, T=3, 3 heads of 2
@@ -314,7 +318,7 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.matmul(x, T.transpose(x)), 1.0), gain, bias)
+            h = T.layer_norm(T.add(T.matmul(x, x, transpose_b=True), 1.0), gain, bias)
             out = T.tmean(T.mul(T.sigmoid(T.softmax(T.relu(h))), 0.5))
         backward(out, tape)
         assert out.data.dtype == np.float32
