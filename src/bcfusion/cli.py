@@ -186,16 +186,17 @@ def _cmd_sweep(args) -> int:
     # every topology shares the task, the window and the stream widths
     corpus = _load_corpus(args.manifest, base.task, base.window_seconds, base.model)
     out_root = Path(args.out)
-    rows = []
+    records, rows = [], []
     for topology in TOPOLOGY_NAMES:
         cfg = replace(base, topology=topology, model=replace(base.model))
         started = time.perf_counter()
         record = _train_once(corpus, cfg, out_root / topology)
         elapsed = time.perf_counter() - started
+        records.append(record)
         rows.append((topology, record["value"], record["params"], elapsed))
         print(f"{topology}: {record['metric_name']}={record['value']:.4f} "
               f"({elapsed:.1f}s)", file=sys.stderr)
-    metric_name = record["metric_name"]
+    metric_name = records[0]["metric_name"]
     out_root.mkdir(parents=True, exist_ok=True)
     csv_lines = ["topology,metric,params,seconds"]
     csv_lines += ["%s,%.17g,%d,%.3f" % row for row in rows]

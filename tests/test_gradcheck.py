@@ -35,10 +35,10 @@ class TestOpGradients:
     def test_transpose(self, seed):
         # the gradient reaching a 2-D operand that matmul reads transposed
         rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(2, 4)))
+        a = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         proj = random_projection(rng, (2, 3))
-        check(lambda: proj(T.matmul(a, x, transpose_b=True)), [("x", x)])
+        check(lambda: proj(T.matmul(a, x, transpose_b=True)), [("a", a), ("x", x)])
 
     @pytest.mark.parametrize("transpose_b", [False, True])
     @pytest.mark.parametrize("seed", range(3))
