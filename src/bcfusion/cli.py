@@ -17,8 +17,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (TASKS, ConfigError, ModelConfig, TrainConfig, dataclass_from_mapping,
-                     parse_config_file)
+from .config import (TASKS, ConfigError, ConfigMapping, ModelConfig, TrainConfig,
+                     dataclass_from_mapping, parse_config_file)
 from .data import SPLITS, CorpusError, SynthSpec, load_corpus, synth_generate
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
@@ -85,9 +85,15 @@ def _build_parser() -> _Parser:
 
 # -- helpers -------------------------------------------------------------------
 
+def _file_origin(mapping: ConfigMapping, flags: dict) -> dict[str, str]:
+    """Where each key of a config file was written, for the keys no flag in
+    ``flags`` (key -> value, None when the flag is not given) overrode."""
+    return {key: where for key, where in mapping.origin.items() if flags.get(key) is None}
+
+
 def _load_train_config(args) -> TrainConfig:
-    cfg = dataclass_from_mapping(TrainConfig, parse_config_file(args.config)) if args.config \
-        else TrainConfig()
+    mapping = parse_config_file(args.config) if args.config else ConfigMapping()
+    cfg = dataclass_from_mapping(TrainConfig, mapping)
     overrides = {"topology": getattr(args, "topology", None),
                  "task": getattr(args, "task", None),
                  "seed": args.seed,
@@ -98,15 +104,16 @@ def _load_train_config(args) -> TrainConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    cfg.validate()  # fails before the corpus loads
+    cfg.validate(_file_origin(mapping, overrides))  # fails before the corpus loads
     return cfg
 
 
 def _synth_spec(args) -> SynthSpec:
-    spec = dataclass_from_mapping(SynthSpec, parse_config_file(args.spec))
+    mapping = parse_config_file(args.spec)
+    spec = dataclass_from_mapping(SynthSpec, mapping)
     if args.seed is not None:
         spec.seed = args.seed
-    spec.validate()
+    spec.validate(_file_origin(mapping, {"seed": args.seed}))
     return spec
 
 

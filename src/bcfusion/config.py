@@ -10,11 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import Mapping, Optional, get_type_hints
 
 
 class ConfigError(ValueError):
     """Raised for invalid or inconsistent configuration."""
+
+
+def located(origin: Optional[Mapping[str, str]], key: str, message: str) -> str:
+    """``message`` led by the ``path:line`` that ``origin`` records for ``key``, if any."""
+    return f"{origin[key]}: {message}" if origin and key in origin else message
 
 
 @dataclass
@@ -48,7 +53,8 @@ class ModelConfig:
     dropout: float = 0.1
     use_positional_encoding: bool = True
 
-    def validate(self) -> None:
+    def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
+        """Raise ConfigError for a bad setting; see :meth:`TrainConfig.validate` for ``origin``."""
         from .models import TOPOLOGIES  # models imports this module
         for spec in TOPOLOGIES.values():
             widths = spec.widths(self)
@@ -58,11 +64,13 @@ class ModelConfig:
                     raise ConfigError(f"{' + '.join(spec.width_fields[st.name])} ({width}) "
                                       f"must be a positive multiple of {heads} heads")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout}")
-        if self.face_dim < 1 or self.pose_dim < 1:
-            raise ConfigError("stream input widths must be >= 1")
+            raise ConfigError(located(origin, "dropout",
+                                      f"dropout rate must be in [0, 1), got {self.dropout}"))
+        for key in ("face_dim", "pose_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(located(origin, key, "stream input widths must be >= 1"))
         if self.ff_hidden < 1:
-            raise ConfigError("ff_hidden must be >= 1")
+            raise ConfigError(located(origin, "ff_hidden", "ff_hidden must be >= 1"))
 
 
 def toy_model_config(face_dim: int = 12, pose_dim: int = 6, **overrides) -> ModelConfig:
@@ -97,29 +105,41 @@ class TrainConfig:
     dtype: str = "float64"
     model: ModelConfig = field(default_factory=ModelConfig)
 
-    def validate(self) -> None:
+    def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
+        """Raise ConfigError for a bad setting.
+
+        ``origin`` maps a key to the ``path:line`` its value was read from (a
+        :class:`ConfigMapping`'s ``origin`` without the keys a flag overrode);
+        the error for such a key names that place.
+        """
         from .models import TOPOLOGIES  # models imports this module
         if self.topology not in TOPOLOGIES:
-            raise ConfigError(f"config key 'topology': {self.topology!r} is not one of "
-                              f"{', '.join(TOPOLOGIES)}")
+            raise ConfigError(located(origin, "topology",
+                                      f"config key 'topology': {self.topology!r} is not one of "
+                                      f"{', '.join(TOPOLOGIES)}"))
         for key, value in (("learning_rate", self.learning_rate),
                            ("window_seconds", self.window_seconds)):
             if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"config key {key!r} must be a finite number > 0, got {value!r}")
+                raise ConfigError(located(origin, key, f"config key {key!r} must be a finite "
+                                                       f"number > 0, got {value!r}"))
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"config key 'weight_decay' must be a finite number >= 0, "
-                              f"got {self.weight_decay!r}")
+            raise ConfigError(located(origin, "weight_decay",
+                                      f"config key 'weight_decay' must be a finite number >= 0, "
+                                      f"got {self.weight_decay!r}"))
         if self.seed < 0:
-            raise ConfigError(f"config key 'seed' must be an integer >= 0, got {self.seed!r}")
+            raise ConfigError(located(origin, "seed", f"config key 'seed' must be an integer "
+                                                       f">= 0, got {self.seed!r}"))
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError(located(origin, "epochs", "epochs must be >= 1"))
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(located(origin, "batch_size", "batch_size must be >= 1"))
         if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ConfigError(located(origin, "task", f"task must be one of {TASKS}, "
+                                                       f"got {self.task!r}"))
         if self.dtype not in ("float64", "float32"):
-            raise ConfigError(f"dtype must be float64 or float32, got {self.dtype!r}")
-        self.model.validate()
+            raise ConfigError(located(origin, "dtype", f"dtype must be float64 or float32, "
+                                                        f"got {self.dtype!r}"))
+        self.model.validate(origin)
 
 
 class ConfigMapping(dict):
@@ -174,15 +194,15 @@ def dataclass_from_mapping(cls, mapping: dict[str, str]):
               if is_dataclass(kind)]
     slots = {name: (owner, kind) for owner in [obj] + nested
              for name, kind in get_type_hints(type(owner)).items() if not is_dataclass(kind)}
-    origin = getattr(mapping, "origin", {})
+    origin = getattr(mapping, "origin", None)
     for key, raw in mapping.items():
-        where = f"{origin[key]}: " if key in origin else ""
         if key not in slots:
-            raise ConfigError(f"{where}unknown config key {key!r}")
+            raise ConfigError(located(origin, key, f"unknown config key {key!r}"))
         owner, kind = slots[key]
         try:
             setattr(owner, key, _parse_value(raw, kind))
         except ValueError:
             name = getattr(kind, "__name__", str(kind))
-            raise ConfigError(f"{where}config key {key!r}: expected {name}, got {raw!r}") from None
+            raise ConfigError(located(origin, key, f"config key {key!r}: expected {name}, "
+                                                   f"got {raw!r}")) from None
     return obj

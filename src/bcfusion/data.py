@@ -24,10 +24,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .config import TASKS
+from .config import TASKS, located
 
 FACE_RAW_DIM = 674
 POSE_RAW_DIM = 76
@@ -256,29 +257,35 @@ class SynthSpec:
     val_frac: float = 0.2
     test_frac: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
+        """Raise CorpusError for a bad setting; an error for a key that ``origin``
+        maps to a ``path:line`` names that place (see :meth:`TrainConfig.validate`)."""
         if self.n_samples < 2:
-            raise CorpusError("n_samples must be >= 2")
+            raise CorpusError(located(origin, "n_samples", "n_samples must be >= 2"))
         if self.kind not in SIGNAL_KINDS:
-            raise CorpusError(f"kind must be one of {SIGNAL_KINDS}, got {self.kind!r}")
+            raise CorpusError(located(origin, "kind", f"kind must be one of {SIGNAL_KINDS}, "
+                                                      f"got {self.kind!r}"))
         if self.seed < 0:
-            raise CorpusError(f"config key 'seed' must be an integer >= 0, got {self.seed!r}")
+            raise CorpusError(located(origin, "seed", f"config key 'seed' must be an integer "
+                                                      f">= 0, got {self.seed!r}"))
         if self.task not in TASKS:
-            raise CorpusError(f"task must be detection or agreement, got {self.task!r}")
+            raise CorpusError(located(origin, "task", f"task must be detection or agreement, "
+                                                      f"got {self.task!r}"))
         if self.task == "detection":
             need = 4 if self.kind == "xor-cross-modal" else 2
             if self.n_samples % need != 0:
                 raise CorpusError(f"detection corpora with kind {self.kind!r} need "
                                   f"n_samples divisible by {need} for exact class balance")
         if self.modality not in ("face", "pose"):
-            raise CorpusError("modality must be 'face' or 'pose'")
+            raise CorpusError(located(origin, "modality", "modality must be 'face' or 'pose'"))
         if self.t_raw < 2:
-            raise CorpusError("t_raw must be >= 2")
+            raise CorpusError(located(origin, "t_raw", "t_raw must be >= 2"))
         if not (math.isfinite(self.fps) and self.fps > 0):
-            raise CorpusError(f"config key 'fps' must be a finite number > 0, got {self.fps!r}")
+            raise CorpusError(located(origin, "fps", f"config key 'fps' must be a finite "
+                                                     f"number > 0, got {self.fps!r}"))
         if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise CorpusError(f"config key 'noise' must be a finite number >= 0, "
-                              f"got {self.noise!r}")
+            raise CorpusError(located(origin, "noise", f"config key 'noise' must be a finite "
+                                                       f"number >= 0, got {self.noise!r}"))
         if not (0 <= self.val_frac and 0 <= self.test_frac
                 and self.val_frac + self.test_frac < 1):
             raise CorpusError("val_frac/test_frac must be >= 0 and sum below 1")

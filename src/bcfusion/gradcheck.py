@@ -10,7 +10,7 @@ gradients are judged on absolute error and large ones on relative error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,9 @@ class GradcheckReport:
 def finite_diff_gradcheck(f: Callable[[], Tensor],
                           params: Sequence[tuple[str, Tensor]],
                           h: float = 1e-5,
-                          tol: float = 1e-4) -> GradcheckReport:
+                          tol: float = 1e-4,
+                          reference: Optional[Callable[[], Tensor]] = None,
+                          max_elements: Optional[int] = None) -> GradcheckReport:
     """Check d(f)/d(param) for every element of every named parameter.
 
     ``f`` must be deterministic and return a size-1 tensor built from the
@@ -48,9 +50,17 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
     gradients; each parameter element is then perturbed in place by +-h for
     the central-difference estimate.  Non-finite values of ``f`` at a
     perturbed point are reported as failures naming the location.
+
+    ``reference``, when given, is differenced instead of ``f``: another
+    formulation of the same function, so that the check covers how ``f``
+    computes its value as well as its backward rules.  ``max_elements``
+    checks only that many elements of each parameter (all of a smaller one),
+    drawn by a generator of fixed seed.
     """
     if h <= 0:
         raise ValueError("gradcheck: h must be positive")
+    reference = reference or f
+    rng = np.random.default_rng(0)
     params = list(params)
     for _, p in params:
         p.zero_grad()
@@ -64,12 +74,15 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
     for name, p in params:
         flat = p.data.reshape(-1)
         worst = 0.0
-        for i in range(flat.size):
+        elements = range(flat.size)
+        if max_elements is not None and flat.size > max_elements:
+            elements = np.sort(rng.choice(flat.size, max_elements, replace=False))
+        for i in elements:
             orig = flat[i]
             flat[i] = orig + h
-            f_plus = f().data.item()
+            f_plus = reference().data.item()
             flat[i] = orig - h
-            f_minus = f().data.item()
+            f_minus = reference().data.item()
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 report.failures.append(f"{name}[{i}]: non-finite value at perturbed point")

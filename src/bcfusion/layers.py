@@ -4,8 +4,8 @@ A mini-batch of B sequences of equal length T is stacked into (B·T, d) rows,
 sample after sample, so projections, the feed-forward block and layer norm
 run as one 2-D op over every frame of the batch; the ``batch`` argument tells
 attention and positional encoding where one sequence ends and the next
-begins.  Attention runs over (B·H, T, d_head) stacks, heads and samples
-alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
+begins.  Attention is one tape op over (B·H, T, d_head) stacks, heads and
+samples alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
 single (T, d) sequence is a batch of one.  Parameters are plain ``Tensor``
 objects created with uniform fan-in initialization,
 U(-sqrt(1/fan_in), +sqrt(1/fan_in)).
@@ -67,6 +67,8 @@ class MultiHeadAttention:
     Queries are projected from ``x_q`` and keys/values from ``x_kv``;
     self-attention is the ``x_q is x_kv`` case.  Projections are packed as
     single (d_model, d_model) matrices whose column blocks are the heads.
+    The heads of every stacked sequence run as one :func:`tensor.attention`
+    record between the three input projections and the output map.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
@@ -74,7 +76,6 @@ class MultiHeadAttention:
             raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.d_model = d_model
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.wq = uniform_init(rng, (d_model, d_model), d_model)
         self.wk = uniform_init(rng, (d_model, d_model), d_model)
         self.wv = uniform_init(rng, (d_model, d_model), d_model)
@@ -85,11 +86,8 @@ class MultiHeadAttention:
         if x_q.shape[-1] != self.d_model or x_kv.shape[-1] != self.d_model:
             raise ShapeError(
                 f"attention width mismatch: inputs {x_q.shape}/{x_kv.shape}, d_model {self.d_model}")
-        q, k, v = (T.split_heads(T.matmul(x, w), self.n_heads, batch)
-                   for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
-        scores = T.mul(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(self.d_head))
-        heads = T.matmul(T.softmax(scores), v)
-        return T.matmul(T.merge_heads(heads, batch), self.wo)
+        q, k, v = (T.matmul(x, w) for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
+        return T.matmul(T.attention(q, k, v, self.n_heads, batch), self.wo)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}wq", self.wq

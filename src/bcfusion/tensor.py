@@ -7,9 +7,13 @@ accumulating gradients additively, so fan-out works without any graph
 bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one product op for 2-D
-matrices and 3-D stacks, elementwise ops, layer norm, softmax over the last
-axis, feature-axis concat and slicing, the head reshapes, per-sequence row
-means, and all-element sums and means for losses.  Broadcasting is
+matrices, one multi-head attention op, elementwise ops, layer norm, softmax
+over the last axis, feature-axis concat and slicing, per-sequence row means,
+and all-element sums and means for losses.  Attention is one record: it
+cuts the heads out of its (B·T, H·d_head) operands as array axes, works on
+the score stack in place, and keeps only the attention weights for its
+backward rule, which rebuilds the head layouts of q, k and v from the
+tensors the tape already holds.  Broadcasting is
 restricted to the cases the network layers need (scalar operands and bias
 vectors added over leading rows); anything else raises a ``ShapeError`` up
 front rather than silently broadcasting.
@@ -22,6 +26,7 @@ not shared across threads.  With no active tape, ops run as plain numpy
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,8 +52,7 @@ __all__ = [
     "tmean",
     "concat",
     "slice_cols",
-    "split_heads",
-    "merge_heads",
+    "attention",
     "row_mean",
 ]
 
@@ -150,9 +154,11 @@ def backward(output: Tensor, tape: Tape) -> None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``; the first write is a copy in ``t``'s dtype, never ``g`` itself."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -171,25 +177,21 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
 # --------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight, or
-    matrix by matrix for two equal-length 3-D stacks, such as (B·H, T, d_head)
-    attention heads; with ``transpose_b``, each b matrix enters transposed."""
+    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight;
+    with ``transpose_b``, b enters transposed."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim \
-            or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul expects 2-D @ 2-D or equal-length 3-D @ 3-D stacks, "
-                         f"got {a.shape} @ {b.shape}")
-    bm = b.data.swapaxes(-1, -2) if transpose_b else b.data
-    if a.shape[-1] != bm.shape[-2]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
+    bm = b.data.T if transpose_b else b.data
+    if a.shape[1] != bm.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
                          f"{' with transpose_b' if transpose_b else ''}")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ (b.data if transpose_b else b.data.swapaxes(-1, -2)))
+            _accum(a, g @ (b.data if transpose_b else b.data.T))
         if b.requires_grad:
-            _accum(b, g.swapaxes(-1, -2) @ a.data if transpose_b
-                   else a.data.swapaxes(-1, -2) @ g)
+            _accum(b, g.T @ a.data if transpose_b else a.data.T @ g)
 
     return _emit((a, b), a.data @ bm, bw)
 
@@ -299,18 +301,23 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply gain and bias."""
+    """Normalize the last axis to zero mean / unit variance, then apply gain and bias.
+
+    The input is centred once and the variance taken from the centred rows,
+    as ``np.var`` does; both passes then work in place on their own arrays.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def bw(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -319,9 +326,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(bias, g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (gx - m1 - xhat * m2))
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= xhat * m2
+            gx *= inv
+            _accum(x, gx)
 
     return _emit((x, gain, bias), out_data, bw)
 
@@ -388,25 +397,52 @@ def _rows_to_heads(x: np.ndarray, n_heads: int, batch: int) -> np.ndarray:
     return x.reshape(batch, t, n_heads, dh).transpose(0, 2, 1, 3).reshape(batch * n_heads, t, dh)
 
 
-def split_heads(x: Tensor, n_heads: int, batch: int) -> Tensor:
-    """Cut the rows of ``batch`` stacked sequences into attention heads:
-    (B·T, H·dh) -> (B·H, T, dh), head h taking feature columns [h·dh, (h+1)·dh)."""
-    x = as_tensor(x)
-    if x.data.ndim != 2 or x.shape[0] % batch or x.shape[1] % n_heads:
-        raise ShapeError(f"split_heads: {x.shape} is not {batch} sequences of "
-                         f"{n_heads} equal heads")
-    return _emit((x,), _rows_to_heads(x.data, n_heads, batch),
-                 lambda g: _accum(x, _heads_to_rows(g, batch)))
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int) -> Tensor:
+    """softmax(q kᵀ / sqrt(d_head)) v within each of ``batch`` stacked sequences
+    and each of ``n_heads`` heads, as one tape op.
 
+    q: (B·T_q, H·d_head), k: (B·T_k, H·d_head), v: (B·T_k, H·d_v) ->
+    (B·T_q, H·d_v).  Head h of a sequence is its column block h; the heads
+    are computed as (B·H, T, d) stacks (the reshape formulation of Vaswani
+    et al. 2017).  The score stack is scaled, max-shifted, exponentiated and
+    normalised in place; the backward rule keeps only those weights.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    for name, t in (("q", q), ("k", k), ("v", v)):
+        if t.data.ndim != 2 or t.shape[0] % batch or t.shape[1] % n_heads:
+            raise ShapeError(f"attention: {name} {t.shape} is not {batch} sequences of "
+                             f"{n_heads} equal heads")
+    if q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: q/k widths differ: {q.shape} vs {k.shape}")
+    if k.shape[0] != v.shape[0]:
+        raise ShapeError(f"attention: k/v rows differ: {k.shape} vs {v.shape}")
+    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
+    p = _rows_to_heads(q.data, n_heads, batch) @ \
+        _rows_to_heads(k.data, n_heads, batch).swapaxes(-1, -2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = _heads_to_rows(p @ _rows_to_heads(v.data, n_heads, batch), batch)
 
-def merge_heads(x: Tensor, batch: int) -> Tensor:
-    """Inverse of :func:`split_heads`: (B·H, T, dh) -> (B·T, H·dh)."""
-    x = as_tensor(x)
-    if x.data.ndim != 3 or x.shape[0] % batch:
-        raise ShapeError(f"merge_heads: {x.shape} is not {batch} sequences of heads")
-    n_heads = x.shape[0] // batch
-    return _emit((x,), _heads_to_rows(x.data, batch),
-                 lambda g: _accum(x, _rows_to_heads(g, n_heads, batch)))
+    def bw(g: np.ndarray) -> None:
+        gh = _rows_to_heads(g, n_heads, batch)
+        if v.requires_grad:
+            _accum(v, _heads_to_rows(p.swapaxes(-1, -2) @ gh, batch))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        gs = gh @ _rows_to_heads(v.data, n_heads, batch).swapaxes(-1, -2)
+        inner = (gs * p).sum(axis=-1, keepdims=True)
+        gs -= inner
+        gs *= p
+        gs *= scale
+        if k.requires_grad:
+            _accum(k, _heads_to_rows(gs.swapaxes(-1, -2) @
+                                     _rows_to_heads(q.data, n_heads, batch), batch))
+        if q.requires_grad:
+            _accum(q, _heads_to_rows(gs @ _rows_to_heads(k.data, n_heads, batch), batch))
+
+    return _emit((q, k, v), out_data, bw)
 
 
 def row_mean(x: Tensor, batch: int) -> Tensor:

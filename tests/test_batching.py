@@ -14,6 +14,7 @@ from bcfusion import tensor as T
 from bcfusion import training
 from bcfusion.config import toy_model_config
 from bcfusion.data import ProcessedSample
+from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import add_positional_encoding
 from bcfusion.models import ALL_TOPOLOGIES, build_model
 from bcfusion.tensor import Tape, Tensor, backward
@@ -24,13 +25,13 @@ CFG = toy_model_config(face_dim=7, pose_dim=5)
 ATOL = 1e-12
 
 
-def make_samples(lengths, task, seed=0):
+def make_samples(lengths, task, seed=0, cfg=CFG):
     rng = np.random.default_rng(seed)
     samples = []
     for i, t in enumerate(lengths):
         label = float(i % 2) if task == "detection" else float(rng.uniform(-1.0, 1.0))
-        samples.append(ProcessedSample(f"s{i}", rng.normal(size=(t, CFG.face_dim)),
-                                       rng.normal(size=(t, CFG.pose_dim)), label, "train"))
+        samples.append(ProcessedSample(f"s{i}", rng.normal(size=(t, cfg.face_dim)),
+                                       rng.normal(size=(t, cfg.pose_dim)), label, "train"))
     return samples
 
 
@@ -105,6 +106,28 @@ class TestBatchedStep:
         [s] = make_samples([4], "agreement")
         with pytest.raises(ValueError, match="noise"):
             model.forward(Tensor(s.face_seq), Tensor(s.pose_seq), training=True)
+
+
+class TestTrainingLossGradients:
+    """The backward pass training runs, against finite differences of the loss it means."""
+
+    @pytest.mark.parametrize("task", ["detection", "agreement"])
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_minibatch_loss_matches_finite_differences_of_per_sample_loop(self, topology, task):
+        # dropout on, its noise fixed by reseeding; two lengths, so the length-share
+        # weighting is on the tape; 8 seeded elements of every parameter at most
+        cfg = toy_model_config(face_dim=3, pose_dim=3)
+        model = build_model(topology, task, cfg, rng_seed=4)
+        assert model.config.dropout > 0
+        batch = make_samples([3, 5, 3], task, seed=6, cfg=cfg)
+        weights = loss_weights_for(topology)
+        report = finite_diff_gradcheck(
+            lambda: minibatch_loss(model, batch, weights, task, np.random.default_rng(8)),
+            list(model.named_parameters()),
+            reference=lambda: loop_loss(model, batch, weights, task, np.random.default_rng(8)),
+            max_elements=8)
+        assert report.passed, (report.per_param, report.failures)
+        assert set(report.per_param) == {name for name, _ in model.named_parameters()}
 
 
 class TestBatchedEval:

@@ -120,7 +120,9 @@ class TestSynth:
         spec.write_text(SPEC_TEXT + line + "\n")
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-        assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
+        n_lines = len(SPEC_TEXT.splitlines()) + 1
+        assert sole_error_line(capsys).startswith(
+            f"error: {spec}:{n_lines}: config key {key!r} must be a finite")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, line", [(["--seed", "-3"], ""), ([], "seed = -3\n")],
@@ -130,7 +132,10 @@ class TestSynth:
         spec.write_text(SPEC_TEXT + line)
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)] + flags) == 1
-        assert sole_error_line(capsys) == "error: config key 'seed' must be an integer >= 0, got -3"
+        # a value from the file names its line (the last 'seed' line wins); a flag's does not
+        where = f"{spec}:{len(SPEC_TEXT.splitlines()) + 1}: " if line else ""
+        assert sole_error_line(capsys) == \
+            f"error: {where}config key 'seed' must be an integer >= 0, got -3"
         assert not out.exists()
 
     def test_amplitude_is_unknown_key(self, tmp_path, capsys):
@@ -227,10 +232,13 @@ class TestTrain:
                 "one_stream", "--task", "detection", "--config", str(config),
                 "--out", str(tmp_path / "o")]
         assert run_command(args) == 1
-        assert sole_error_line(capsys).startswith(f"error: config key {key!r} must be a finite")
+        n_lines = len(CONFIG_TEXT.splitlines()) + 1
+        assert sole_error_line(capsys).startswith(
+            f"error: {config}:{n_lines}: config key {key!r} must be a finite")
 
-    @pytest.mark.parametrize("flags, line", [(["--seed", "-1"], ""), ([], "seed = -1\n")],
-                             ids=["flag", "config_file"])
+    @pytest.mark.parametrize("flags, line", [
+        (["--seed", "-1"], ""), ([], "seed = -1\n"), (["--seed", "-1"], "seed = 5\n"),
+    ], ids=["flag", "config_file", "flag_over_config_file"])
     def test_negative_seed_rejected_before_corpus_loads(self, config_file, tmp_path, capsys,
                                                         flags, line):
         config = tmp_path / "bad.cfg"
@@ -239,7 +247,32 @@ class TestTrain:
                 "one_stream", "--task", "detection", "--config", str(config),
                 "--out", str(tmp_path / "o")]
         assert run_command(args + flags) == 1
-        assert sole_error_line(capsys) == "error: config key 'seed' must be an integer >= 0, got -1"
+        # a value from the file names its line; a flag's value, even over the file's, does not
+        where = "" if flags else f"{config}:{len(CONFIG_TEXT.splitlines()) + 1}: "
+        assert sole_error_line(capsys) == \
+            f"error: {where}config key 'seed' must be an integer >= 0, got -1"
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs = 0", "epochs must be >= 1"),
+        ("dropout = 1.0", "dropout rate must be in [0, 1), got 1.0"),
+    ])
+    def test_other_bad_file_values_name_their_line(self, config_file, tmp_path, capsys,
+                                                   line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + line + "\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--config", str(config),
+                "--out", str(tmp_path / "o")]
+        assert run_command(args) == 1
+        assert sole_error_line(capsys) == \
+            f"error: {config}:{len(CONFIG_TEXT.splitlines()) + 1}: {message}"
+
+    def test_flag_overriding_a_bad_file_value_passes_validation(self, config_file, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_file.read_text() + "seed = -1\n")
+        args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
+                "one_stream", "--task", "detection", "--config", str(config),
+                "--out", str(tmp_path / "o"), "--seed", "3"]
+        assert run_command(args) == 2  # valid settings: the missing manifest is what fails
 
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",

@@ -40,17 +40,6 @@ class TestOpGradients:
         proj = random_projection(rng, (2, 3))
         check(lambda: proj(T.matmul(a, x, transpose_b=True)), [("a", a), ("x", x)])
 
-    @pytest.mark.parametrize("transpose_b", [False, True])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batched_matmul(self, seed, transpose_b):
-        # matmul of two equal-length 3-D stacks
-        rng = np.random.default_rng(seed)
-        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 5, 4) if transpose_b else (3, 4, 5)), requires_grad=True)
-        proj = random_projection(rng, (3, 2, 5))
-        check(lambda: proj(T.matmul(a, b, transpose_b=transpose_b)),
-              [("a", a), ("b", b)])
-
     @pytest.mark.parametrize("seed", range(5))
     def test_softmax(self, seed):
         rng = np.random.default_rng(seed)
@@ -127,14 +116,15 @@ class TestOpGradients:
 
         check(f, [("x", x), ("y", y)])
 
+    @pytest.mark.parametrize("t_q, t_k", [(4, 4), (3, 5)], ids=["self", "cross"])
     @pytest.mark.parametrize("seed", range(3))
-    def test_split_and_merge_heads(self, seed):
+    def test_attention(self, seed, t_q, t_k):
+        # 2 sequences, 3 heads of width 2; "cross" has fewer query than key steps
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(2 * 3, 3 * 2)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2 * 3, 3, 2)))
-        proj = random_projection(rng, (2 * 3, 3 * 2))
-        # the product keeps the merge's gradient from being the split's exact inverse
-        check(lambda: proj(T.merge_heads(T.mul(T.split_heads(x, 3, 2), w), 2)), [("x", x)])
+        q, k, v = (Tensor(rng.normal(size=(2 * t, 3 * 2)), requires_grad=True)
+                   for t in (t_q, t_k, t_k))
+        proj = random_projection(rng, (2 * t_q, 3 * 2))
+        check(lambda: proj(T.attention(q, k, v, 3, 2)), [("q", q), ("k", k), ("v", v)])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_row_mean(self, seed):

@@ -5,6 +5,7 @@ import pytest
 
 from bcfusion import tensor as T
 from bcfusion.config import ConfigError, TrainConfig
+from bcfusion.layers import scaled_dot_product_attention
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
 
 
@@ -156,18 +157,9 @@ class TestElementwise:
 
 
 class TestBatchedOps:
-    def test_matmul_of_stacks_is_per_matrix_product(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
-        out = T.matmul(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            np.testing.assert_allclose(out[i], naive_matmul(a[i], b[i]), rtol=0, atol=1e-12)
-        out_t = T.matmul(Tensor(a), Tensor(b.swapaxes(1, 2)), transpose_b=True).data
-        np.testing.assert_array_equal(out_t, out)
-
     @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
         ((4,), (4, 3), False), ((2, 4), (3, 4, 5), False), ((2, 3, 4), (3, 4, 5), False),
-        ((2, 3, 4), (2, 5, 4), False), ((3, 4), (5, 3), True),
+        ((3, 4), (5, 4), False), ((3, 4), (5, 3), True),
     ], ids=["vector_operand", "2d_at_3d", "unequal_stacks", "inner_mismatch",
             "inner_mismatch_transpose_b"])
     def test_matmul_shape_errors_name_both_shapes(self, a_shape, b_shape, transpose_b):
@@ -176,13 +168,29 @@ class TestBatchedOps:
             T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)), transpose_b=transpose_b)
 
     def test_heads_are_column_blocks_of_each_sequence(self):
-        x = np.arange(2 * 3 * 6, dtype=float).reshape(2 * 3, 6)  # 2 sequences, T=3, 3 heads of 2
-        heads = T.split_heads(Tensor(x), 3, 2).data
-        assert heads.shape == (6, 3, 2)
+        # 2 sequences, 3 heads of width 2, 4 query and 5 key/value steps each:
+        # head h of sequence b attends with column block h of that sequence's rows
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.normal(size=(2 * t, 3 * 2)) for t in (4, 5, 5))
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 3, 2).data
+        assert out.shape == (2 * 4, 3 * 2)
         for b in range(2):
             for h in range(3):
-                np.testing.assert_array_equal(heads[b * 3 + h], x[b * 3:(b + 1) * 3, 2 * h:2 * h + 2])
-        np.testing.assert_array_equal(T.merge_heads(Tensor(heads), 2).data, x)
+                cols = slice(2 * h, 2 * h + 2)
+                ref = scaled_dot_product_attention(
+                    Tensor(q[b * 4:(b + 1) * 4, cols]), Tensor(k[b * 5:(b + 1) * 5, cols]),
+                    Tensor(v[b * 5:(b + 1) * 5, cols])).data
+                np.testing.assert_allclose(out[b * 4:(b + 1) * 4, cols], ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("q_shape, k_shape, v_shape, pattern", [
+        ((8, 6), (10, 9), (10, 6), "q/k widths differ"),
+        ((8, 6), (10, 6), (8, 6), "k/v rows differ"),
+        ((7, 6), (10, 6), (10, 6), r"q \(7, 6\) is not 2 sequences"),
+        ((8, 5), (10, 5), (10, 5), "is not 2 sequences of 3 equal heads"),
+    ], ids=["qk_widths", "kv_rows", "rows_not_batch_multiple", "width_not_head_multiple"])
+    def test_attention_shape_errors(self, q_shape, k_shape, v_shape, pattern):
+        with pytest.raises(ShapeError, match=pattern):
+            T.attention(*(Tensor(np.zeros(s)) for s in (q_shape, k_shape, v_shape)), 3, 2)
 
     def test_row_mean_per_block(self):
         x = np.arange(12.0).reshape(6, 2)
@@ -249,6 +257,26 @@ class TestBackward:
         backward(y, tape)
         assert z.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_first_write_does_not_alias_another_gradient(self):
+        # add hands one output gradient to both operands; each must get its own array
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            y = T.tsum(T.add(a, b))
+        backward(y, tape)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad[0] = 7.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    def test_operand_used_twice_accumulates_both_paths(self):
+        x0 = np.array([0.5, -2.0, 3.0])
+        for op, expected in ((T.add, np.full(3, 2.0)), (T.mul, 2.0 * x0)):
+            x = Tensor(x0.copy(), requires_grad=True)
+            with Tape() as tape:
+                y = T.tsum(op(x, x))
+            backward(y, tape)
+            np.testing.assert_array_equal(x.grad, expected, err_msg=op.__name__)
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
