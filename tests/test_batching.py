@@ -127,7 +127,6 @@ class TestTrainingLossGradients:
             reference=lambda: loop_loss(model, batch, weights, task, np.random.default_rng(8)),
             max_elements=8)
         assert report.passed, (report.per_param, report.failures)
-        assert set(report.per_param) == {name for name, _ in model.named_parameters()}
 
 
 class TestBatchedEval:
