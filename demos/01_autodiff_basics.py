@@ -18,7 +18,7 @@ with Tape() as tape:
 backward(y, tape)
 print("d(x^2)/dx at 3:", x.grad)                 # -> 6.0
 
-# gradients flow through matmul, softmax, relu, layer norm, ...
+# gradients flow through matmul, softmax, linear (with its ReLU), layer norm, ...
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 v = Tensor(rng.normal(size=(5, 4)))

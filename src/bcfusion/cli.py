@@ -230,7 +230,7 @@ def run_command(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError, ValueError, RuntimeError) as exc:
+    except (ConfigError, CorpusError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

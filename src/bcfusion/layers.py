@@ -28,15 +28,16 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) 
 
 
 class Linear:
-    """Affine map x @ w + b applied to every row of a 2-D input."""
+    """Affine map x @ w + b applied to every row of a 2-D input, followed by a
+    ReLU when called with ``relu=True``; one :func:`tensor.linear` record."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.d_out = d_out
         self.w = uniform_init(rng, (d_in, d_out), d_in)
         self.b = uniform_init(rng, (d_out,), d_in)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return T.linear(x, self.w, self.b, relu)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}w", self.w
@@ -165,11 +166,11 @@ class TransformerLayer:
         a = self.attn(q_src, x, batch)
         if drop:
             a = dropout(a, self.dropout_rate, noise[:, 0])
-        h = T.layer_norm(T.add(x, a), self.ln1_gain, self.ln1_bias)
-        f = self.ffn2(T.relu(self.ffn1(h)))
+        h = T.layer_norm(x, a, self.ln1_gain, self.ln1_bias)
+        f = self.ffn2(self.ffn1(h, relu=True))
         if drop:
             f = dropout(f, self.dropout_rate, noise[:, 1])
-        return T.layer_norm(T.add(h, f), self.ln2_gain, self.ln2_bias)
+        return T.layer_norm(h, f, self.ln2_gain, self.ln2_bias)
 
     __call__ = forward
 

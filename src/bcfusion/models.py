@@ -185,7 +185,7 @@ class FeedForwardHead:
         self.fc2 = Linear(hidden, 1, rng)
 
     def __call__(self, features: Tensor) -> Tensor:
-        return self.fc2(T.relu(self.fc1(features)))
+        return self.fc2(self.fc1(features, relu=True))
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield from self.fc1.named_parameters(f"{prefix}fc1.")
@@ -408,5 +408,7 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
             raise ValueError(f"{path}: shape mismatch for {name}")
         if stored.dtype != dtype or dtype not in (np.float64, np.float32):
             raise ValueError(f"{path}: {name} is {stored.dtype}; need all float64 or all float32")
+        if not np.isfinite(stored).all():
+            raise ValueError(f"{path}: parameter {name} holds a non-finite value")
         p.data = stored
     return model, meta

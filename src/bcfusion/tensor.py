@@ -7,16 +7,19 @@ accumulating gradients additively, so fan-out works without any graph
 bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one product op for 2-D
-matrices, one multi-head attention op, elementwise ops, layer norm, softmax
-over the last axis, feature-axis concat and slicing, per-sequence row means,
-and all-element sums and means for losses.  Attention is one record: it
+matrices, one affine op (product, bias row and optional ReLU), one
+multi-head attention op, elementwise ops, layer norm of a residual sum,
+softmax over the last axis, feature-axis concat and slicing, per-sequence
+row means, and all-element sums and means for losses.  The fused ops keep
+on the tape only what their backward rules read (after Chen et al. 2016):
+the affine op its output, from which the ReLU mask is read back; layer norm
+the normalised rows, not the residual sum.  Attention is one record: it
 cuts the heads out of its (B·T, H·d_head) operands as array axes, works on
 the score stack in place, and keeps only the attention weights for its
 backward rule, which rebuilds the head layouts of q, k and v from the
-tensors the tape already holds.  Broadcasting is
-restricted to the cases the network layers need (scalar operands and bias
-vectors added over leading rows); anything else raises a ``ShapeError`` up
-front rather than silently broadcasting.
+tensors the tape already holds.  Broadcasting is restricted to scalar
+operands and the affine op's bias row; anything else raises a
+``ShapeError`` up front rather than silently broadcasting.
 
 Active tapes form one module-level stack, so tapes nest and the innermost
 one records.  The stack belongs to the process, not to a thread: tapes are
@@ -38,11 +41,11 @@ __all__ = [
     "as_tensor",
     "backward",
     "matmul",
+    "linear",
     "add",
     "sub",
     "neg",
     "mul",
-    "relu",
     "sigmoid",
     "log",
     "clip",
@@ -196,6 +199,37 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _emit((a, b), a.data @ bm, bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b`` for a 2-D x, the bias row added to every row, followed by
+    ``max(·, 0)`` when ``relu`` is set, as one tape op.
+
+    The bias and the ReLU work in place on the product, so the tape keeps
+    only the output; the backward rule reads the ReLU mask back from it
+    (``out > 0`` exactly where ``x @ w + b > 0``).
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear expects (n, k) @ (k, m) + (m,), got {x.shape} @ {w.shape} "
+                         f"+ {b.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+
+    def bw(g: np.ndarray) -> None:
+        if relu:
+            g = g * (out_data > 0)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _emit((x, w, b), out_data, bw)
+
+
 def _is_scalar_operand(v) -> bool:
     return np.isscalar(v) or (isinstance(v, np.ndarray) and v.ndim == 0)
 
@@ -203,8 +237,8 @@ def _is_scalar_operand(v) -> bool:
 def add(a: Tensor, b) -> Tensor:
     """Elementwise sum.
 
-    Supported operand combinations: identical shapes, a python/0-d scalar,
-    or a 1-D bias of width ``a.shape[-1]`` broadcast over leading axes.
+    Supported operand combinations: identical shapes or a python/0-d scalar;
+    a bias row enters through :func:`linear`.
     """
     a = as_tensor(a)
     if _is_scalar_operand(b):
@@ -218,13 +252,6 @@ def add(a: Tensor, b) -> Tensor:
             if b.requires_grad:
                 _accum(b, g)
         return _emit((a, b), a.data + b.data, bw_same)
-    if b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        def bw_bias(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-        return _emit((a, b), a.data + b.data, bw_bias)
     raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
 
 
@@ -256,12 +283,6 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(b, g * a.data)
 
     return _emit((a, b), a.data * b.data, bw)
-
-
-def relu(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    mask = x.data > 0
-    return _emit((x,), np.where(mask, x.data, 0.0), lambda g: _accum(x, g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -300,19 +321,24 @@ def softmax(x: Tensor) -> Tensor:
     return _emit((x,), out_data, bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then apply gain and bias.
+def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the residual sum ``x + r`` over the last axis to zero mean / unit
+    variance, then apply gain and bias.
 
-    The input is centred once and the variance taken from the centred rows,
-    as ``np.var`` does; both passes then work in place on their own arrays.
+    The sum is centred in place and the variance taken from the centred rows,
+    as ``np.var`` does; both passes then work in place on their own arrays,
+    and one input gradient goes to both summands.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, r, gain, bias = as_tensor(x), as_tensor(r), as_tensor(gain), as_tensor(bias)
+    if r.shape != x.shape:
+        raise ShapeError(f"layer_norm: residual shapes differ: {x.shape} vs {r.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data + r.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -324,15 +350,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
+        if x.requires_grad or r.requires_grad:
             gx = g * gain.data
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= xhat * m2
             gx *= inv
-            _accum(x, gx)
+            for t in (x, r):
+                if t.requires_grad:
+                    _accum(t, gx)
 
-    return _emit((x, gain, bias), out_data, bw)
+    return _emit((x, r, gain, bias), out_data, bw)
 
 
 def tsum(x: Tensor) -> Tensor:

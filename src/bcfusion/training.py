@@ -128,8 +128,9 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
 
 # -- evaluation --------------------------------------------------------------------
 
-# Most activation elements (rows x widest stage width) one evaluation forward holds.
-EVAL_CHUNK_ELEMENTS = 1 << 16
+# Most activation elements (rows x widest stage width) one evaluation forward holds:
+# 4 MiB per widest float64 activation, several hundred GEMM rows at paper widths.
+EVAL_CHUNK_ELEMENTS = 1 << 19
 
 
 def _length_groups(samples: Sequence[ProcessedSample]) -> list[list[int]]:
@@ -149,9 +150,11 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
                      task: str) -> dict:
     """Accuracy at threshold 0.5 (detection) or mean squared error (agreement).
 
-    Samples of one sequence length are scored together, in forward passes of
-    as many samples as keep rows x ``model.max_width`` within
-    ``EVAL_CHUNK_ELEMENTS`` (at least one), so memory stays flat at paper widths.
+    Samples of one sequence length are scored together, split into the fewest
+    equal forward passes (sizes differ by at most one) whose rows x
+    ``model.max_width`` stay within ``EVAL_CHUNK_ELEMENTS``, or one sample
+    each, so memory stays flat at paper widths.  A non-finite prediction
+    raises FloatingPointError naming the first sample that has one.
     """
     if not samples:
         raise ValueError("cannot evaluate an empty split")
@@ -159,10 +162,12 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     for group in _length_groups(samples):
         steps = len(samples[group[0]].face_seq)
         chunk = max(1, EVAL_CHUNK_ELEMENTS // (steps * model.max_width))
-        for lo in range(0, len(group), chunk):
-            part = group[lo:lo + chunk]
+        for part in np.array_split(group, -(-len(group) // chunk)):
             out = model.forward(*_stacked([samples[i] for i in part]), training=False)
             preds[part] = out.final.data[:, 0]
+    bad = np.flatnonzero(~np.isfinite(preds))
+    if bad.size:
+        raise FloatingPointError(f"non-finite prediction on sample {samples[bad[0]].id}")
     labels = np.array([s.label for s in samples])
     if task == "detection":
         value = float(np.mean((preds >= 0.5) == (labels == 1.0)))
@@ -215,7 +220,8 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     The history holds one (epoch, train_loss, val_metric) row per epoch.  The new
     parameters are cast to ``config.dtype``, which the model and its checkpoint keep.
     A non-finite batch loss or gradient raises RuntimeError before the Adam step,
-    naming the epoch and the batch's sample ids.
+    naming the epoch and the batch's sample ids; so does a non-finite validation
+    prediction, naming the epoch and the sample.
     """
     config.validate()
     train = corpus.get("train") or []
@@ -265,7 +271,10 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
             loss_sum += value * len(batch)
             n_seen += len(batch)
         train_loss = loss_sum / n_seen
-        val_metric = evaluate_metrics(model, val, config.task)["value"]
+        try:
+            val_metric = evaluate_metrics(model, val, config.task)["value"]
+        except FloatingPointError as exc:
+            raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
         history.append((epoch, train_loss, val_metric))
         improved = val_metric > best_metric if detection else val_metric < best_metric
         if improved:

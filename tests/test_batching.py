@@ -7,6 +7,8 @@ losses summed and divided by the batch size.  Batching changes only the
 order of floating-point sums, so the two agree to float64 rounding noise.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,8 +117,10 @@ class TestTrainingLossGradients:
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
     def test_minibatch_loss_matches_finite_differences_of_per_sample_loop(self, topology, task):
         # dropout on, its noise fixed by reseeding; two lengths, so the length-share
-        # weighting is on the tape; 8 seeded elements of every parameter at most
-        cfg = toy_model_config(face_dim=3, pose_dim=3)
+        # weighting is on the tape; 8 seeded elements of every parameter at most.
+        # The fused stream is 20 wide for its 10 heads, so every stage has d_head >= 2
+        # and the attention scale 1/sqrt(d_head) is not 1 anywhere
+        cfg = replace(toy_model_config(face_dim=3, pose_dim=3), d_fused_face=16, d_fused_pose=4)
         model = build_model(topology, task, cfg, rng_seed=4)
         assert model.config.dropout > 0
         batch = make_samples([3, 5, 3], task, seed=6, cfg=cfg)
@@ -144,17 +148,32 @@ class TestBatchedEval:
                 assert tag == single_tag
                 np.testing.assert_allclose(p.data[b], q.data[0], rtol=0, atol=ATOL)
 
-    @pytest.mark.parametrize("chunk_elements", [training.EVAL_CHUNK_ELEMENTS, 1])
+    @pytest.mark.parametrize("budget", ["default", "one_sample", "uneven"])
     @pytest.mark.parametrize("task", ["detection", "agreement"])
-    def test_evaluate_metrics_equals_per_sample_predictions(self, task, chunk_elements,
-                                                            monkeypatch):
-        monkeypatch.setattr(training, "EVAL_CHUNK_ELEMENTS", chunk_elements)
+    def test_evaluate_metrics_equals_per_sample_predictions(self, task, budget, monkeypatch):
         model = build_model("cross_to_one", task, CFG, rng_seed=3)
-        samples = make_samples([5, 8, 5, 8, 8, 3], task, seed=2)
+        samples = make_samples([5, 8, 5, 8, 8, 3, 8, 8], task, seed=2)
+        # "uneven": at most 4 samples of 8 steps per forward, so the five of that length
+        # run as the fewest equal chunks, 3 + 2
+        chunk_elements = {"default": training.EVAL_CHUNK_ELEMENTS, "one_sample": 1,
+                          "uneven": 4 * 8 * model.max_width}[budget]
+        monkeypatch.setattr(training, "EVAL_CHUNK_ELEMENTS", chunk_elements)
         preds = np.array([model.forward(Tensor(s.face_seq), Tensor(s.pose_seq)).final.data.item()
                           for s in samples])
         labels = np.array([s.label for s in samples])
+        sizes = []
+        forward = model.forward
+
+        def counted_forward(face, pose, **kwargs):
+            sizes.append(face.shape[:2])
+            return forward(face, pose, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted_forward)
         metrics = evaluate_metrics(model, samples, task)
+        expected_sizes = {"default": [(2, 5), (5, 8), (1, 3)],
+                          "one_sample": [(1, 5)] * 2 + [(1, 8)] * 5 + [(1, 3)],
+                          "uneven": [(2, 5), (3, 8), (2, 8), (1, 3)]}[budget]
+        assert sizes == expected_sizes
         if task == "detection":
             assert metrics["value"] == np.mean((preds >= 0.5) == (labels == 1.0))
         else:

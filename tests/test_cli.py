@@ -348,6 +348,35 @@ class TestEval:
         path = eval_with_edited_meta(tmp_path, edit)
         assert sole_error_line(capsys).startswith(f"error: {path}: {where}")
 
+    @pytest.mark.parametrize("task", ["detection", "agreement"])
+    def test_non_finite_parameter_is_validation_error(self, corpus_dir, tmp_path, capsys, task):
+        # scored, a NaN weight reads as accuracy 0.5 (NaN is class 0) or as an MSE of NaN
+        model = build_model("one_stream", task, toy_model_config(face_dim=7, pose_dim=5))
+        dict(model.named_parameters())["final.w"].data[0, 0] = np.nan
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        capsys.readouterr()
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                            str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
+        assert sole_error_line(capsys) == \
+            f"error: {path}: parameter final.w holds a non-finite value"
+
+    def test_overflowing_prediction_is_validation_error(self, corpus_dir, tmp_path, capsys):
+        # finite weights whose every prediction overflows: the layer's rows are all 1
+        # (zero gain, unit bias), so the final head sums its width times 1e308
+        model = build_model("one_stream", "agreement", toy_model_config(face_dim=7, pose_dim=5))
+        params = dict(model.named_parameters())
+        params["tf1.ln2_gain"].data[:] = 0.0
+        params["tf1.ln2_bias"].data[:] = 1.0
+        params["final.w"].data[:] = 1e308
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                                str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
+        assert sole_error_line(capsys).startswith("error: non-finite prediction on sample ")
+
     @pytest.mark.parametrize("fps", ["inf", "nan", "-inf"])
     def test_non_finite_manifest_fps_names_file_and_row(self, corpus_dir, tmp_path, capsys,
                                                          fps):

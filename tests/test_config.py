@@ -42,13 +42,16 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "add", "sub",
-            "neg", "mul", "relu", "sigmoid", "log", "clip", "softmax", "layer_norm", "tsum",
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "linear", "add",
+            "sub", "neg", "mul", "sigmoid", "log", "clip", "softmax", "layer_norm", "tsum",
             "tmean", "concat", "slice_cols", "attention", "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
-        # one form each: one product op for 2-D operands, one op for multi-head attention,
-        # softmax over the last axis, all-element mean, feature-axis concat
+        # one form each: one product op for 2-D operands, one affine op (with the ReLU),
+        # one op for multi-head attention, layer norm of a residual sum, softmax over the
+        # last axis, all-element mean, feature-axis concat
         for op, args in ((T.matmul, ["a", "b", "transpose_b"]), (T.concat, ["parts"]),
+                         (T.linear, ["x", "w", "b", "relu"]),
+                         (T.layer_norm, ["x", "r", "gain", "bias", "eps"]),
                          (T.attention, ["q", "k", "v", "n_heads", "batch"]),
                          (T.softmax, ["x"]), (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__

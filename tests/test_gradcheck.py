@@ -49,34 +49,52 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_layer_norm(self, seed):
+        # the gradient reaches both summands of the residual
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        r = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         gain = Tensor(rng.normal(size=6), requires_grad=True)
         bias = Tensor(rng.normal(size=6), requires_grad=True)
         proj = random_projection(rng, (4, 6))
-        check(lambda: proj(T.layer_norm(x, gain, bias)),
-              [("x", x), ("gain", gain), ("bias", bias)])
+        check(lambda: proj(T.layer_norm(x, r, gain, bias)),
+              [("x", x), ("r", r), ("gain", gain), ("bias", bias)])
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_linear(self, seed, x_grad):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        proj = random_projection(rng, (3, 2))
+        params = [("x", x)] * x_grad + [("w", w), ("b", b)]
+        check(lambda: proj(T.linear(x, w, b)), params)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elementwise_chain(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=3), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def f():
             return T.tmean(T.mul(T.add(T.mul(x, y), b), T.sigmoid(x)))
 
         check(f, [("x", x), ("y", y), ("b", b)])
 
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_relu_away_from_kink(self, seed):
+    def test_relu_away_from_kink(self, seed, x_grad):
+        # linear's ReLU, with about half the units active
         rng = np.random.default_rng(seed)
-        data = rng.normal(size=(3, 4))
-        data[np.abs(data) < 0.1] += 0.2  # keep clear of the non-differentiable point
-        x = Tensor(data, requires_grad=True)
-        proj = random_projection(rng, (3, 4))
-        check(lambda: proj(T.relu(x)), [("x", x)])
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        # every pre-activation is clear of the non-differentiable point by far more than h
+        assert np.abs(x.data @ w.data + b.data).min() > 1e-2
+        proj = random_projection(rng, (3, 5))
+        params = [("x", x)] * x_grad + [("w", w), ("b", b)]
+        check(lambda: proj(T.linear(x, w, b, relu=True)), params)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_log(self, seed):

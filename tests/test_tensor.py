@@ -1,5 +1,7 @@
 """Tensor op semantics, tape behavior, and backward-pass contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -93,19 +95,33 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
-        out = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = T.layer_norm(Tensor([[2.0, 2.0, 2.0]]), Tensor([[3.0, 3.0, 3.0]]),
+                           Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_already_normalized(self):
-        out = T.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                           eps=1e-12)
+        out = T.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.zeros((1, 2))), Tensor(np.ones(2)),
+                           Tensor(np.zeros(2)), eps=1e-12)
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
+
+    def test_normalizes_the_residual_sum(self):
+        rng = np.random.default_rng(1)
+        x, r = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        gain, bias = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+        s = x + r
+        expected = (s - s.mean(axis=-1, keepdims=True)) / np.sqrt(s.var(axis=-1, keepdims=True)
+                                                                  + 1e-5) * gain.data + bias.data
+        np.testing.assert_allclose(T.layer_norm(Tensor(x), Tensor(r), gain, bias).data,
+                                   expected, rtol=0, atol=1e-12)
+        with pytest.raises(ShapeError, match="residual"):
+            T.layer_norm(Tensor(x), Tensor(r[:2]), gain, bias)
 
     def test_output_moments(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 64)) * 3 + 7
         eps = 1e-5
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(64)), Tensor(np.zeros(64)), eps=eps).data
+        out = T.layer_norm(Tensor(x), Tensor(np.zeros_like(x)), Tensor(np.ones(64)),
+                           Tensor(np.zeros(64)), eps=eps).data
         assert abs(out.mean()) < 1e-10
         # normalization divides by sqrt(var + eps), shrinking the output variance
         target = x.var() / (x.var() + eps)
@@ -114,22 +130,51 @@ class TestLayerNorm:
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
+            T.layer_norm(Tensor([[1.0]]), Tensor([[0.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
+
+
+class TestLinear:
+    def test_linear_bias_broadcast(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        w = Tensor(np.eye(2), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            out = T.tsum(T.linear(x, w, b))
+        backward(out, tape)
+        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+        np.testing.assert_array_equal(w.grad, np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+
+    def test_relu_zeroes_negative_pre_activations_and_their_gradient(self):
+        x = Tensor([[1.0, -2.0], [-0.5, 3.0]], requires_grad=True)
+        w, b = Tensor(np.eye(2)), Tensor([0.25, 0.0])
+        with Tape() as tape:
+            h = T.linear(x, w, b, relu=True)
+            out = T.tsum(h)
+        backward(out, tape)
+        np.testing.assert_array_equal(h.data, [[1.25, 0.0], [0.0, 3.0]])
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_one_tape_record(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), relu=True)
+        assert len(tape.records) == 1
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((4,), (4, 3), (3,)), ((2, 4), (5, 3), (3,)), ((2, 4), (4, 3), (4,)),
+        ((2, 4), (4, 3), (2, 3)),
+    ], ids=["vector_input", "inner_mismatch", "bias_width", "bias_not_a_row"])
+    def test_shape_errors_name_all_shapes(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError, match=re.escape(f"{x_shape} @ {w_shape} + {b_shape}")):
+            T.linear(*(Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
 
 
 class TestElementwise:
-    def test_add_bias_broadcast(self):
-        x = Tensor(np.ones((3, 2)), requires_grad=True)
-        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        with Tape() as tape:
-            out = T.tsum(T.add(x, b))
-        backward(out, tape)
-        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
-        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
-
     def test_add_rejects_mismatched_shapes(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        for b_shape in ((3, 2), (3,)):  # a bias row enters through linear, not add
+            with pytest.raises(ShapeError):
+                T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(b_shape)))
 
     def test_clip_blocks_gradient_outside_range(self):
         x = Tensor([0.5, 2.0, -1.0], requires_grad=True)
@@ -281,7 +326,7 @@ class TestBackward:
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            h = T.relu(T.matmul(x, Tensor(np.ones((3, 2)))))
+            h = T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), relu=True)
             y = T.tsum(T.mul(h, h))
         backward(y, tape)
         assert all(out.grad is None for _, out, _ in tape.records)
@@ -346,8 +391,8 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.matmul(x, x, transpose_b=True), 1.0), gain, bias)
-            out = T.tmean(T.mul(T.sigmoid(T.softmax(T.relu(h))), 0.5))
+            h = T.layer_norm(T.add(T.matmul(x, x, transpose_b=True), 1.0), x, gain, bias)
+            out = T.tmean(T.mul(T.sigmoid(T.softmax(T.linear(h, x, bias, relu=True))), 0.5))
         backward(out, tape)
         assert out.data.dtype == np.float32
         assert {t.grad.dtype for t in (x, gain, bias)} == {np.dtype(np.float32)}
@@ -367,6 +412,8 @@ class TestFiniteness:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(0, 4)
-            for out in (T.softmax(Tensor(x)), T.relu(Tensor(x)), T.sigmoid(Tensor(x)),
-                        T.layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)))):
+            for out in (T.softmax(Tensor(x)), T.sigmoid(Tensor(x)),
+                        T.linear(Tensor(x), Tensor(np.eye(6)), Tensor(np.zeros(6)), relu=True),
+                        T.layer_norm(Tensor(x), Tensor(x), Tensor(np.ones(6)),
+                                     Tensor(np.zeros(6)))):
                 assert np.all(np.isfinite(out.data))

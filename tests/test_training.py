@@ -201,6 +201,14 @@ class TestEvaluateMetrics:
         with pytest.raises(ValueError):
             evaluate_metrics(_StubModel({}), [], "detection")
 
+    @pytest.mark.parametrize("task", ["detection", "agreement"])
+    def test_non_finite_prediction_names_the_first_such_sample(self, task):
+        # a NaN would count as class 0 in accuracy and poison the mean squared error
+        samples = stub_samples([1, 0, 1, 0])
+        model = _StubModel({0.0: 0.9, 1.0: np.nan, 2.0: 0.8, 3.0: np.inf})
+        with pytest.raises(FloatingPointError, match="^non-finite prediction on sample s1$"):
+            evaluate_metrics(model, samples, task)
+
 
 class TestMetricsRecord:
     @pytest.mark.parametrize("topology", [FusionTopology.ONE_TO_ONE, "one_to_one"],
@@ -267,6 +275,15 @@ class TestRunTraining:
         cfg = tiny_config(task="agreement", epochs=5, batch_size=2, learning_rate=1e200)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
             run_training(corpus, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_prediction_is_divergence(self, tiny_corpus):
+        val = list(tiny_corpus["validation"])
+        val[1] = replace(val[1], face_seq=np.full_like(val[1].face_seq, np.inf))
+        corpus = {"train": tiny_corpus["train"], "validation": val}
+        with pytest.raises(RuntimeError, match=f"^training diverged at epoch 1: non-finite "
+                                               f"prediction on sample {val[1].id}$"):
+            run_training(corpus, tiny_config())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_features_name_epoch_and_samples(self, tiny_corpus):
