@@ -22,8 +22,8 @@ from .config import (TASKS, ConfigError, ConfigMapping, ModelConfig, TrainConfig
 from .data import SPLITS, CorpusError, SynthSpec, load_corpus, synth_generate
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
-from .training import (evaluate_metrics, metrics_record, run_training, write_history_csv,
-                       write_metrics_json)
+from .training import (METRIC_NAMES, evaluate_metrics, metrics_record, run_training,
+                       write_history_csv, write_metrics_json)
 
 TOPOLOGY_NAMES = [t.value for t in ALL_TOPOLOGIES]
 
@@ -130,7 +130,8 @@ def _train_once(corpus: dict, cfg: TrainConfig, out_dir: Path) -> dict:
                     extra_meta={"window_seconds": cfg.window_seconds, "seed": cfg.seed,
                                 "best_epoch": result.best_epoch})
     write_history_csv(out_dir / "history.csv", result.history)
-    metrics = evaluate_metrics(result.model, corpus["validation"], cfg.task)
+    metrics = {"metric_name": METRIC_NAMES[cfg.task], "value": result.best_val_metric,
+               "n": len(corpus["validation"])}
     record = metrics_record(cfg.task, cfg.topology, "validation", metrics)
     write_metrics_json(out_dir / "metrics.json", record)
     record["params"] = parameter_count(result.model)
@@ -143,7 +144,7 @@ def _cmd_synth(args) -> int:
     spec = _synth_spec(args)
     manifest = synth_generate(spec, args.out)
     print(json.dumps({"manifest": str(manifest), "n_samples": spec.n_samples,
-                      "kind": spec.kind, "task": spec.task}, sort_keys=True))
+                      "kind": spec.kind, "task": spec.task}, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -152,7 +153,7 @@ def _cmd_train(args) -> int:
     corpus = _load_corpus(args.manifest, cfg.task, cfg.window_seconds, cfg.model)
     record = _train_once(corpus, cfg, Path(args.out))
     record.pop("params")  # stdout carries exactly the documented metrics schema
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -169,7 +170,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"split {args.split!r} is empty in {args.manifest}")
     metrics = evaluate_metrics(model, samples, model.task)
     print(json.dumps(metrics_record(model.task, model.topology.value, args.split, metrics),
-                     sort_keys=True))
+                     sort_keys=True, allow_nan=False))
     return 0
 
 

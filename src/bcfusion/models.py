@@ -350,8 +350,8 @@ def save_checkpoint(model: FusionModel, path: str | Path,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with io.BytesIO() as buf:
-        np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-                 **arrays)
+        meta_bytes = json.dumps(meta, allow_nan=False).encode("utf-8")
+        np.savez(buf, __meta__=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
         path.write_bytes(buf.getvalue())
 
 

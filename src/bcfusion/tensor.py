@@ -2,9 +2,9 @@
 
 The engine is deliberately small: a ``Tensor`` wraps a numpy array plus an
 optional gradient buffer, and a ``Tape`` records every differentiable op
-executed while it is active.  ``backward`` replays the tape in reverse,
-accumulating gradients additively, so fan-out works without any graph
-bookkeeping beyond execution order.
+executed while it is active.  ``backward`` replays the tape in reverse and
+consumes it, accumulating gradients additively, so fan-out works without any
+graph bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one product op for 2-D
 matrices, one affine op (product, bias row and optional ReLU), one
@@ -118,7 +118,8 @@ class Tape:
     backward rule mapping the output gradient to input-gradient updates.
     Records are appended at execution time, so inputs always precede the
     ops that consume them; the backward pass visits each record exactly
-    once, in reverse order.
+    once, in reverse order, and pops it as it goes: after :func:`backward`
+    ``records`` is empty and the tape holds no arrays.
     """
 
     def __init__(self):
@@ -145,11 +146,16 @@ def backward(output: Tensor, tape: Tape) -> None:
     the output are skipped.  Every consumer of a record's output comes later
     on the tape, so once the record's rule has run its output gradient is
     complete and spent: it is released, and only leaves keep a gradient.
+    The tape is consumed the same way: each record is popped off as it is
+    replayed, so the arrays it saved are freed as soon as its rule has run.
+    A tape is spent after backward; record a new one for another pass.
     """
     if output.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {output.shape}")
     output.grad = np.ones_like(output.data)
-    for _, out, backward_fn in reversed(tape.records):
+    records = tape.records
+    while records:
+        _, out, backward_fn = records.pop()
         if out.grad is None:
             continue
         backward_fn(out.grad)

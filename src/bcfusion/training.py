@@ -108,7 +108,11 @@ class AdamState:
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
-    """One bias-corrected Adam update; weight decay enters the gradient (coupled L2)."""
+    """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
+
+    Each parameter gets a new array: the old ``p.data`` is never written into,
+    so a caller may keep it as a snapshot.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and optimizer state are misaligned")
     state.step += 1
@@ -127,6 +131,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
 
 
 # -- evaluation --------------------------------------------------------------------
+
+METRIC_NAMES = {"detection": "accuracy", "agreement": "mse"}
 
 # Most activation elements (rows x widest stage width) one evaluation forward holds:
 # 4 MiB per widest float64 activation, several hundred GEMM rows at paper widths.
@@ -154,7 +160,9 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     equal forward passes (sizes differ by at most one) whose rows x
     ``model.max_width`` stay within ``EVAL_CHUNK_ELEMENTS``, or one sample
     each, so memory stays flat at paper widths.  A non-finite prediction
-    raises FloatingPointError naming the first sample that has one.
+    raises FloatingPointError naming the first sample that has one; so does
+    a non-finite metric, such as finite predictions whose squared error
+    overflows.
     """
     if not samples:
         raise ValueError("cannot evaluate an empty split")
@@ -169,12 +177,14 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     if bad.size:
         raise FloatingPointError(f"non-finite prediction on sample {samples[bad[0]].id}")
     labels = np.array([s.label for s in samples])
+    name = METRIC_NAMES[task]
     if task == "detection":
         value = float(np.mean((preds >= 0.5) == (labels == 1.0)))
-        name = "accuracy"
     else:
-        value = float(np.mean((preds - labels) ** 2))
-        name = "mse"
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            value = float(np.mean((preds - labels) ** 2))
+    if not np.isfinite(value):
+        raise FloatingPointError(f"non-finite {name} ({value})")
     return {"metric_name": name, "value": value, "n": len(samples)}
 
 
@@ -187,14 +197,16 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
     The batch runs as one forward pass per sequence length in it (usually
     one), each length's mean loss weighted by its share of the batch.  The
     dropout noise is drawn first, sample by sample in batch order, so a
-    sample's masks do not depend on how the batch splits by length.
+    sample's masks do not depend on how the batch splits by length.  Each
+    sample's draw is released once it is stacked, so the forward pass never
+    holds both copies.
     """
-    noise = [model.dropout_noise(len(s.face_seq), rng) for s in batch]
+    noise = {i: model.dropout_noise(len(s.face_seq), rng) for i, s in enumerate(batch)}
     total: Optional[Tensor] = None
     for group in _length_groups(batch):
         samples = [batch[i] for i in group]
         out = model.forward(*_stacked(samples), training=True,
-                            noise=np.stack([noise[i] for i in group]))
+                            noise=np.stack([noise.pop(i) for i in group]))
         loss = combined_loss(out, np.array([[s.label] for s in samples]), weights, task)
         if len(group) < len(batch):
             loss = T.mul(loss, len(group) / len(batch))
@@ -215,13 +227,21 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
 
     Mini-batches are reshuffled every epoch from a seeded generator; each takes
     one tape, one backward pass and one Adam step (see :func:`minibatch_loss`).
-    After every epoch the validation metric decides whether to snapshot the
-    parameters (higher accuracy / lower MSE wins; ties keep the earlier epoch).
-    The history holds one (epoch, train_loss, val_metric) row per epoch.  The new
-    parameters are cast to ``config.dtype``, which the model and its checkpoint keep.
+    After every epoch the validation metric decides whether to keep the
+    parameters (higher accuracy / lower MSE wins; ties keep the earlier epoch);
+    the metric is always finite, so the first epoch is always kept.  The history
+    holds one (epoch, train_loss, val_metric) row per epoch.  The new parameters
+    are cast to ``config.dtype``, which the model and its checkpoint keep.
     A non-finite batch loss or gradient raises RuntimeError before the Adam step,
     naming the epoch and the batch's sample ids; so does a non-finite validation
-    prediction, naming the epoch and the sample.
+    prediction (naming the sample) or metric.
+
+    Memory follows liveness: ``backward`` consumes the step's tape and the
+    step's gradients are dropped after the Adam update, so neither lives on
+    through the next step's forward.  The best epoch is kept by reference to
+    its parameter arrays, not by a copy: :func:`adam_step` binds new arrays to
+    the parameters and never writes into the old ones, so only an epoch that
+    has since been beaten holds a second set of parameters.
     """
     config.validate()
     train = corpus.get("train") or []
@@ -247,7 +267,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     detection = config.task == "detection"
     best_metric = -np.inf if detection else np.inf
     best_epoch = 0
-    best_params: list[np.ndarray] = [p.data.copy() for p in params]
+    best_params: list[np.ndarray] = []
     history: list[tuple[int, float, float]] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -266,6 +286,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
                 raise RuntimeError(f"training diverged at epoch {epoch}: non-finite {what} "
                                    f"on samples {', '.join(s.id for s in batch)}")
             adam_step(params, grads, state, config.learning_rate, config.weight_decay)
+            del grads
             for p in params:
                 p.zero_grad()
             loss_sum += value * len(batch)
@@ -280,7 +301,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
         if improved:
             best_metric = val_metric
             best_epoch = epoch
-            best_params = [p.data.copy() for p in params]
+            best_params = [p.data for p in params]
 
     for p, snap in zip(params, best_params):
         p.data = snap
@@ -307,4 +328,4 @@ def metrics_record(task: str, topology: FusionTopology | str, split: str,
 def write_metrics_json(path: str | Path, record: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(record, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from bcfusion import cli, training
 from bcfusion.cli import run_command
 from bcfusion.config import toy_model_config
 from bcfusion.models import build_model, load_checkpoint, parameter_count, save_checkpoint
+from bcfusion.training import evaluate_metrics
 
 SPEC_TEXT = """\
 # tiny detection corpus
@@ -164,6 +166,20 @@ class TestTrain:
         assert (out / "metrics.json").exists()
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_metric" and len(history) == 3
+
+    def test_scores_the_validation_split_once_per_epoch(self, corpus_dir, config_file,
+                                                         tmp_path, monkeypatch):
+        # the record reuses the best epoch's score instead of scoring the restored model again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_metrics", counted)
+        monkeypatch.setattr(cli, "evaluate_metrics", counted)
+        assert run_command(train_args(corpus_dir, config_file, tmp_path / "run")) == 0
+        assert calls == ["detection", "detection"]  # epochs = 2 in CONFIG_TEXT
 
     def test_seeded_runs_are_bitwise_identical(self, corpus_dir, config_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -376,6 +392,19 @@ class TestEval:
             assert run_command(["eval", "--checkpoint", str(path), "--manifest",
                                 str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
         assert sole_error_line(capsys).startswith("error: non-finite prediction on sample ")
+
+    def test_overflowing_metric_is_validation_error(self, corpus_dir, tmp_path, capsys):
+        # every prediction is a finite 1e200, whose squared error overflows to inf
+        model = build_model("one_stream", "agreement", toy_model_config(face_dim=7, pose_dim=5))
+        params = dict(model.named_parameters())
+        params["final.w"].data[:] = 0.0
+        params["final.b"].data[:] = 1e200
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        capsys.readouterr()
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                            str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
+        assert sole_error_line(capsys) == "error: non-finite mse (inf)"
 
     @pytest.mark.parametrize("fps", ["inf", "nan", "-inf"])
     def test_non_finite_manifest_fps_names_file_and_row(self, corpus_dir, tmp_path, capsys,

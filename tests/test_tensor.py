@@ -1,6 +1,7 @@
 """Tensor op semantics, tape behavior, and backward-pass contracts."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -328,8 +329,9 @@ class TestBackward:
         with Tape() as tape:
             h = T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), relu=True)
             y = T.tsum(T.mul(h, h))
+        records = list(tape.records)
         backward(y, tape)
-        assert all(out.grad is None for _, out, _ in tape.records)
+        assert all(out.grad is None for _, out, _ in records)
         np.testing.assert_array_equal(x.grad, np.tile(4.0 * np.array([[3.0], [12.0]]), (1, 3)))
 
 
@@ -365,6 +367,20 @@ class TestTape:
         backward(y, tape)
         assert visited == sorted(visited, reverse=True)
         assert len(visited) == len(set(visited)) == len(original)
+
+    def test_backward_consumes_the_tape(self):
+        # each record is dropped once replayed, so an op output only the tape
+        # referenced dies during backward
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        with Tape() as tape:
+            h = T.mul(x, x)
+            y = T.tsum(h)
+        h_data = weakref.ref(h.data)
+        del h
+        backward(y, tape)
+        assert tape.records == []
+        assert h_data() is None
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
     def test_no_tape_means_no_gradients(self):
         x = Tensor([1.0], requires_grad=True)

@@ -1,6 +1,7 @@
 """Losses, weight tables, Adam, and the training loop."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, buil
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, bce_loss, combined_loss,
                                evaluate_metrics, loss_weights_for, metrics_record,
-                               mse_loss, run_training, write_history_csv)
+                               minibatch_loss, mse_loss, run_training, write_history_csv)
 
 
 class TestBceLoss:
@@ -209,6 +210,12 @@ class TestEvaluateMetrics:
         with pytest.raises(FloatingPointError, match="^non-finite prediction on sample s1$"):
             evaluate_metrics(model, samples, task)
 
+    def test_overflowing_squared_error_is_not_a_score(self):
+        samples = stub_samples([0.0, 1.0])
+        model = _StubModel({0.0: 1e200, 1.0: 0.5})
+        with pytest.raises(FloatingPointError, match=r"^non-finite mse \(inf\)$"):
+            evaluate_metrics(model, samples, "agreement")
+
 
 class TestMetricsRecord:
     @pytest.mark.parametrize("topology", [FusionTopology.ONE_TO_ONE, "one_to_one"],
@@ -312,6 +319,39 @@ class TestRunTraining:
         monkeypatch.setattr(training, "adam_step", lambda *a, **k: pytest.fail("Adam ran"))
         with pytest.raises(RuntimeError, match="at epoch 1: non-finite gradient on samples "):
             run_training(tiny_corpus, tiny_config())
+
+    def test_best_epoch_is_restored_bitwise(self, tiny_corpus, monkeypatch):
+        # guards keeping the best epoch by reference: Adam must not write into old arrays
+        scripted = iter([0.5, 0.9, 0.7])
+        seen = []
+
+        def scripted_metrics(model, samples, task):
+            seen.append([p.data.copy() for p in model.parameters()])
+            return {"metric_name": "accuracy", "value": next(scripted), "n": len(samples)}
+
+        monkeypatch.setattr(training, "evaluate_metrics", scripted_metrics)
+        result = run_training(tiny_corpus, tiny_config(epochs=3))
+        assert result.best_epoch == 2 and result.best_val_metric == 0.9
+        restored = [p.data for p in result.model.parameters()]
+        assert [(a.dtype, a.tobytes()) for a in restored] == \
+            [(a.dtype, a.tobytes()) for a in seen[1]]
+        assert any(not np.array_equal(a, b) for a, b in zip(restored, seen[2]))
+
+    def test_no_gradient_outlives_its_adam_step(self, tiny_corpus, monkeypatch):
+        handed, alive_at_forward = [], []
+
+        def spy_adam(params, grads, *args, **kwargs):
+            handed.append([weakref.ref(g) for g in grads])
+            return adam_step(params, grads, *args, **kwargs)
+
+        def spy_loss(*args, **kwargs):
+            alive_at_forward.append(sum(ref() is not None for step in handed for ref in step))
+            return minibatch_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", spy_adam)
+        monkeypatch.setattr(training, "minibatch_loss", spy_loss)
+        run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
+        assert len(handed) == 2 and alive_at_forward == [0, 0]
 
     def test_best_model_restored(self, tiny_corpus):
         result = run_training(tiny_corpus, tiny_config(epochs=4))
