@@ -9,6 +9,7 @@ gradients are judged on absolute error and large ones on relative error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -49,7 +50,9 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
     ``params`` tensors.  One taped evaluation collects the reverse-mode
     gradients; each parameter element is then perturbed in place by +-h for
     the central-difference estimate.  Non-finite values of ``f`` at a
-    perturbed point are reported as failures naming the location.
+    perturbed point are reported as failures naming the location.  The step
+    ``h`` must be finite and positive and ``tol`` finite and non-negative;
+    anything else is a ``ValueError`` before any evaluation.
 
     ``reference``, when given, is differenced instead of ``f``: another
     formulation of the same function, so that the check covers how ``f``
@@ -57,8 +60,10 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
     checks only that many elements of each parameter (all of a smaller one),
     drawn by a generator of fixed seed.
     """
-    if h <= 0:
-        raise ValueError("gradcheck: h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"gradcheck: step h must be a finite number > 0, got {h}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"gradcheck: tol must be a finite number >= 0, got {tol}")
     reference = reference or f
     rng = np.random.default_rng(0)
     params = list(params)

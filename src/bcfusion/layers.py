@@ -121,12 +121,6 @@ def add_positional_encoding(x: Tensor, batch: int = 1) -> Tensor:
     return T.add(x, Tensor(np.tile(pe.astype(x.data.dtype, copy=False), (batch, 1))))
 
 
-def dropout(x: Tensor, rate: float, uniforms: np.ndarray) -> Tensor:
-    """Inverted dropout, keeping the entries whose uniform draw is at least ``rate``."""
-    mask = (uniforms.reshape(x.shape) >= rate) / (1.0 - rate)
-    return T.mul(x, Tensor(mask.astype(x.data.dtype, copy=False)))
-
-
 class TransformerLayer:
     """Post-norm encoder layer (Vaswani et al. 2017): attention, residual, norm,
     feed-forward at twice the model width, residual, norm.
@@ -153,7 +147,10 @@ class TransformerLayer:
 
         In training with dropout, the masks are cut from ``noise``, which is
         required: the (B, 2, T, d_model) uniforms of each sample's attention
-        and feed-forward masks, in that order.
+        and feed-forward masks, in that order.  An entry is kept where its
+        uniform is at least the rate; each boolean keep-mask goes into the
+        ``layer_norm`` of its residual branch, so dropout adds no tape record
+        and costs one byte per element on the tape.
         """
         if x.data.ndim != 2 or x.shape[1] != self.d_model:
             raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
@@ -162,15 +159,12 @@ class TransformerLayer:
         drop = training and self.dropout_rate > 0.0
         if drop and noise is None:
             raise ValueError("dropout in training mode needs noise")
-        q_src = x if x_q is None else x_q
-        a = self.attn(q_src, x, batch)
-        if drop:
-            a = dropout(a, self.dropout_rate, noise[:, 0])
-        h = T.layer_norm(x, a, self.ln1_gain, self.ln1_bias)
+        rate = self.dropout_rate
+        keep = [(noise[:, i] >= rate).reshape(x.shape) for i in (0, 1)] if drop else [None, None]
+        a = self.attn(x if x_q is None else x_q, x, batch)
+        h = T.layer_norm(x, a, self.ln1_gain, self.ln1_bias, keep[0], rate)
         f = self.ffn2(self.ffn1(h, relu=True))
-        if drop:
-            f = dropout(f, self.dropout_rate, noise[:, 1])
-        return T.layer_norm(h, f, self.ln2_gain, self.ln2_bias)
+        return T.layer_norm(h, f, self.ln2_gain, self.ln2_bias, keep[1], rate)
 
     __call__ = forward
 

@@ -8,18 +8,21 @@ graph bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one product op for 2-D
 matrices, one affine op (product, bias row and optional ReLU), one
-multi-head attention op, elementwise ops, layer norm of a residual sum,
-softmax over the last axis, feature-axis concat and slicing, per-sequence
-row means, and all-element sums and means for losses.  The fused ops keep
-on the tape only what their backward rules read (after Chen et al. 2016):
-the affine op its output, from which the ReLU mask is read back; layer norm
-the normalised rows, not the residual sum.  Attention is one record: it
-cuts the heads out of its (B·T, H·d_head) operands as array axes, works on
-the score stack in place, and keeps only the attention weights for its
-backward rule, which rebuilds the head layouts of q, k and v from the
-tensors the tape already holds.  Broadcasting is restricted to scalar
-operands and the affine op's bias row; anything else raises a
-``ShapeError`` up front rather than silently broadcasting.
+multi-head attention op, elementwise ops, layer norm of a residual sum
+(the residual optionally inverted-dropped by a boolean keep-mask, so
+training-mode dropout adds no record), softmax over the last axis,
+feature-axis concat and slicing, per-sequence row means, and all-element
+sums and means for losses.  The fused ops keep on the tape only what their
+backward rules read (after Chen et al. 2016): the affine op its output,
+from which the ReLU mask is read back; layer norm the normalised rows and
+the keep-mask, one byte per element, but neither the residual sum nor the
+dropped residual.  Attention is one record: it cuts the heads out of its
+(B·T, H·d_head) operands as array axes, works on the score stack in place,
+and keeps only the attention weights for its backward rule, which rebuilds
+the head layouts of q, k and v from the tensors the tape already holds.
+Broadcasting is restricted to scalar operands and the affine op's bias row;
+anything else raises a ``ShapeError`` up front rather than silently
+broadcasting.
 
 Active tapes form one module-level stack, so tapes nest and the innermost
 one records.  The stack belongs to the process, not to a thread: tapes are
@@ -327,13 +330,19 @@ def softmax(x: Tensor) -> Tensor:
     return _emit((x,), out_data, bw)
 
 
-def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
+               keep: Optional[np.ndarray] = None, rate: float = 0.0,
+               eps: float = 1e-5) -> Tensor:
     """Normalize the residual sum ``x + r`` over the last axis to zero mean / unit
     variance, then apply gain and bias.
 
-    The sum is centred in place and the variance taken from the centred rows,
-    as ``np.var`` does; both passes then work in place on their own arrays,
-    and one input gradient goes to both summands.
+    Given a boolean ``keep`` mask of ``r``'s shape, the residual is dropped
+    first (inverted dropout): the sum is ``x + keep·r/(1−rate)``, formed as
+    ``r * keep`` scaled in place, bit for bit the product with a float mask
+    of 0 and 1/(1−rate), signed zeros included.  The sum is centred in place
+    and the variance taken from the centred rows, as ``np.var`` does; both
+    passes then work in place on their own arrays, and one input gradient
+    goes to both summands, masked and scaled the same way for ``r``.
     """
     x, r, gain, bias = as_tensor(x), as_tensor(r), as_tensor(gain), as_tensor(bias)
     if r.shape != x.shape:
@@ -343,7 +352,19 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
-    xhat = x.data + r.data
+    if keep is None:
+        xhat = x.data + r.data
+    else:
+        keep = np.asarray(keep)
+        if keep.dtype != np.bool_ or keep.shape != r.shape:
+            raise ShapeError(f"layer_norm: keep must be a bool array of shape {r.shape}, "
+                             f"got {keep.dtype} {keep.shape}")
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"layer_norm: dropout rate must be in [0, 1), got {rate}")
+        scale = 1.0 / (1.0 - rate)
+        xhat = r.data * keep
+        xhat *= scale
+        xhat += x.data
     xhat -= xhat.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
@@ -362,9 +383,13 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
             gx -= gx.mean(axis=-1, keepdims=True)
             gx -= xhat * m2
             gx *= inv
-            for t in (x, r):
-                if t.requires_grad:
-                    _accum(t, gx)
+            if x.requires_grad:
+                _accum(x, gx)
+            if r.requires_grad:
+                if keep is not None:
+                    gx = gx * keep
+                    gx *= scale
+                _accum(r, gx)
 
     return _emit((x, r, gain, bias), out_data, bw)
 

@@ -442,6 +442,18 @@ class TestGradcheck:
         assert run_command(["gradcheck", "--topology", "one_stream", "--seed", "-1"]) == 1
         assert sole_error_line(capsys) == "error: --seed must be an integer >= 0, got -1"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step", "nan", "step h must be a finite number > 0, got nan"),
+        ("--step", "inf", "step h must be a finite number > 0, got inf"),
+        ("--tol", "inf", "tol must be a finite number >= 0, got inf"),
+        ("--tol", "nan", "tol must be a finite number >= 0, got nan"),
+        ("--tol", "-1", "tol must be a finite number >= 0, got -1.0"),
+    ])
+    def test_bad_step_or_tolerance_rejected_up_front(self, capsys, flag, value, message):
+        # a usage error, not a gradient verdict: no PASS/FAIL line and no exit 0 or 3
+        assert run_command(["gradcheck", "--topology", "pose_only", flag, value]) == 1
+        assert sole_error_line(capsys) == f"error: gradcheck: {message}"
+
 
 class TestSweep:
     def test_emits_eight_row_table(self, corpus_dir, config_file, tmp_path, capsys):

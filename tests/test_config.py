@@ -47,11 +47,12 @@ class TestSettableSurface:
             "tmean", "concat", "slice_cols", "attention", "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one product op for 2-D operands, one affine op (with the ReLU),
-        # one op for multi-head attention, layer norm of a residual sum, softmax over the
-        # last axis, all-element mean, feature-axis concat
+        # one op for multi-head attention, layer norm of a residual sum (its residual
+        # optionally dropped by a keep-mask), softmax over the last axis, all-element
+        # mean, feature-axis concat
         for op, args in ((T.matmul, ["a", "b", "transpose_b"]), (T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
-                         (T.layer_norm, ["x", "r", "gain", "bias", "eps"]),
+                         (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
                          (T.attention, ["q", "k", "v", "n_heads", "batch"]),
                          (T.softmax, ["x"]), (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__

@@ -56,8 +56,12 @@ class TestOpGradients:
         gain = Tensor(rng.normal(size=6), requires_grad=True)
         bias = Tensor(rng.normal(size=6), requires_grad=True)
         proj = random_projection(rng, (4, 6))
-        check(lambda: proj(T.layer_norm(x, r, gain, bias)),
-              [("x", x), ("r", r), ("gain", gain), ("bias", bias)])
+        params = [("x", x), ("r", r), ("gain", gain), ("bias", bias)]
+        check(lambda: proj(T.layer_norm(x, r, gain, bias)), params)
+        # with the residual dropped by a keep-mask that keeps some entries and drops others
+        keep = rng.random((4, 6)) >= 0.5
+        assert keep.any() and not keep.all()
+        check(lambda: proj(T.layer_norm(x, r, gain, bias, keep, 0.5)), params)
 
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
     @pytest.mark.parametrize("seed", range(5))

@@ -9,7 +9,7 @@ from bcfusion import tensor as T
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import (Linear, MultiHeadAttention, TransformerLayer,
                              scaled_dot_product_attention, sinusoidal_positional_encoding)
-from bcfusion.tensor import ShapeError, Tensor
+from bcfusion.tensor import ShapeError, Tape, Tensor, backward
 
 
 def sdpa_reference(q, k, v):
@@ -177,6 +177,67 @@ class TestTransformerLayer:
         layer = TransformerLayer(6, 2, np.random.default_rng(11))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((3, 5))))
+
+
+def record_arrays(record):
+    """Every array a tape record holds: its inputs, its output and what its rule closes over."""
+    inputs, out, rule = record
+    cells = [c.cell_contents for c in rule.__closure__ or ()]
+    held = [t.data for t in (*inputs, out)] + [c.data if isinstance(c, Tensor) else c
+                                               for c in cells]
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+class TestFusedDropout:
+    """Training-mode dropout is a boolean keep-mask inside the residual layer_norm,
+    bit for bit the product with a float mask that it replaced."""
+
+    RATE = 0.3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_product_with_float_mask_bitwise(self, dtype):
+        rng = np.random.default_rng(12)
+        shape = (6, 8)
+        keep = rng.random(shape) >= self.RATE
+        assert keep.any() and not keep.all()
+        values = {"x": rng.normal(size=shape), "a": rng.normal(size=shape),
+                  "gain": rng.normal(size=8), "bias": rng.normal(size=8)}
+        weight = Tensor(rng.normal(size=shape).astype(dtype))
+
+        def run(fused):
+            ts = {n: Tensor(v.astype(dtype), requires_grad=True) for n, v in values.items()}
+            with Tape() as tape:
+                if fused:
+                    out = T.layer_norm(ts["x"], ts["a"], ts["gain"], ts["bias"], keep, self.RATE)
+                else:
+                    mask = Tensor((keep / (1.0 - self.RATE)).astype(dtype))
+                    out = T.layer_norm(ts["x"], T.mul(ts["a"], mask), ts["gain"], ts["bias"])
+                loss = T.tsum(T.mul(out, weight))
+            backward(loss, tape)
+            return [out.data] + [ts[n].grad for n in values]
+
+        for old, new in zip(run(fused=False), run(fused=True)):
+            assert new.dtype == old.dtype == dtype
+            np.testing.assert_array_equal(new, old)
+            assert new.tobytes() == old.tobytes()  # signed zeros of dropped entries too
+
+    def test_training_adds_no_record_and_keeps_bool_masks(self):
+        rng = np.random.default_rng(13)
+        layer = TransformerLayer(6, 2, rng, dropout_rate=self.RATE)
+        x = Tensor(rng.normal(size=(2 * 5, 6)), requires_grad=True)
+        noise = rng.random((2, 2, 5, 6))
+        records = {}
+        for training in (False, True):
+            with Tape() as tape:
+                layer.forward(x, training=training, batch=2, noise=noise if training else None)
+            records[training] = tape.records
+        assert len(records[True]) == len(records[False])
+        held = [a for record in records[True] for a in record_arrays(record)]
+        masks = [a for a in held if a.dtype == np.bool_ and a.shape == x.shape]
+        assert len(masks) == 2
+        scale = np.float64(1.0) / (1.0 - self.RATE)
+        assert not any(a.dtype.kind == "f" and a.shape == x.shape and np.isin(a, (0.0, scale)).all()
+                       for a in held)
 
 
 class TestMeanPool:

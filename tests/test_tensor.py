@@ -133,6 +133,14 @@ class TestLayerNorm:
         with pytest.raises(ValueError):
             T.layer_norm(Tensor([[1.0]]), Tensor([[0.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
 
+    def test_rejects_a_keep_mask_that_is_not_bool_of_the_residual_shape(self):
+        x, gain, bias = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3))
+        for keep in (np.ones((2, 3)), np.ones((2, 2), dtype=bool)):
+            with pytest.raises(ShapeError, match="keep must be a bool array of shape"):
+                T.layer_norm(x, x, gain, bias, keep, 0.1)
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            T.layer_norm(x, x, gain, bias, np.ones((2, 3), dtype=bool), 1.0)
+
 
 class TestLinear:
     def test_linear_bias_broadcast(self):
