@@ -82,10 +82,10 @@ def write_matrix_csv(path: str | Path, array: np.ndarray) -> None:
         raise CorpusError(f"{path}: expected a 2-D matrix, got shape {arr.shape}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row_format = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         for row in arr:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -8,7 +8,8 @@ begins.  Attention is one tape op over (B·H, T, d_head) stacks, heads and
 samples alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
 single (T, d) sequence is a batch of one.  Parameters are plain ``Tensor``
 objects created with uniform fan-in initialization,
-U(-sqrt(1/fan_in), +sqrt(1/fan_in)).
+U(-sqrt(1/fan_in), +sqrt(1/fan_in)), or left undrawn when no generator is
+given (a skeleton that a checkpoint fills).
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+def uniform_init(rng: Optional[np.random.Generator], shape: tuple[int, ...],
+                 fan_in: int) -> Tensor:
+    """Draw a parameter from U(-sqrt(1/fan_in), +sqrt(1/fan_in)).
+
+    Without a generator the parameter is left undrawn (``np.empty``) for a
+    checkpoint to fill: its pages are never touched, so it costs neither
+    memory nor time until it is replaced.
+    """
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
     bound = math.sqrt(1.0 / fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
@@ -31,7 +41,7 @@ class Linear:
     """Affine map x @ w + b applied to every row of a 2-D input, followed by a
     ReLU when called with ``relu=True``; one :func:`tensor.linear` record."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+    def __init__(self, d_in: int, d_out: int, rng: Optional[np.random.Generator]):
         self.d_out = d_out
         self.w = uniform_init(rng, (d_in, d_out), d_in)
         self.b = uniform_init(rng, (d_out,), d_in)
@@ -72,7 +82,7 @@ class MultiHeadAttention:
     record between the three input projections and the output map.
     """
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator):
+    def __init__(self, d_model: int, n_heads: int, rng: Optional[np.random.Generator]):
         if d_model % n_heads != 0:
             raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.d_model = d_model
@@ -129,7 +139,7 @@ class TransformerLayer:
     stream; keys, values, and the residual path stay on the layer's own input.
     """
 
-    def __init__(self, d_model: int, n_heads: int, rng: np.random.Generator,
+    def __init__(self, d_model: int, n_heads: int, rng: Optional[np.random.Generator],
                  dropout_rate: float = 0.1):
         self.d_model = d_model
         self.dropout_rate = dropout_rate

@@ -33,8 +33,10 @@ leaves them linear.
 
 from __future__ import annotations
 
-import io
 import json
+import os
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
@@ -180,7 +182,7 @@ def split_streams(x: Tensor, d_a: int) -> tuple[Tensor, Tensor]:
 class FeedForwardHead:
     """Two-layer perceptron head used where a single linear map is not enough."""
 
-    def __init__(self, d_in: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, d_in: int, hidden: int, rng: Optional[np.random.Generator]):
         self.fc1 = Linear(d_in, hidden, rng)
         self.fc2 = Linear(hidden, 1, rng)
 
@@ -195,12 +197,14 @@ class FeedForwardHead:
 class FusionModel:
     """A built topology: input projections, transformer layers, prediction heads.
 
-    Instances are constructed through :func:`build_model`.  A model is
-    single-writer during training; concurrent read-only inference is safe.
+    Instances are constructed through :func:`build_model`, or with ``rng=None``
+    as the undrawn skeleton :func:`load_checkpoint` binds stored arrays into.
+    A model is single-writer during training; concurrent read-only inference
+    is safe.
     """
 
     def __init__(self, topology: FusionTopology, task: str, config: ModelConfig,
-                 rng: np.random.Generator):
+                 rng: Optional[np.random.Generator]):
         config.validate()
         if task not in TASKS:
             raise ConfigError(f"task must be 'detection' or 'agreement', got {task!r}")
@@ -336,7 +340,14 @@ def parameter_breakdown(model: FusionModel) -> dict[str, int]:
 
 def save_checkpoint(model: FusionModel, path: str | Path,
                     extra_meta: Optional[dict] = None) -> None:
-    """Write a versioned npz container with topology, config, and all parameters."""
+    """Write a versioned npz container with topology, config, and all parameters.
+
+    The archive is streamed into a temporary sibling of ``path``, which then
+    replaces ``path`` in one rename: no copy of the parameters is buffered in
+    memory, and a save that fails or is interrupted leaves any previous file
+    at ``path`` as it was.  (The rename is atomic; the data is not synced to
+    disk, so a power loss may still lose a just-written file.)
+    """
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -347,26 +358,47 @@ def save_checkpoint(model: FusionModel, path: str | Path,
     if extra_meta:
         meta.update(extra_meta)
     arrays = {f"param:{name}": p.data for name, p in model.named_parameters()}
+    meta_bytes = json.dumps(meta, allow_nan=False).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with io.BytesIO() as buf:
-        meta_bytes = json.dumps(meta, allow_nan=False).encode("utf-8")
-        np.savez(buf, __meta__=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
-        path.write_bytes(buf.getvalue())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(meta_bytes, dtype=np.uint8), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
-    """Rebuild a model in its stored precision; forward outputs reproduce bitwise."""
+    """Rebuild a model in its stored precision; forward outputs reproduce bitwise.
+
+    The stored arrays are read once and bound into a model skeleton whose
+    parameters were never drawn, so a load holds one copy of the parameters.
+    The model is returned only when every parameter is bound, with the
+    stored topology, task and config and a finite float64 or float32 array
+    of the right shape for each.  A file that is no readable npz archive
+    (truncated, corrupted, empty, a bare ``.npy``) raises ``ValueError``
+    naming it, as does every check that fails.
+    """
     path = Path(path)
-    with np.load(path) as z:
-        if "__meta__" not in z:
-            raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: unexpected format {meta.get('format')!r}")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported version {meta.get('version')!r}")
-        arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
+    try:
+        z = np.load(path)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise TypeError("a bare .npy array, not an npz archive")
+        with z:
+            meta = json.loads(bytes(z["__meta__"]).decode("utf-8")) if "__meta__" in z else None
+            arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
+    except (zipfile.BadZipFile, zlib.error, EOFError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a readable {CHECKPOINT_FORMAT} file "
+                         f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: unexpected format {meta.get('format')!r}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported version {meta.get('version')!r}")
     for key, allowed in (("topology", [t.value for t in FusionTopology]), ("task", TASKS),
                          ("model_config", None)):
         if key not in meta:
@@ -396,7 +428,7 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         config.validate()
     except ConfigError as exc:
         raise ValueError(f"{path}: model_config: {exc}") from None
-    model = build_model(meta["topology"], meta["task"], config, rng_seed=0)
+    model = FusionModel(FusionTopology(meta["topology"]), meta["task"], config, rng=None)
     names = dict(model.named_parameters())
     if set(names) != set(arrays):
         missing = set(names) ^ set(arrays)

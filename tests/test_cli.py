@@ -364,6 +364,29 @@ class TestEval:
         path = eval_with_edited_meta(tmp_path, edit)
         assert sole_error_line(capsys).startswith(f"error: {path}: {where}")
 
+    @pytest.mark.parametrize("damage", ["first_half", "flipped_byte", "empty", "npy"])
+    def test_unreadable_checkpoint_is_validation_error(self, tmp_path, capsys, damage):
+        model = build_model("one_stream", "detection", toy_model_config(face_dim=7, pose_dim=5))
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        if damage == "first_half":
+            path.write_bytes(blob[:len(blob) // 2])
+        elif damage == "flipped_byte":
+            # inside the stored values of one parameter: the entry's CRC no longer matches
+            values = dict(model.named_parameters())["tf1.attn.wq"].data.tobytes()
+            blob[blob.find(values) + len(values) // 2] ^= 0xFF
+            path.write_bytes(blob)
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                            str(tmp_path / "missing.csv"), "--split", "validation"]) == 1
+        assert sole_error_line(capsys).startswith(
+            f"error: {path}: not a readable bcfusion-checkpoint file (")
+
     @pytest.mark.parametrize("task", ["detection", "agreement"])
     def test_non_finite_parameter_is_validation_error(self, corpus_dir, tmp_path, capsys, task):
         # scored, a NaN weight reads as accuracy 0.5 (NaN is class 0) or as an MSE of NaN

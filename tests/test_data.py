@@ -34,6 +34,16 @@ class TestMatrixCsv:
         write_matrix_csv(path, arr)
         np.testing.assert_array_equal(read_matrix_csv(path), arr)
 
+    def test_edge_values_keep_their_bytes_and_round_trip_bitwise(self, tmp_path):
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16]
+        arr = np.array([edges, [-v for v in edges], edges[::-1]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, arr)
+        # the per-value formula the row format replaced
+        expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in arr)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_matrix_csv(path).tobytes() == arr.tobytes()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_value_naming_row(self, tmp_path, value):
         path = tmp_path / "m.csv"
