@@ -18,27 +18,32 @@ with Tape() as tape:
 backward(y, tape)
 print("d(x^2)/dx at 3:", x.grad)                 # -> 6.0
 
-# gradients flow through matmul, softmax, linear (with its ReLU), layer norm, ...
+# gradients flow through linear (with its ReLU) and layer norm as through every op
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+b = Tensor(np.zeros(3), requires_grad=True)
+gain, bias = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
 v = Tensor(rng.normal(size=(5, 4)))
 r = Tensor(rng.normal(size=(5, 3)))
 with Tape() as tape:
-    out = T.tmean(T.mul(T.softmax(T.matmul(v, w)), r))
+    h = T.layer_norm(T.linear(v, w, b, relu=True), r, gain, bias)
+    out = T.tmean(T.mul(h, r))
 backward(out, tape)
 print("grad shape:", w.grad.shape, "grad norm: %.3e" % np.linalg.norm(w.grad))
 
-# softmax of a constant-shifted row is unchanged, so the gradient of its sum
-# is identically zero
-z = Tensor([0.3, -1.2, 2.0], requires_grad=True)
+# layer norm centres every row, so with unit gain and zero bias the mean of
+# its output is 0 whatever the input, and the gradient of that mean is
+# identically zero
+z = Tensor([[0.3, -1.2, 2.0]], requires_grad=True)
 with Tape() as tape:
-    s = T.tsum(T.softmax(z))
+    s = T.tmean(T.layer_norm(z, Tensor(np.zeros((1, 3))), Tensor(np.ones(3)),
+                             Tensor(np.zeros(3))))
 backward(s, tape)
-print("softmax-sum gradient:", z.grad)           # -> ~[0, 0, 0]
+print("layer-norm-mean gradient:", z.grad)       # -> ~[[0, 0, 0]]
 
 # every gradient in this library is checked against central differences;
 # the same tool is available for your own compositions
 p = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 r = Tensor(rng.normal(size=(3, 3)))
-report = finite_diff_gradcheck(lambda: T.tsum(T.mul(T.sigmoid(p), r)), [("p", p)])
+report = finite_diff_gradcheck(lambda: T.tmean(T.mul(T.sigmoid(p), r)), [("p", p)])
 print("gradcheck pass:", report.passed, " max rel err: %.2e" % report.max_rel_err)

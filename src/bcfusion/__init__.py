@@ -12,8 +12,7 @@ from .data import (CorpusError, ProcessedSample, RawSample, SampleDescriptor, Sy
                    load_corpus, load_manifest, load_sample_features, preprocess,
                    synth_generate)
 from .gradcheck import GradcheckReport, finite_diff_gradcheck
-from .layers import (Linear, MultiHeadAttention, TransformerLayer,
-                     scaled_dot_product_attention, sinusoidal_positional_encoding)
+from .layers import Linear, MultiHeadAttention, TransformerLayer, sinusoidal_positional_encoding
 from .models import (ALL_TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology,
                      build_model, load_checkpoint, parameter_breakdown, parameter_count,
                      save_checkpoint, split_streams)

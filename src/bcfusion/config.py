@@ -90,8 +90,8 @@ TASKS = ("detection", "agreement")
 class TrainConfig:
     """All training hyperparameters; defaults follow the standard recipe.
 
-    Adam's constants (beta1 0.9, beta2 0.999, eps 1e-8) are fixed in
-    :class:`bcfusion.training.AdamState`.
+    Adam's constants (beta1 0.9, beta2 0.999, eps 1e-8) are fixed as the
+    ``ADAM_*`` constants of :mod:`bcfusion.training`.
     """
 
     learning_rate: float = 0.0005

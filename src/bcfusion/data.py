@@ -276,6 +276,11 @@ class SynthSpec:
             if self.n_samples % need != 0:
                 raise CorpusError(f"detection corpora with kind {self.kind!r} need "
                                   f"n_samples divisible by {need} for exact class balance")
+        for key in ("face_dim", "pose_dim"):
+            width = getattr(self, key)
+            if width < 1:
+                raise CorpusError(located(origin, key, f"config key {key!r} must be an integer "
+                                                       f">= 1, got {width!r}"))
         if self.modality not in ("face", "pose"):
             raise CorpusError(located(origin, "modality", "modality must be 'face' or 'pose'"))
         if self.t_raw < 2:

@@ -54,24 +54,6 @@ class Linear:
         yield f"{prefix}b", self.b
 
 
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k)) v for 2-D q, k, v.
-
-    q: (T_q, d_k), k: (T_k, d_k), v: (T_k, d_v) -> (T_q, d_v).  Every row of
-    the attention matrix is a probability vector over the T_k keys.
-    """
-    for name, t in (("q", q), ("k", k), ("v", v)):
-        if t.data.ndim != 2:
-            raise ShapeError(f"attention: {name} must be 2-D, got {t.shape}")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: q/k widths differ: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: k/v lengths differ: {k.shape} vs {v.shape}")
-    d_k = q.shape[1]
-    scores = T.mul(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(d_k))
-    return T.matmul(T.softmax(scores), v)
-
-
 class MultiHeadAttention:
     """h parallel attention heads over packed projections, then an output map.
 

@@ -171,12 +171,7 @@ class ForwardOutput:
 
 def split_streams(x: Tensor, d_a: int) -> tuple[Tensor, Tensor]:
     """Split rows (B·T, d_a + d_b) at feature index d_a; exact inverse of concat."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"split_streams expects a 2-D tensor, got {x.shape}")
-    width = x.shape[1]
-    if not 0 < d_a < width:
-        raise ShapeError(f"split index {d_a} out of range for width {width}")
-    return T.slice_cols(x, 0, d_a), T.slice_cols(x, d_a, width)
+    return T.slice_cols(x, 0, d_a), T.slice_cols(x, d_a, x.shape[-1])
 
 
 class FeedForwardHead:

@@ -10,16 +10,16 @@ The op set is what the batched engine records: one product op for 2-D
 matrices, one affine op (product, bias row and optional ReLU), one
 multi-head attention op, elementwise ops, layer norm of a residual sum
 (the residual optionally inverted-dropped by a boolean keep-mask, so
-training-mode dropout adds no record), softmax over the last axis,
-feature-axis concat and slicing, per-sequence row means, and all-element
-sums and means for losses.  The fused ops keep on the tape only what their
-backward rules read (after Chen et al. 2016): the affine op its output,
-from which the ReLU mask is read back; layer norm the normalised rows and
-the keep-mask, one byte per element, but neither the residual sum nor the
-dropped residual.  Attention is one record: it cuts the heads out of its
-(B·T, H·d_head) operands as array axes, works on the score stack in place,
-and keeps only the attention weights for its backward rule, which rebuilds
-the head layouts of q, k and v from the tensors the tape already holds.
+training-mode dropout adds no record), feature-axis concat and slicing,
+per-sequence row means, and all-element means for losses.  The fused ops
+keep on the tape only what their backward rules read (after Chen et al.
+2016): the affine op its output, from which the ReLU mask is read back;
+layer norm the normalised rows and the keep-mask, one byte per element, but
+neither the residual sum nor the dropped residual.  Attention is one record:
+it cuts the heads out of its (B·T, H·d_head) operands as array axes, works
+on the score stack in place, and keeps only the attention weights for its
+backward rule, which rebuilds the head layouts of q, k and v from the
+tensors the tape already holds.
 Broadcasting is restricted to scalar operands and the affine op's bias row;
 anything else raises a ``ShapeError`` up front rather than silently
 broadcasting.
@@ -52,9 +52,7 @@ __all__ = [
     "sigmoid",
     "log",
     "clip",
-    "softmax",
     "layer_norm",
-    "tsum",
     "tmean",
     "concat",
     "slice_cols",
@@ -316,20 +314,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _emit((x,), np.clip(x.data, lo, hi), lambda g: _accum(x, g * mask))
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Probability-normalized exponentials along the last axis (max-shifted for stability)."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(x, out_data * (g - inner))
-
-    return _emit((x,), out_data, bw)
-
-
 def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
                keep: Optional[np.ndarray] = None, rate: float = 0.0,
                eps: float = 1e-5) -> Tensor:
@@ -392,13 +376,6 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
                 _accum(r, gx)
 
     return _emit((x, r, gain, bias), out_data, bw)
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a 0-d tensor."""
-    x = as_tensor(x)
-    return _emit((x,), np.asarray(x.data.sum()),
-                 lambda g: _accum(x, np.broadcast_to(g, x.shape).copy()))
 
 
 def tmean(x: Tensor) -> Tensor:

@@ -89,6 +89,11 @@ def combined_loss(output: ForwardOutput, y, weights: Sequence[float], task: str)
 
 # -- Adam ------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers and the shared step counter."""
@@ -96,9 +101,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
@@ -116,18 +118,18 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and optimizer state are misaligned")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
         if weight_decay != 0.0:
             g = g + weight_decay * p.data
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- evaluation --------------------------------------------------------------------

@@ -140,6 +140,17 @@ class TestSynth:
             f"error: {where}config key 'seed' must be an integer >= 0, got -3"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("face_dim", 0), ("pose_dim", -3)])
+    def test_stream_width_below_one_rejected_before_writing(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        n_lines = len(SPEC_TEXT.splitlines()) + 1
+        assert sole_error_line(capsys) == \
+            f"error: {spec}:{n_lines}: config key {key!r} must be an integer >= 1, got {value}"
+        assert not out.exists()
+
     def test_amplitude_is_unknown_key(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SPEC_TEXT + "amplitude = 1.0\n")

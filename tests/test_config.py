@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from bcfusion import tensor as T
-from bcfusion.config import ConfigError, ModelConfig, TrainConfig
+from bcfusion.config import TASKS, ConfigError, ModelConfig, TrainConfig, toy_model_config
+from bcfusion.data import ProcessedSample
 from bcfusion.layers import TransformerLayer
-from bcfusion.training import AdamState
+from bcfusion.models import ALL_TOPOLOGIES
+from bcfusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, evaluate_metrics,
+                               run_training)
 
 
 class TestSettableSurface:
@@ -43,18 +46,18 @@ class TestSettableSurface:
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
             "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "linear", "add",
-            "sub", "neg", "mul", "sigmoid", "log", "clip", "softmax", "layer_norm", "tsum",
-            "tmean", "concat", "slice_cols", "attention", "row_mean"]
+            "sub", "neg", "mul", "sigmoid", "log", "clip", "layer_norm", "tmean", "concat",
+            "slice_cols", "attention", "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one product op for 2-D operands, one affine op (with the ReLU),
-        # one op for multi-head attention, layer norm of a residual sum (its residual
-        # optionally dropped by a keep-mask), softmax over the last axis, all-element
-        # mean, feature-axis concat
+        # one op for multi-head attention (its softmax included), layer norm of a residual
+        # sum (its residual optionally dropped by a keep-mask), all-element mean,
+        # feature-axis concat
         for op, args in ((T.matmul, ["a", "b", "transpose_b"]), (T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
                          (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
                          (T.attention, ["q", "k", "v", "n_heads", "batch"]),
-                         (T.softmax, ["x"]), (T.tmean, ["x"])):
+                         (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__
         # training dropout takes its masks from ``noise``; there is no generator fallback
         params = inspect.signature(TransformerLayer.forward).parameters
@@ -62,8 +65,35 @@ class TestSettableSurface:
 
     def test_adam_takes_only_parameters(self):
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]
-        state = AdamState.for_params([])
-        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        assert [f.name for f in fields(AdamState)] == ["m", "v", "step"]
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+    def test_training_and_eval_call_every_op(self, monkeypatch):
+        # an op in the package's op set that no training or eval path calls is dead code
+        ops = [name for name in T.__all__
+               if name not in ("Tensor", "Tape", "ShapeError", "as_tensor", "backward")]
+        called = set()
+
+        def counted(name, op):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                return op(*args, **kwargs)
+            return wrapper
+
+        for name in ops:
+            monkeypatch.setattr(T, name, counted(name, getattr(T, name)))
+        rng = np.random.default_rng(0)
+        cfg = toy_model_config(face_dim=7, pose_dim=5)
+        for task in TASKS:
+            corpus = {split: [ProcessedSample(f"{split}{i}", rng.normal(size=(4, 7)),
+                                              rng.normal(size=(4, 5)), float(i % 2), split)
+                              for i in range(n)]
+                      for split, n in (("train", 4), ("validation", 2))}
+            for topology in ALL_TOPOLOGIES:
+                result = run_training(corpus, TrainConfig(epochs=1, batch_size=2, task=task,
+                                                          topology=topology.value, model=cfg))
+                evaluate_metrics(result.model, corpus["validation"], task)
+        assert [name for name in ops if name not in called] == []
 
 
 def old_width_table_accepts(c: ModelConfig) -> bool:

@@ -1,61 +1,50 @@
 """Attention, positional encoding, transformer layer, and pooling contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
 from bcfusion import tensor as T
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import (Linear, MultiHeadAttention, TransformerLayer,
-                             scaled_dot_product_attention, sinusoidal_positional_encoding)
+                             sinusoidal_positional_encoding)
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
+from oracles import sdpa_reference, total
 
 
-def sdpa_reference(q, k, v):
-    """Explicit softmax-then-weighted-sum oracle."""
-    scores = q @ k.T / math.sqrt(q.shape[1])
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    attn = e / e.sum(axis=1, keepdims=True)
-    return attn @ v
+def single_head_attention(q, k, v):
+    """One sequence, one head: ``tensor.attention`` on plain 2-D arrays."""
+    return T.attention(Tensor(q), Tensor(k), Tensor(v), 1, 1).data
 
 
-class TestScaledDotProductAttention:
+class TestSingleHeadAttention:
     def test_single_key_returns_value_row(self):
         rng = np.random.default_rng(0)
         q = rng.normal(size=(4, 3))
         k = rng.normal(size=(1, 3))
         v = rng.normal(size=(1, 5))
-        out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v)).data
-        np.testing.assert_allclose(out, np.tile(v, (4, 1)), atol=1e-15)
+        np.testing.assert_allclose(single_head_attention(q, k, v), np.tile(v, (4, 1)),
+                                   atol=1e-15)
 
     def test_orthogonal_queries_give_mean_of_values(self):
         # zero queries score every key equally -> uniform attention
         k = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         v = np.array([[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
-        out = scaled_dot_product_attention(Tensor(np.zeros((2, 2))), Tensor(k), Tensor(v)).data
+        out = single_head_attention(np.zeros((2, 2)), k, v)
         np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-15)
 
     def test_matches_two_step_reference(self):
         rng = np.random.default_rng(1)
         q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
-        out = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v)).data
-        np.testing.assert_allclose(out, sdpa_reference(q, k, v), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(single_head_attention(q, k, v), sdpa_reference(q, k, v),
+                                   rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
+        # identity values return the attention matrix itself
         for seed in range(5):
             rng = np.random.default_rng(seed)
             q, k = rng.normal(size=(4, 6)), rng.normal(size=(7, 6))
-            attn = T.softmax(Tensor(q @ k.T / math.sqrt(6))).data
+            attn = single_head_attention(q, k, np.eye(7))
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                                         Tensor(np.zeros((2, 2))))
-        with pytest.raises(ShapeError):
-            scaled_dot_product_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))),
-                                         Tensor(np.zeros((5, 2))))
 
 
 class TestMultiHeadAttention:
@@ -67,8 +56,7 @@ class TestMultiHeadAttention:
             w.data = np.eye(d)
         x = rng.normal(size=(6, d))
         out = mha(Tensor(x), Tensor(x)).data
-        ref = scaled_dot_product_attention(Tensor(x), Tensor(x), Tensor(x)).data
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, sdpa_reference(x, x, x), rtol=0, atol=1e-12)
 
     def test_two_heads_with_block_projections_match_independent_sdpa(self):
         # block-diagonal projections confine each head to its own half of the
@@ -167,7 +155,7 @@ class TestTransformerLayer:
         r = Tensor(rng.normal(size=(4, 8)))
 
         def f():
-            return T.tsum(T.mul(layer.forward(x, training=False), r))
+            return total(T.mul(layer.forward(x, training=False), r))
 
         params = [("x", x)] + list(layer.named_parameters())
         report = finite_diff_gradcheck(f, params, h=1e-5, tol=1e-4)
@@ -212,7 +200,7 @@ class TestFusedDropout:
                 else:
                     mask = Tensor((keep / (1.0 - self.RATE)).astype(dtype))
                     out = T.layer_norm(ts["x"], T.mul(ts["a"], mask), ts["gain"], ts["bias"])
-                loss = T.tsum(T.mul(out, weight))
+                loss = total(T.mul(out, weight))
             backward(loss, tape)
             return [out.data] + [ts[n].grad for n in values]
 

@@ -8,8 +8,8 @@ import pytest
 
 from bcfusion import tensor as T
 from bcfusion.config import ConfigError, TrainConfig
-from bcfusion.layers import scaled_dot_product_attention
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
+from oracles import attention_weights, sdpa_reference, total
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -61,14 +61,16 @@ class TestMatmul:
             T.matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 3))))
 
 
-class TestSoftmax:
+class TestAttentionWeights:
+    """The softmax inside ``attention``, read off with an identity value matrix."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(T.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(attention_weights([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
 
     def test_large_inputs_do_not_overflow(self):
-        out = T.softmax(Tensor([1000.0, 1000.0, 1000.0])).data
+        out = attention_weights([[1000.0, 1000.0, 1000.0]])
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_matches_high_precision_reference(self):
         # frozen from an extended-precision exp/sum evaluation of softmax([1, 2, 3])
@@ -76,13 +78,13 @@ class TestSoftmax:
         ref = np.exp(np.array([1, 2, 3], dtype=np.longdouble))
         ref = (ref / ref.sum()).astype(np.float64)
         np.testing.assert_allclose(ref, expected, rtol=0, atol=1e-16)
-        np.testing.assert_allclose(T.softmax(Tensor([1.0, 2.0, 3.0])).data, expected,
+        np.testing.assert_allclose(attention_weights([[1.0, 2.0, 3.0]]), [expected],
                                    rtol=0, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            out = T.softmax(Tensor(rng.normal(size=(6, 9)) * 10)).data
+            out = attention_weights(rng.normal(size=(6, 9)) * 10)
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_shift_invariance(self):
@@ -90,8 +92,7 @@ class TestSoftmax:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(4, 7))
             c = rng.normal() * 100
-            np.testing.assert_allclose(T.softmax(Tensor(x)).data,
-                                       T.softmax(Tensor(x + c)).data, atol=1e-9)
+            np.testing.assert_allclose(attention_weights(x), attention_weights(x + c), atol=1e-9)
 
 
 class TestLayerNorm:
@@ -148,7 +149,7 @@ class TestLinear:
         w = Tensor(np.eye(2), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            out = T.tsum(T.linear(x, w, b))
+            out = total(T.linear(x, w, b))
         backward(out, tape)
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 3.0))
@@ -159,7 +160,7 @@ class TestLinear:
         w, b = Tensor(np.eye(2)), Tensor([0.25, 0.0])
         with Tape() as tape:
             h = T.linear(x, w, b, relu=True)
-            out = T.tsum(h)
+            out = total(h)
         backward(out, tape)
         np.testing.assert_array_equal(h.data, [[1.25, 0.0], [0.0, 3.0]])
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
@@ -188,7 +189,7 @@ class TestElementwise:
     def test_clip_blocks_gradient_outside_range(self):
         x = Tensor([0.5, 2.0, -1.0], requires_grad=True)
         with Tape() as tape:
-            out = T.tsum(T.clip(x, 0.0, 1.0))
+            out = total(T.clip(x, 0.0, 1.0))
         backward(out, tape)
         np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
 
@@ -231,9 +232,8 @@ class TestBatchedOps:
         for b in range(2):
             for h in range(3):
                 cols = slice(2 * h, 2 * h + 2)
-                ref = scaled_dot_product_attention(
-                    Tensor(q[b * 4:(b + 1) * 4, cols]), Tensor(k[b * 5:(b + 1) * 5, cols]),
-                    Tensor(v[b * 5:(b + 1) * 5, cols])).data
+                ref = sdpa_reference(q[b * 4:(b + 1) * 4, cols], k[b * 5:(b + 1) * 5, cols],
+                                     v[b * 5:(b + 1) * 5, cols])
                 np.testing.assert_allclose(out[b * 4:(b + 1) * 4, cols], ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("q_shape, k_shape, v_shape, pattern", [
@@ -263,11 +263,13 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 6.0, atol=1e-15)
 
     def test_softmax_sum_has_zero_gradient(self):
-        x = Tensor([0.3, -1.2, 2.0], requires_grad=True)
+        # the attention weights of one query always sum to 1 (identity values
+        # return them), so no key moves that sum
+        k = Tensor([[0.3], [-1.2], [2.0]], requires_grad=True)
         with Tape() as tape:
-            y = T.tsum(T.softmax(x))
+            y = total(T.attention(Tensor([[1.0]]), k, Tensor(np.eye(3)), 1, 1))
         backward(y, tape)
-        np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(k.grad, 0.0, atol=1e-12)
 
     def test_requires_scalar_output(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -282,10 +284,10 @@ class TestBackward:
         x0 = rng.normal(size=5)
 
         def path_a(x):
-            return T.tsum(T.mul(x, x))
+            return total(T.mul(x, x))
 
         def path_b(x):
-            return T.tsum(T.mul(x, 3.0))
+            return total(T.mul(x, 3.0))
 
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
@@ -307,7 +309,7 @@ class TestBackward:
         z = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
             T.mul(z, z)  # dead op: never reaches the output
-            y = T.tsum(x)
+            y = total(x)
         backward(y, tape)
         assert z.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
@@ -317,7 +319,7 @@ class TestBackward:
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = T.tsum(T.add(a, b))
+            y = total(T.add(a, b))
         backward(y, tape)
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         a.grad[0] = 7.0
@@ -328,7 +330,7 @@ class TestBackward:
         for op, expected in ((T.add, np.full(3, 2.0)), (T.mul, 2.0 * x0)):
             x = Tensor(x0.copy(), requires_grad=True)
             with Tape() as tape:
-                y = T.tsum(op(x, x))
+                y = total(op(x, x))
             backward(y, tape)
             np.testing.assert_array_equal(x.grad, expected, err_msg=op.__name__)
 
@@ -336,7 +338,7 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
             h = T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), relu=True)
-            y = T.tsum(T.mul(h, h))
+            y = total(T.mul(h, h))
         records = list(tape.records)
         backward(y, tape)
         assert all(out.grad is None for _, out, _ in records)
@@ -349,7 +351,7 @@ class TestTape:
         with Tape() as tape:
             a = T.mul(x, 2.0)
             b = T.add(a, x)
-            T.tsum(b)
+            total(b)
         produced_at = {}
         for idx, (inputs, out, _) in enumerate(tape.records):
             for t in inputs:
@@ -360,7 +362,7 @@ class TestTape:
     def test_backward_visits_each_op_once_in_reverse(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.tsum(T.mul(T.add(x, 1.0), x))
+            y = total(T.mul(T.add(x, 1.0), x))
         visited = []
         original = list(tape.records)
 
@@ -382,7 +384,7 @@ class TestTape:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
             h = T.mul(x, x)
-            y = T.tsum(h)
+            y = total(h)
         h_data = weakref.ref(h.data)
         del h
         backward(y, tape)
@@ -416,7 +418,9 @@ class TestDtype:
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
             h = T.layer_norm(T.add(T.matmul(x, x, transpose_b=True), 1.0), x, gain, bias)
-            out = T.tmean(T.mul(T.sigmoid(T.softmax(T.linear(h, x, bias, relu=True))), 0.5))
+            s = T.linear(h, x, bias, relu=True)
+            weights = T.attention(s, s, Tensor(np.eye(2, dtype=np.float32)), 1, 1)
+            out = T.tmean(T.mul(T.sigmoid(weights), 0.5))
         backward(out, tape)
         assert out.data.dtype == np.float32
         assert {t.grad.dtype for t in (x, gain, bias)} == {np.dtype(np.float32)}
@@ -436,8 +440,8 @@ class TestFiniteness:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(0, 4)
-            for out in (T.softmax(Tensor(x)), T.sigmoid(Tensor(x)),
-                        T.linear(Tensor(x), Tensor(np.eye(6)), Tensor(np.zeros(6)), relu=True),
+            for out in (attention_weights(x), T.sigmoid(Tensor(x)).data,
+                        T.linear(Tensor(x), Tensor(np.eye(6)), Tensor(np.zeros(6)), relu=True).data,
                         T.layer_norm(Tensor(x), Tensor(x), Tensor(np.ones(6)),
-                                     Tensor(np.zeros(6)))):
-                assert np.all(np.isfinite(out.data))
+                                     Tensor(np.zeros(6))).data):
+                assert np.all(np.isfinite(out))

@@ -131,7 +131,7 @@ class TestAdam:
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.for_params([p])
         adam_step([p], [np.array([1.0])], state, lr=0.1, weight_decay=0.0)
-        expected = 1.0 - 0.1 * 1.0 / (1.0 + state.eps)
+        expected = 1.0 - 0.1 * 1.0 / (1.0 + training.ADAM_EPS)
         assert abs(p.data[0] - expected) < 1e-15
         assert abs(p.data[0] - 0.9) < 1e-7
 
