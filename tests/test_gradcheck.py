@@ -142,6 +142,18 @@ class TestOpGradients:
         proj = random_projection(rng, (2 * t_q, 3 * 2))
         check(lambda: proj(T.attention(q, k, v, 3, 2)), [("q", q), ("k", k), ("v", v)])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_attention_weights(self, seed):
+        # the softmax inside attention on its own: 3 sequences, each one width-1
+        # query against 5 width-1 keys, so the scores are q·k; identity values
+        # return the (3, 5) weight matrix itself
+        rng = np.random.default_rng(seed)
+        q = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3 * 5, 1)), requires_grad=True)
+        v = Tensor(np.tile(np.eye(5), (3, 1)))
+        proj = random_projection(rng, (3, 5))
+        check(lambda: proj(T.attention(q, k, v, 1, 3)), [("q", q), ("k", k)])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_row_mean(self, seed):
         rng = np.random.default_rng(seed)
