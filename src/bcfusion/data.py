@@ -194,7 +194,9 @@ def preprocess(raw: RawSample, window_seconds: float = 3.0) -> ProcessedSample:
     Keeps the last ``window_seconds * fps`` frames, takes the absolute
     difference between consecutive frames per feature, and appends each
     modality's normalized frame index (frame / window length, in (0, 1)).
-    Output length is window length - 1.
+    Output length is window length - 1.  Finite frames whose difference
+    overflows raise ``CorpusError`` naming the sample, the modality and the
+    two file rows.
     """
     win = int(round(window_seconds * raw.fps))
     if win < 2:
@@ -205,13 +207,18 @@ def preprocess(raw: RawSample, window_seconds: float = 3.0) -> ProcessedSample:
                           f"window needs {win}")
     index_col = (np.arange(1, win, dtype=np.float64) / win)[:, None]
 
-    def transform(frames: np.ndarray) -> np.ndarray:
-        tail = frames[-win:]
-        diffs = np.abs(np.diff(tail, axis=0))
+    def transform(frames: np.ndarray, modality: str) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            diffs = np.abs(np.diff(frames[-win:], axis=0))
+        bad = ~np.isfinite(diffs).all(axis=1)
+        if bad.any():
+            row = len(frames) - win + int(np.argmax(bad)) + 1
+            raise CorpusError(f"sample {raw.id}: {modality} rows {row}-{row + 1}: difference "
+                              f"of consecutive frames is not finite")
         return np.hstack([diffs, index_col])
 
-    return ProcessedSample(raw.id, transform(raw.face_frames), transform(raw.pose_frames),
-                           raw.label, raw.split)
+    return ProcessedSample(raw.id, transform(raw.face_frames, "face"),
+                           transform(raw.pose_frames, "pose"), raw.label, raw.split)
 
 
 def load_corpus(manifest_path: str | Path, task: str, window_seconds: float = 3.0,

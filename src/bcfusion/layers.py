@@ -133,26 +133,21 @@ class TransformerLayer:
         self.ln2_gain = Tensor(np.ones(d_model), requires_grad=True)
         self.ln2_bias = Tensor(np.zeros(d_model), requires_grad=True)
 
-    def forward(self, x: Tensor, x_q: Optional[Tensor] = None, training: bool = False,
-                batch: int = 1, noise: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor, x_q: Optional[Tensor] = None, batch: int = 1,
+                keep: Optional[np.ndarray] = None) -> Tensor:
         """Encode ``batch`` stacked sequences, rows (B·T, d_model).
 
-        In training with dropout, the masks are cut from ``noise``, which is
-        required: the (B, 2, T, d_model) uniforms of each sample's attention
-        and feed-forward masks, in that order.  An entry is kept where its
-        uniform is at least the rate; each boolean keep-mask goes into the
-        ``layer_norm`` of its residual branch, so dropout adds no tape record
-        and costs one byte per element on the tape.
+        A training forward with dropout passes ``keep``, the (2, B·T, d_model)
+        boolean keep-masks of the attention and the feed-forward branch, in
+        that order.  Each goes into the ``layer_norm`` of its residual branch,
+        so dropout adds no tape record and costs one byte per element.
         """
         if x.data.ndim != 2 or x.shape[1] != self.d_model:
             raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
         if x_q is not None and x_q.shape != x.shape:
             raise ShapeError(f"query stream shape {x_q.shape} != input shape {x.shape}")
-        drop = training and self.dropout_rate > 0.0
-        if drop and noise is None:
-            raise ValueError("dropout in training mode needs noise")
+        keep = (None, None) if keep is None else keep
         rate = self.dropout_rate
-        keep = [(noise[:, i] >= rate).reshape(x.shape) for i in (0, 1)] if drop else [None, None]
         a = self.attn(x if x_q is None else x_q, x, batch)
         h = T.layer_norm(x, a, self.ln1_gain, self.ln1_bias, keep[0], rate)
         f = self.ffn2(self.ffn1(h, relu=True))

@@ -91,16 +91,20 @@ class Stage:
 
 @dataclass(frozen=True)
 class Topology:
-    """One wiring: stream projections (stream -> ModelConfig width field), whether
-    they are concatenated per frame before positional encoding, the transformer
-    stages in order, and the stages mean-pooled into the final head, which is
-    a two-layer feed-forward head when ``ff_head`` is set."""
+    """One wiring: stream projections (stream -> ModelConfig width field), the
+    transformer stages in order, and the stages mean-pooled into the final
+    head, which is a two-layer feed-forward head when ``ff_head`` is set."""
 
     streams: dict[str, str]
-    fused: bool
     stages: tuple[Stage, ...]
     pooled: tuple[str, ...]
     ff_head: bool = False
+
+    @cached_property
+    def fused(self) -> bool:
+        """Whether the projections are concatenated per frame before positional
+        encoding: exactly when a stage reads the ``fused`` stream."""
+        return any("fused" in st.inputs for st in self.stages)
 
     @cached_property
     def width_fields(self) -> dict[str, tuple[str, ...]]:
@@ -139,20 +143,19 @@ _TF_X = (Stage("tf1x", ("face",), 4, query="pose"), Stage("tf2x", ("pose",), 2, 
 _TF_FACE, _TF_POSE = Stage("tf1", ("face",), 4), Stage("tf1", ("pose",), 2)
 
 TOPOLOGIES: dict[FusionTopology, Topology] = {
-    FusionTopology.ONE_STREAM: Topology(_FUSED, True, (_TF1,), ("tf1",)),
-    FusionTopology.ONE_TO_ONE: Topology(
-        _FUSED, True, (_TF1, Stage("tf2", ("tf1",), 10)), ("tf2",)),
+    FusionTopology.ONE_STREAM: Topology(_FUSED, (_TF1,), ("tf1",)),
+    FusionTopology.ONE_TO_ONE: Topology(_FUSED, (_TF1, Stage("tf2", ("tf1",), 10)), ("tf2",)),
     FusionTopology.ONE_TO_TWO: Topology(
-        _FUSED, True, (_TF1, Stage("tf2", ("tf1:face",), 4), Stage("tf3", ("tf1:pose",), 2)),
+        _FUSED, (_TF1, Stage("tf2", ("tf1:face",), 4), Stage("tf3", ("tf1:pose",), 2)),
         ("tf2", "tf3"), ff_head=True),
     FusionTopology.TWO_TO_ONE: Topology(
-        _LATE, False, (_TF_FACE, Stage("tf2", ("pose",), 2), Stage("tf3", ("tf1", "tf2"), 8)),
+        _LATE, (_TF_FACE, Stage("tf2", ("pose",), 2), Stage("tf3", ("tf1", "tf2"), 8)),
         ("tf3",)),
-    FusionTopology.CROSS_ATTENTION: Topology(_CROSS, False, _TF_X, ("tf1x", "tf2x")),
+    FusionTopology.CROSS_ATTENTION: Topology(_CROSS, _TF_X, ("tf1x", "tf2x")),
     FusionTopology.CROSS_TO_ONE: Topology(
-        _CROSS, False, _TF_X + (Stage("tf3", ("tf1x", "tf2x"), 8),), ("tf3",)),
-    FusionTopology.FACE_ONLY: Topology({"face": "d_face"}, False, (_TF_FACE,), ("tf1",)),
-    FusionTopology.POSE_ONLY: Topology({"pose": "d_pose"}, False, (_TF_POSE,), ("tf1",)),
+        _CROSS, _TF_X + (Stage("tf3", ("tf1x", "tf2x"), 8),), ("tf3",)),
+    FusionTopology.FACE_ONLY: Topology({"face": "d_face"}, (_TF_FACE,), ("tf1",)),
+    FusionTopology.POSE_ONLY: Topology({"pose": "d_pose"}, (_TF_POSE,), ("tf1",)),
 }
 
 
@@ -239,25 +242,29 @@ class FusionModel:
         if "pose" in self.spec.streams and pose.shape[2] != c.pose_dim:
             raise ShapeError(f"pose width {pose.shape[2]} != configured {c.pose_dim}")
 
-    def dropout_noise(self, length: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw the uniforms one sample's training-mode dropout masks are cut from.
+    def dropout_masks(self, length: int, rng: np.random.Generator) -> list[np.ndarray]:
+        """Draw one sample's training-mode dropout keep-masks.
 
-        They come in the order a forward pass over that sample alone used to
-        draw them: per stage, the attention mask and then the feed-forward
-        mask, each (length, stage width).  Empty, drawing nothing, when the
-        dropout rate is zero.
+        Per stage, in order, one (2, length, stage width) bool array: the
+        attention-branch mask, then the feed-forward-branch mask.  An entry is
+        kept where its uniform is at least the dropout rate.  Empty, drawing
+        nothing, when the rate is zero.
         """
-        per_step = 2 * sum(self._stage_widths) if self.config.dropout > 0.0 else 0
-        return rng.random(length * per_step)
+        rate = self.config.dropout
+        if rate == 0.0:
+            return []
+        return [rng.random((2, length, w)) >= rate for w in self._stage_widths]
 
-    def forward(self, face_seq, pose_seq, training: bool = False,
-                noise: Optional[np.ndarray] = None) -> ForwardOutput:
+    def forward(self, face_seq, pose_seq,
+                keep: Optional[list[np.ndarray]] = None) -> ForwardOutput:
         """Walk the topology's table over a batch of equally long sequences.
 
         ``face_seq`` and ``pose_seq`` are (B, T, features) stacks, or one
         (T, features) sequence each, a batch of one.  The B·T frames run as
-        stacked rows; positional encoding enters first-layer inputs only.  In
-        training, row b of ``noise`` is :meth:`dropout_noise` of sample b.
+        stacked rows; positional encoding enters first-layer inputs only.  A
+        training forward with dropout passes ``keep``: per stage, the
+        (2, B·T, stage width) masks of :meth:`dropout_masks`, the samples'
+        rows stacked in batch order as the frames are.
         """
         dtype = next(self.named_parameters())[1].data.dtype
         face, pose = (np.asarray(T.as_tensor(x).data, dtype=dtype) for x in (face_seq, pose_seq))
@@ -266,14 +273,10 @@ class FusionModel:
         self._check_inputs(face, pose)
         batch, steps = face.shape[:2]
         spec, comp = self.spec, self._components
-        drop = training and self.config.dropout > 0.0
-        noise_parts = [None] * len(spec.stages)
-        if drop:
-            sizes = [2 * steps * w for w in self._stage_widths]
-            if noise is None or noise.shape != (batch, sum(sizes)):
-                raise ValueError(f"training with dropout needs ({batch}, {sum(sizes)}) noise "
-                                 f"from dropout_noise, got {getattr(noise, 'shape', None)}")
-            noise_parts = np.split(noise, np.cumsum(sizes)[:-1], axis=1)
+        n_masks = len(spec.stages) if self.config.dropout > 0.0 else 0
+        if keep is not None and len(keep) != n_masks:
+            raise ValueError(f"keep holds {len(keep)} mask stacks; dropout_masks draws "
+                             f"{n_masks} for this model")
         raw = {"face": Tensor(face.reshape(batch * steps, -1)),
                "pose": Tensor(pose.reshape(batch * steps, -1))}
         seq = {s: comp[f"{s}_proj"](raw[s]) for s in spec.streams}
@@ -281,15 +284,13 @@ class FusionModel:
             seq = {"fused": T.concat(list(seq.values()))}
         if self.config.use_positional_encoding:
             seq = {s: add_positional_encoding(x, batch) for s, x in seq.items()}
-        for st, part in zip(spec.stages, noise_parts):
+        for st, masks in zip(spec.stages, keep or [None] * len(spec.stages)):
             for s in dict.fromkeys(ref.partition(":")[0] for ref in st.inputs if ref not in seq):
                 seq[s + ":face"], seq[s + ":pose"] = split_streams(seq[s], comp["face_proj"].d_out)
             xs = [seq[ref] for ref in st.inputs]
             x = T.concat(xs) if len(xs) > 1 else xs[0]
-            if part is not None:
-                part = part.reshape(batch, 2, steps, -1)
-            seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), training=drop,
-                                                 batch=batch, noise=part)
+            seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), batch=batch,
+                                                 keep=masks)
         squash = T.sigmoid if self.task == "detection" else (lambda x: x)
         intermediates = [(name, squash(comp[f"head_{name}"](T.row_mean(seq[name], batch))))
                          for name in spec.supervised]

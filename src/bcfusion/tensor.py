@@ -8,10 +8,11 @@ graph bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one product op for 2-D
 matrices, one affine op (product, bias row and optional ReLU), one
-multi-head attention op, elementwise ops, layer norm of a residual sum
-(the residual optionally inverted-dropped by a boolean keep-mask, so
-training-mode dropout adds no record), feature-axis concat and slicing,
-per-sequence row means, and all-element means for losses.  The fused ops
+multi-head attention op, elementwise ops (a difference is a sum with a
+negated operand, a negation a product with -1, both exact), layer norm of
+a residual sum (the residual optionally inverted-dropped by a boolean
+keep-mask, so training-mode dropout adds no record), feature-axis concat
+and slicing, per-sequence row means, and all-element means for losses.  The fused ops
 keep on the tape only what their backward rules read (after Chen et al.
 2016): the affine op its output, from which the ReLU mask is read back;
 layer norm the normalised rows and the keep-mask, one byte per element, but
@@ -46,8 +47,6 @@ __all__ = [
     "matmul",
     "linear",
     "add",
-    "sub",
-    "neg",
     "mul",
     "sigmoid",
     "log",
@@ -186,24 +185,21 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
 # Ops
 # --------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight;
-    with ``transpose_b``, b enters transposed."""
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
-    bm = b.data.T if transpose_b else b.data
-    if a.shape[1] != bm.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
-                         f"{' with transpose_b' if transpose_b else ''}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g @ (b.data if transpose_b else b.data.T))
+            _accum(a, g @ b.data.T)
         if b.requires_grad:
-            _accum(b, g.T @ a.data if transpose_b else a.data.T @ g)
+            _accum(b, a.data.T @ g)
 
-    return _emit((a, b), a.data @ bm, bw)
+    return _emit((a, b), a.data @ b.data, bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -260,17 +256,6 @@ def add(a: Tensor, b) -> Tensor:
                 _accum(b, g)
         return _emit((a, b), a.data + b.data, bw_same)
     raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
-
-
-def neg(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    return _emit((x,), -x.data, lambda g: _accum(x, -g))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if _is_scalar_operand(b):
-        return add(a, -float(b))
-    return add(as_tensor(a), neg(as_tensor(b)))
 
 
 def mul(a: Tensor, b) -> Tensor:

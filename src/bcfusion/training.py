@@ -57,14 +57,14 @@ def bce_loss(p: Tensor, y) -> Tensor:
         raise ValueError(f"detection labels must be 0 or 1, got {np.unique(y_arr)}")
     pc = T.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     pos = T.mul(T.log(pc), Tensor(y_arr))
-    negt = T.mul(T.log(T.add(T.neg(pc), 1.0)), Tensor(1.0 - y_arr))
-    return T.neg(T.tmean(T.add(pos, negt)))
+    negt = T.mul(T.log(T.add(T.mul(pc, -1.0), 1.0)), Tensor(1.0 - y_arr))
+    return T.mul(T.tmean(T.add(pos, negt)), -1.0)
 
 
 def mse_loss(pred: Tensor, y) -> Tensor:
     """Mean squared error over elements."""
     pred = T.as_tensor(pred)
-    diff = T.sub(pred, Tensor(_label_array(y, pred)))
+    diff = T.add(pred, Tensor(-_label_array(y, pred)))
     return T.tmean(T.mul(diff, diff))
 
 
@@ -173,7 +173,7 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
         steps = len(samples[group[0]].face_seq)
         chunk = max(1, EVAL_CHUNK_ELEMENTS // (steps * model.max_width))
         for part in np.array_split(group, -(-len(group) // chunk)):
-            out = model.forward(*_stacked([samples[i] for i in part]), training=False)
+            out = model.forward(*_stacked([samples[i] for i in part]))
             preds[part] = out.final.data[:, 0]
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
@@ -198,17 +198,16 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
 
     The batch runs as one forward pass per sequence length in it (usually
     one), each length's mean loss weighted by its share of the batch.  The
-    dropout noise is drawn first, sample by sample in batch order, so a
-    sample's masks do not depend on how the batch splits by length.  Each
-    sample's draw is released once it is stacked, so the forward pass never
-    holds both copies.
+    dropout keep-masks are drawn first, sample by sample in batch order, so
+    a sample's masks do not depend on how the batch splits by length; each
+    length's forward takes them stacked per stage.
     """
-    noise = {i: model.dropout_noise(len(s.face_seq), rng) for i, s in enumerate(batch)}
+    masks = [model.dropout_masks(len(s.face_seq), rng) for s in batch]
     total: Optional[Tensor] = None
     for group in _length_groups(batch):
         samples = [batch[i] for i in group]
-        out = model.forward(*_stacked(samples), training=True,
-                            noise=np.stack([noise.pop(i) for i in group]))
+        keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks[i] for i in group))]
+        out = model.forward(*_stacked(samples), keep=keep)
         loss = combined_loss(out, np.array([[s.label] for s in samples]), weights, task)
         if len(group) < len(batch):
             loss = T.mul(loss, len(group) / len(batch))

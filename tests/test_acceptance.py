@@ -231,8 +231,8 @@ class TestCriterion8StructuralInvariants:
         layer = TransformerLayer(8, 2, rng, dropout_rate=0.0)
         x = rng.normal(size=(7, 8))
         perm = rng.permutation(7)
-        base = layer.forward(Tensor(x), training=False).data
-        permuted = layer.forward(Tensor(x[perm]), training=False).data
+        base = layer.forward(Tensor(x)).data
+        permuted = layer.forward(Tensor(x[perm])).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-9)
 
     def test_single_head_identity_mha_equals_sdpa(self):

@@ -2,7 +2,7 @@
 
 A mini-batch runs as stacked (B·T, d) rows through one forward and one
 backward pass.  The reference here is the loop the engine replaced: one
-forward per sample, its dropout noise drawn in batch order, the combined
+forward per sample, its dropout masks drawn in batch order, the combined
 losses summed and divided by the batch size.  Batching changes only the
 order of floating-point sums, so the two agree to float64 rounding noise.
 """
@@ -41,8 +41,8 @@ def loop_loss(model, batch, weights, task, rng):
     """The per-sample loop: one forward and one combined loss per sample."""
     total = None
     for s in batch:
-        out = model.forward(Tensor(s.face_seq), Tensor(s.pose_seq), training=True,
-                            noise=model.dropout_noise(len(s.face_seq), rng)[None])
+        out = model.forward(Tensor(s.face_seq), Tensor(s.pose_seq),
+                            keep=model.dropout_masks(len(s.face_seq), rng))
         loss = combined_loss(out, s.label, weights, task)
         total = loss if total is None else T.add(total, loss)
     return T.mul(total, 1.0 / len(batch))
@@ -79,35 +79,66 @@ class TestBatchedStep:
         batch = make_samples([6, 6, 6], "agreement")
         with Tape() as batched:
             minibatch_loss(model, batch, weights, "agreement", np.random.default_rng(0))
-        noise = np.stack([model.dropout_noise(6, np.random.default_rng(0)) for _ in batch])
+        [keep] = model.dropout_masks(3 * 6, np.random.default_rng(0))
         with Tape() as plain:
             out = model.forward(Tensor(np.stack([s.face_seq for s in batch])),
-                                Tensor(np.stack([s.pose_seq for s in batch])),
-                                training=True, noise=noise)
+                                Tensor(np.stack([s.pose_seq for s in batch])), keep=[keep])
             combined_loss(out, np.array([[s.label] for s in batch]), weights, "agreement")
         assert len(batched.records) == len(plain.records)
 
     def test_dropout_masks_follow_per_stage_draws(self):
-        # a one-sample forward cuts its masks from one block that equals one
-        # (1, 2, T, d) draw per layer, one after another, attention then feed-forward
+        # a one-sample forward takes one (2, T, d) thresholded draw per layer, one
+        # after another, attention then feed-forward
         model = build_model("one_to_one", "agreement", CFG, rng_seed=2)
         comp = model._components
         [s] = make_samples([8], "agreement", seed=3)
         face, pose = Tensor(s.face_seq), Tensor(s.pose_seq)
-        out = model.forward(face, pose, training=True,
-                            noise=model.dropout_noise(8, np.random.default_rng(9))[None])
+        out = model.forward(face, pose, keep=model.dropout_masks(8, np.random.default_rng(9)))
         rng = np.random.default_rng(9)
         h = add_positional_encoding(T.concat([comp["face_proj"](face), comp["pose_proj"](pose)]))
         for layer in (comp["tf1"], comp["tf2"]):
-            h = layer.forward(h, training=True, noise=rng.random((1, 2, 8, layer.d_model)))
+            h = layer.forward(h, keep=rng.random((2, 8, layer.d_model)) >= CFG.dropout)
         final = comp["final"](T.row_mean(h, 1))
         assert out.final.data.tobytes() == final.data.tobytes()
 
-    def test_training_forward_without_noise_is_rejected(self):
-        model = build_model("one_stream", "agreement", CFG, rng_seed=0)
+    def test_dropout_masks_are_the_flat_draw_split_by_stage(self):
+        # the seed stream checkpoints and histories depend on: one sample's masks are
+        # the thresholded slices of one flat draw of length * 2 * (sum of stage widths)
+        # uniforms, stage by stage, each (2, length, width)
+        model = build_model("one_to_two", "agreement", CFG, rng_seed=0)
+        widths = [model._components[st.name].d_model for st in model.spec.stages]
+        assert len(set(widths)) > 1
+        masks = model.dropout_masks(7, np.random.default_rng(11))
+        flat = np.random.default_rng(11).random(7 * 2 * sum(widths)) >= CFG.dropout
+        parts = np.split(flat, np.cumsum([2 * 7 * w for w in widths])[:-1])
+        assert len(masks) == len(widths)
+        for mask, part, w in zip(masks, parts, widths):
+            assert mask.dtype == np.bool_ and mask.shape == (2, 7, w)
+            np.testing.assert_array_equal(mask, part.reshape(2, 7, w))
+
+    def test_zero_rate_draws_nothing_and_trains_without_masks(self):
+        model = build_model("cross_to_one", "agreement", replace(CFG, dropout=0.0), rng_seed=1)
+        batch = make_samples([6, 6, 6], "agreement")
+        weights = loss_weights_for("cross_to_one")
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert model.dropout_masks(6, rng) == []
+        loss = minibatch_loss(model, batch, weights, "agreement", rng)
+        assert rng.bit_generator.state == state
+        out = model.forward(Tensor(np.stack([s.face_seq for s in batch])),
+                            Tensor(np.stack([s.pose_seq for s in batch])))
+        plain = combined_loss(out, np.array([[s.label] for s in batch]), weights, "agreement")
+        assert loss.data.tobytes() == plain.data.tobytes()
+
+    @pytest.mark.parametrize("dropout, n_masks", [(0.1, 0), (0.1, 1), (0.1, 3), (0.0, 2)])
+    def test_keep_list_of_wrong_length_is_rejected(self, dropout, n_masks):
+        # one stack per stage, as dropout_masks draws them: two at a nonzero rate, none at 0
+        model = build_model("one_to_one", "agreement", replace(CFG, dropout=dropout))
         [s] = make_samples([4], "agreement")
-        with pytest.raises(ValueError, match="noise"):
-            model.forward(Tensor(s.face_seq), Tensor(s.pose_seq), training=True)
+        keep = [np.ones((2, 4, model.max_width), dtype=bool)] * n_masks
+        with pytest.raises(ValueError, match=f"keep holds {n_masks} mask stacks; "
+                                             f"dropout_masks draws {2 if dropout else 0}"):
+            model.forward(Tensor(s.face_seq), Tensor(s.pose_seq), keep=keep)
 
 
 class TestTrainingLossGradients:

@@ -80,6 +80,18 @@ def eval_with_edited_meta(tmp_path, edit):
     return path
 
 
+def overflow_face_rows(corpus_dir, sid="s00003"):
+    """Put 1.5e308 and -1.5e308 into one column of the last-but-two and last-but-one
+    face rows of sample ``sid``: every value is finite, their difference is not.
+    Returns the 1-based file row numbers of the two."""
+    path = corpus_dir / f"{sid}_face.csv"
+    rows = path.read_text().splitlines()
+    for i, value in ((-3, "1.5e308"), (-2, "-1.5e308")):
+        rows[i] = value + rows[i][rows[i].index(","):]
+    path.write_text("\n".join(rows) + "\n")
+    return len(rows) - 2, len(rows) - 1
+
+
 def train_args(corpus_dir, config_file, out_dir, **extra):
     args = ["train", "--manifest", str(corpus_dir / "manifest.csv"),
             "--topology", extra.pop("topology", "one_stream"), "--task", "detection",
@@ -301,6 +313,15 @@ class TestTrain:
                 "--out", str(tmp_path / "o"), "--seed", "3"]
         assert run_command(args) == 2  # valid settings: the missing manifest is what fails
 
+    def test_overflowing_frame_difference_names_sample_and_rows(self, corpus_dir, config_file,
+                                                                 tmp_path, capsys):
+        # the corpus is rejected as it loads, not blamed on training as a divergence
+        first, second = overflow_face_rows(corpus_dir)
+        capsys.readouterr()
+        assert run_command(train_args(corpus_dir, config_file, tmp_path / "run")) == 1
+        assert sole_error_line(capsys) == (f"error: sample s00003: face rows {first}-{second}: "
+                                           f"difference of consecutive frames is not finite")
+
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
                 "one_stream", "--task", "detection", "--out", str(tmp_path / "o")]
@@ -439,6 +460,18 @@ class TestEval:
         assert run_command(["eval", "--checkpoint", str(path), "--manifest",
                             str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
         assert sole_error_line(capsys) == "error: non-finite mse (inf)"
+
+    def test_overflowing_frame_difference_names_sample_and_rows(self, corpus_dir, tmp_path,
+                                                                 capsys):
+        model = build_model("one_stream", "detection", toy_model_config(face_dim=7, pose_dim=5))
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        first, second = overflow_face_rows(corpus_dir)
+        capsys.readouterr()
+        assert run_command(["eval", "--checkpoint", str(path), "--manifest",
+                            str(corpus_dir / "manifest.csv"), "--split", "validation"]) == 1
+        assert sole_error_line(capsys) == (f"error: sample s00003: face rows {first}-{second}: "
+                                           f"difference of consecutive frames is not finite")
 
     @pytest.mark.parametrize("fps", ["inf", "nan", "-inf"])
     def test_non_finite_manifest_fps_names_file_and_row(self, corpus_dir, tmp_path, capsys,

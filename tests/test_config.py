@@ -12,7 +12,7 @@ from bcfusion import tensor as T
 from bcfusion.config import TASKS, ConfigError, ModelConfig, TrainConfig, toy_model_config
 from bcfusion.data import ProcessedSample
 from bcfusion.layers import TransformerLayer
-from bcfusion.models import ALL_TOPOLOGIES
+from bcfusion.models import ALL_TOPOLOGIES, FusionModel, Topology
 from bcfusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, evaluate_metrics,
                                run_training)
 
@@ -46,22 +46,26 @@ class TestSettableSurface:
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
             "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "linear", "add",
-            "sub", "neg", "mul", "sigmoid", "log", "clip", "layer_norm", "tmean", "concat",
-            "slice_cols", "attention", "row_mean"]
+            "mul", "sigmoid", "log", "clip", "layer_norm", "tmean", "concat", "slice_cols",
+            "attention", "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one product op for 2-D operands, one affine op (with the ReLU),
         # one op for multi-head attention (its softmax included), layer norm of a residual
         # sum (its residual optionally dropped by a keep-mask), all-element mean,
         # feature-axis concat
-        for op, args in ((T.matmul, ["a", "b", "transpose_b"]), (T.concat, ["parts"]),
+        for op, args in ((T.matmul, ["a", "b"]), (T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
                          (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
                          (T.attention, ["q", "k", "v", "n_heads", "batch"]),
                          (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__
-        # training dropout takes its masks from ``noise``; there is no generator fallback
+        # a training forward takes its dropout keep-masks; there is no training flag
         params = inspect.signature(TransformerLayer.forward).parameters
-        assert list(params) == ["self", "x", "x_q", "training", "batch", "noise"]
+        assert list(params) == ["self", "x", "x_q", "batch", "keep"]
+        params = inspect.signature(FusionModel.forward).parameters
+        assert list(params) == ["self", "face_seq", "pose_seq", "keep"]
+        # whether a topology concatenates its projections is read off its stages
+        assert [f.name for f in fields(Topology)] == ["streams", "stages", "pooled", "ff_head"]
 
     def test_adam_takes_only_parameters(self):
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]

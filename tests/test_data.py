@@ -193,6 +193,16 @@ class TestPreprocess:
         with pytest.raises(CorpusError, match="window"):
             preprocess(make_raw(np.zeros((10, 2)), np.zeros((10, 2)), fps=30.0), 3.0)
 
+    def test_overflowing_difference_names_sample_modality_and_file_rows(self, recwarn):
+        # finite frames 1.5e308 apart from -1.5e308: 0-based frames 36 and 37 of 40 are file
+        # rows 37 and 38, inside the last 30-frame window; no overflow warning escapes
+        pose = np.zeros((40, 2))
+        pose[36, 1], pose[37, 1] = 1.5e308, -1.5e308
+        with pytest.raises(CorpusError, match=r"^sample r: pose rows 37-38: difference "
+                                              r"of consecutive frames is not finite$"):
+            preprocess(make_raw(np.zeros((40, 3)), pose, fps=10.0), window_seconds=3.0)
+        assert not recwarn.list
+
 
 class TestSynthGenerate:
     def test_fixed_seed_is_bitwise_reproducible(self, tmp_path):

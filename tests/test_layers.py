@@ -120,8 +120,8 @@ class TestTransformerLayer:
         rng = np.random.default_rng(6)
         layer = TransformerLayer(6, 2, rng, dropout_rate=0.5)
         x = Tensor(rng.normal(size=(5, 6)))
-        a = layer.forward(x, training=False).data
-        b = layer.forward(x, training=False).data
+        a = layer.forward(x).data
+        b = layer.forward(x).data
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
@@ -129,24 +129,18 @@ class TestTransformerLayer:
         layer = TransformerLayer(6, 2, rng)
         x = rng.normal(size=(5, 6))
         perm = rng.permutation(5)
-        out = layer.forward(Tensor(x), training=False).data
-        out_perm = layer.forward(Tensor(x[perm]), training=False).data
+        out = layer.forward(Tensor(x)).data
+        out_perm = layer.forward(Tensor(x[perm])).data
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-9)
 
     def test_dropout_changes_training_output(self):
         rng = np.random.default_rng(8)
         layer = TransformerLayer(6, 2, rng, dropout_rate=0.5)
         x = Tensor(rng.normal(size=(4, 6)))
-        eval_out = layer.forward(x, training=False).data
-        noise = np.random.default_rng(0).random((1, 2, 4, 6))
-        train_out = layer.forward(x, training=True, noise=noise).data
+        eval_out = layer.forward(x).data
+        keep = np.random.default_rng(0).random((2, 4, 6)) >= 0.5
+        train_out = layer.forward(x, keep=keep).data
         assert not np.allclose(eval_out, train_out)
-
-    def test_training_dropout_requires_rng(self):
-        rng = np.random.default_rng(9)
-        layer = TransformerLayer(4, 2, rng, dropout_rate=0.1)
-        with pytest.raises(ValueError):
-            layer.forward(Tensor(np.zeros((2, 4))), training=True)
 
     def test_gradcheck_toy_dims(self):
         rng = np.random.default_rng(10)
@@ -155,7 +149,7 @@ class TestTransformerLayer:
         r = Tensor(rng.normal(size=(4, 8)))
 
         def f():
-            return total(T.mul(layer.forward(x, training=False), r))
+            return total(T.mul(layer.forward(x), r))
 
         params = [("x", x)] + list(layer.named_parameters())
         report = finite_diff_gradcheck(f, params, h=1e-5, tol=1e-4)
@@ -213,11 +207,11 @@ class TestFusedDropout:
         rng = np.random.default_rng(13)
         layer = TransformerLayer(6, 2, rng, dropout_rate=self.RATE)
         x = Tensor(rng.normal(size=(2 * 5, 6)), requires_grad=True)
-        noise = rng.random((2, 2, 5, 6))
+        keep = rng.random((2, 2 * 5, 6)) >= self.RATE
         records = {}
         for training in (False, True):
             with Tape() as tape:
-                layer.forward(x, training=training, batch=2, noise=noise if training else None)
+                layer.forward(x, batch=2, keep=keep if training else None)
             records[training] = tape.records
         assert len(records[True]) == len(records[False])
         held = [a for record in records[True] for a in record_arrays(record)]

@@ -113,8 +113,8 @@ class TestForward:
     def test_forward_is_bitwise_deterministic(self, topology):
         model = build_model(topology, "detection", TOY, rng_seed=0)
         face, pose = toy_inputs()
-        a = model.forward(face, pose, training=False)
-        b = model.forward(face, pose, training=False)
+        a = model.forward(face, pose)
+        b = model.forward(face, pose)
         assert a.final.data.item() == b.final.data.item()
         for (tag_a, pa), (tag_b, pb) in zip(a.intermediates, b.intermediates):
             assert tag_a == tag_b and pa.data.item() == pb.data.item()
@@ -481,5 +481,5 @@ class TestPinnedWiring:
         assert hashlib.sha256(layout.encode()).hexdigest() == layout_sha
         values = b"".join(p.data.astype("<f8").tobytes() for _, p in params)
         assert hashlib.sha256(values).hexdigest() == init_sha
-        out = model.forward(*toy_inputs(), training=False)
+        out = model.forward(*toy_inputs())
         np.testing.assert_allclose(out.final.data.item(), final, rtol=1e-12, atol=0)

@@ -212,15 +212,13 @@ class TestElementwise:
 
 
 class TestBatchedOps:
-    @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
-        ((4,), (4, 3), False), ((2, 4), (3, 4, 5), False), ((2, 3, 4), (3, 4, 5), False),
-        ((3, 4), (5, 4), False), ((3, 4), (5, 3), True),
-    ], ids=["vector_operand", "2d_at_3d", "unequal_stacks", "inner_mismatch",
-            "inner_mismatch_transpose_b"])
-    def test_matmul_shape_errors_name_both_shapes(self, a_shape, b_shape, transpose_b):
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4,), (4, 3)), ((2, 4), (3, 4, 5)), ((2, 3, 4), (3, 4, 5)), ((3, 4), (5, 4)),
+    ], ids=["vector_operand", "2d_at_3d", "unequal_stacks", "inner_mismatch"])
+    def test_matmul_shape_errors_name_both_shapes(self, a_shape, b_shape):
         pattern = r"\(" + ", ".join(map(str, a_shape)) + ".*" + ", ".join(map(str, b_shape))
         with pytest.raises(ShapeError, match=pattern):
-            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)), transpose_b=transpose_b)
+            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
     def test_heads_are_column_blocks_of_each_sequence(self):
         # 2 sequences, 3 heads of width 2, 4 query and 5 key/value steps each:
@@ -417,7 +415,7 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.matmul(x, x, transpose_b=True), 1.0), x, gain, bias)
+            h = T.layer_norm(T.add(T.matmul(x, x), 1.0), x, gain, bias)
             s = T.linear(h, x, bias, relu=True)
             weights = T.attention(s, s, Tensor(np.eye(2, dtype=np.float32)), 1, 1)
             out = T.tmean(T.mul(T.sigmoid(weights), 0.5))

@@ -164,7 +164,7 @@ class _StubModel:
     def __init__(self, predictions):
         self.predictions = predictions
 
-    def forward(self, face_seq, pose_seq, training=False, noise=None):
+    def forward(self, face_seq, pose_seq, keep=None):
         keys = face_seq.data[:, 0, 0]
         return ForwardOutput(final=Tensor([[self.predictions[k.item()]] for k in keys]),
                              intermediates=[])
