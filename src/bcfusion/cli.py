@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (TASKS, ConfigError, ConfigMapping, ModelConfig, TrainConfig,
-                     dataclass_from_mapping, parse_config_file)
+from .config import (TASKS, TRAIN_RULES, ConfigError, ConfigMapping, ModelConfig, TrainConfig,
+                     check, dataclass_from_mapping, parse_config_file)
 from .data import SPLITS, CorpusError, SynthSpec, load_corpus, synth_generate
 from .gradcheck import gradcheck_topology
 from .models import ALL_TOPOLOGIES, load_checkpoint, parameter_count, save_checkpoint
@@ -85,36 +84,27 @@ def _build_parser() -> _Parser:
 
 # -- helpers -------------------------------------------------------------------
 
-def _file_origin(mapping: ConfigMapping, flags: dict) -> dict[str, str]:
-    """Where each key of a config file was written, for the keys no flag in
-    ``flags`` (key -> value, None when the flag is not given) overrode."""
-    return {key: where for key, where in mapping.origin.items() if flags.get(key) is None}
+def _settings(cls, path: str | None, flags: dict):
+    """``cls`` read from the config file at ``path`` (if any), with each of
+    ``flags`` (key -> value, None when the flag is not given) set over it,
+    then validated: an error for a value from the file names its line."""
+    mapping = parse_config_file(path) if path else ConfigMapping()
+    obj = dataclass_from_mapping(cls, mapping)
+    for key, value in flags.items():
+        if value is not None:
+            setattr(obj, key, value)
+    obj.validate({key: where for key, where in mapping.origin.items() if flags.get(key) is None})
+    return obj
 
 
 def _load_train_config(args) -> TrainConfig:
-    mapping = parse_config_file(args.config) if args.config else ConfigMapping()
-    cfg = dataclass_from_mapping(TrainConfig, mapping)
-    overrides = {"topology": getattr(args, "topology", None),
-                 "task": getattr(args, "task", None),
-                 "seed": args.seed,
-                 "epochs": getattr(args, "epochs", None),
-                 "learning_rate": getattr(args, "lr", None),
-                 "batch_size": getattr(args, "batch_size", None),
-                 "window_seconds": getattr(args, "window", None)}
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate(_file_origin(mapping, overrides))  # fails before the corpus loads
-    return cfg
-
-
-def _synth_spec(args) -> SynthSpec:
-    mapping = parse_config_file(args.spec)
-    spec = dataclass_from_mapping(SynthSpec, mapping)
-    if args.seed is not None:
-        spec.seed = args.seed
-    spec.validate(_file_origin(mapping, {"seed": args.seed}))
-    return spec
+    """The run's settings, checked before the corpus loads."""
+    return _settings(TrainConfig, args.config, {
+        "topology": getattr(args, "topology", None), "task": getattr(args, "task", None),
+        "seed": args.seed, "epochs": getattr(args, "epochs", None),
+        "learning_rate": getattr(args, "lr", None),
+        "batch_size": getattr(args, "batch_size", None),
+        "window_seconds": getattr(args, "window", None)})
 
 
 def _load_corpus(manifest: str, task: str, window: float, model: ModelConfig) -> dict:
@@ -141,7 +131,7 @@ def _train_once(corpus: dict, cfg: TrainConfig, out_dir: Path) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    spec = _synth_spec(args)
+    spec = _settings(SynthSpec, args.spec, {"seed": args.seed})
     manifest = synth_generate(spec, args.out)
     print(json.dumps({"manifest": str(manifest), "n_samples": spec.n_samples,
                       "kind": spec.kind, "task": spec.task}, sort_keys=True, allow_nan=False))
@@ -160,10 +150,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
     window = meta.get("window_seconds", 3.0)
-    if isinstance(window, bool) or not isinstance(window, (int, float)) \
-            or not (math.isfinite(window) and window > 0):
-        raise ConfigError(f"{args.checkpoint}: checkpoint meta key 'window_seconds' must be "
-                          f"a finite positive number, got {window!r}")
+    check("window_seconds", window, TRAIN_RULES["window_seconds"],
+          {"window_seconds": args.checkpoint})
     corpus = _load_corpus(args.manifest, model.task, window, model.config)
     samples = corpus[args.split]
     if not samples:

@@ -1,16 +1,22 @@
-"""Model and training configuration, plus the flat key-value config file format.
+"""Model and training configuration, the rule for each setting, and the flat
+key-value config file format.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments
 allowed.  Keys mirror the dataclass fields below.  Any CLI flag overrides
-the file.
+the file.  Each field has one :class:`Rule` in its class's table
+(``MODEL_RULES``, ``TRAIN_RULES``; ``SPEC_RULES`` in :mod:`bcfusion.data`),
+and :func:`check` holds every value to it, whether a file, a flag, a
+checkpoint or a library caller set it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, get_type_hints
+from typing import Any, Callable, Mapping, Optional, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -20,6 +26,58 @@ class ConfigError(ValueError):
 def located(origin: Optional[Mapping[str, str]], key: str, message: str) -> str:
     """``message`` led by the ``path:line`` that ``origin`` records for ``key``, if any."""
     return f"{origin[key]}: {message}" if origin and key in origin else message
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A setting's type (``numbers.Integral``, ``numbers.Real``, ``str`` or ``bool``;
+    an int is also a Real, a bool is no number), a condition, and ``text``
+    saying both after "must be"."""
+
+    kind: type
+    text: str
+    holds: Callable[[Any], bool] = lambda value: True
+
+    def admits(self, value) -> bool:
+        return (isinstance(value, self.kind) and self.holds(value)
+                and (self.kind is bool or not isinstance(value, bool)))
+
+
+def at_least(n: int) -> Rule:
+    return Rule(numbers.Integral, f"an integer >= {n}", lambda value: value >= n)
+
+
+def one_of(*choices: str) -> Rule:
+    return Rule(str, f"one of {', '.join(choices)}", lambda value: value in choices)
+
+
+# nan fails every comparison, and an int too large for a float still compares exactly
+POSITIVE = Rule(numbers.Real, "a finite number > 0", lambda value: 0 < value < math.inf)
+NON_NEGATIVE = Rule(numbers.Real, "a finite number >= 0", lambda value: 0 <= value < math.inf)
+FRACTION = Rule(numbers.Real, "a number in [0, 1)", lambda value: 0 <= value < 1)
+FLAG = Rule(bool, "true or false")
+
+
+def check(key: str, value, rule: Rule, origin: Optional[Mapping[str, str]] = None,
+          error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` keeps ``rule``, naming ``key`` and, when
+    ``origin`` records one for it, the ``path:line`` it was read from."""
+    if not rule.admits(value):
+        raise error(located(origin, key, f"config key {key!r} must be {rule.text}, "
+                                         f"got {value!r}"))
+
+
+class FusionTopology(str, Enum):
+    """The names ``topology`` may take; :data:`bcfusion.models.TOPOLOGIES` wires each."""
+
+    ONE_STREAM = "one_stream"
+    ONE_TO_ONE = "one_to_one"
+    ONE_TO_TWO = "one_to_two"
+    TWO_TO_ONE = "two_to_one"
+    CROSS_ATTENTION = "cross_attention"
+    CROSS_TO_ONE = "cross_to_one"
+    FACE_ONLY = "face_only"
+    POSE_ONLY = "pose_only"
 
 
 @dataclass
@@ -55,6 +113,8 @@ class ModelConfig:
 
     def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
         """Raise ConfigError for a bad setting; see :meth:`TrainConfig.validate` for ``origin``."""
+        for key, rule in MODEL_RULES.items():  # before the widths are summed
+            check(key, getattr(self, key), rule, origin)
         from .models import TOPOLOGIES  # models imports this module
         for spec in TOPOLOGIES.values():
             widths = spec.widths(self)
@@ -63,14 +123,12 @@ class ModelConfig:
                 if width < heads or width % heads != 0:
                     raise ConfigError(f"{' + '.join(spec.width_fields[st.name])} ({width}) "
                                       f"must be a positive multiple of {heads} heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(located(origin, "dropout",
-                                      f"dropout rate must be in [0, 1), got {self.dropout}"))
-        for key in ("face_dim", "pose_dim"):
-            if getattr(self, key) < 1:
-                raise ConfigError(located(origin, key, "stream input widths must be >= 1"))
-        if self.ff_hidden < 1:
-            raise ConfigError(located(origin, "ff_hidden", "ff_hidden must be >= 1"))
+
+
+MODEL_RULES = {"face_dim": at_least(1), "pose_dim": at_least(1), "d_face": at_least(1),
+               "d_pose": at_least(1), "d_fused_face": at_least(1), "d_fused_pose": at_least(1),
+               "d_cross": at_least(1), "ff_hidden": at_least(1), "dropout": FRACTION,
+               "use_positional_encoding": FLAG}
 
 
 def toy_model_config(face_dim: int = 12, pose_dim: int = 6, **overrides) -> ModelConfig:
@@ -112,34 +170,15 @@ class TrainConfig:
         :class:`ConfigMapping`'s ``origin`` without the keys a flag overrode);
         the error for such a key names that place.
         """
-        from .models import TOPOLOGIES  # models imports this module
-        if self.topology not in TOPOLOGIES:
-            raise ConfigError(located(origin, "topology",
-                                      f"config key 'topology': {self.topology!r} is not one of "
-                                      f"{', '.join(TOPOLOGIES)}"))
-        for key, value in (("learning_rate", self.learning_rate),
-                           ("window_seconds", self.window_seconds)):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(located(origin, key, f"config key {key!r} must be a finite "
-                                                       f"number > 0, got {value!r}"))
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(located(origin, "weight_decay",
-                                      f"config key 'weight_decay' must be a finite number >= 0, "
-                                      f"got {self.weight_decay!r}"))
-        if self.seed < 0:
-            raise ConfigError(located(origin, "seed", f"config key 'seed' must be an integer "
-                                                       f">= 0, got {self.seed!r}"))
-        if self.epochs < 1:
-            raise ConfigError(located(origin, "epochs", "epochs must be >= 1"))
-        if self.batch_size < 1:
-            raise ConfigError(located(origin, "batch_size", "batch_size must be >= 1"))
-        if self.task not in TASKS:
-            raise ConfigError(located(origin, "task", f"task must be one of {TASKS}, "
-                                                       f"got {self.task!r}"))
-        if self.dtype not in ("float64", "float32"):
-            raise ConfigError(located(origin, "dtype", f"dtype must be float64 or float32, "
-                                                        f"got {self.dtype!r}"))
+        for key, rule in TRAIN_RULES.items():
+            check(key, getattr(self, key), rule, origin)
         self.model.validate(origin)
+
+
+TRAIN_RULES = {"learning_rate": POSITIVE, "weight_decay": NON_NEGATIVE, "epochs": at_least(1),
+               "batch_size": at_least(1), "window_seconds": POSITIVE, "seed": at_least(0),
+               "task": one_of(*TASKS), "topology": one_of(*(t.value for t in FusionTopology)),
+               "dtype": one_of("float64", "float32")}
 
 
 class ConfigMapping(dict):

@@ -20,7 +20,6 @@ frame-index column per modality.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .config import TASKS, located
+from .config import FRACTION, NON_NEGATIVE, POSITIVE, TASKS, at_least, check, located, one_of
 
 FACE_RAW_DIM = 674
 POSE_RAW_DIM = 76
@@ -89,15 +88,21 @@ def write_matrix_csv(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
+    """A CSV file of finite numbers, one row per line: row n is file line n, so a
+    blank or ``#``-led line before the last row is an error naming its line."""
     path = Path(path)
+    # read_text turns \r\n and \r into \n; splitlines would also split at \f and \x1c-\x1e
+    text = path.read_text(encoding="utf-8", errors="replace").rstrip()
+    if not text:
+        raise CorpusError(f"{path}: no data rows")
+    lines = text.split("\n")
+    for row, line in enumerate(lines, start=1):
+        if line.strip()[:1] in ("", "#"):
+            raise CorpusError(f"{path}: row {row}: blank or '#' line inside the data")
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        arr = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
     except ValueError as exc:
         raise CorpusError(f"{path}: unreadable numeric data ({exc})") from exc
-    if arr.size == 0:
-        raise CorpusError(f"{path}: no data rows")
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise CorpusError(f"{path}: row {np.argmin(finite) + 1}: non-finite value")
@@ -149,15 +154,18 @@ def load_manifest(path: str | Path, task: str | None = None) -> list[SampleDescr
                 fps = float(fps_raw)
             except ValueError as exc:
                 raise CorpusError(f"{path}: row {row_no}: bad fps {fps_raw!r}") from exc
-            if not (math.isfinite(fps) and fps > 0):
+            if not POSITIVE.admits(fps):
                 raise CorpusError(f"{path}: row {row_no}: fps must be a finite positive number")
             if split not in SPLITS:
                 raise CorpusError(f"{path}: row {row_no}: split must be one of {SPLITS}")
             label = _parse_label(label_raw, task, row_no, path)
             face_path, pose_path = root / face_rel, root / pose_rel
-            for p in (face_path, pose_path):
+            for column, p in zip(MANIFEST_HEADER[1:3], (face_path, pose_path)):
                 if not p.exists():
                     raise FileNotFoundError(f"{path}: row {row_no}: missing sample file {p}")
+                if not p.is_file():  # an empty path names the corpus directory
+                    raise CorpusError(f"{path}: row {row_no}: sample {sid!r}: {column} {p} "
+                                      f"is not a file")
             descriptors.append(SampleDescriptor(sid, face_path, pose_path, fps, label, split))
     return descriptors
 
@@ -267,40 +275,24 @@ class SynthSpec:
     def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
         """Raise CorpusError for a bad setting; an error for a key that ``origin``
         maps to a ``path:line`` names that place (see :meth:`TrainConfig.validate`)."""
-        if self.n_samples < 2:
-            raise CorpusError(located(origin, "n_samples", "n_samples must be >= 2"))
-        if self.kind not in SIGNAL_KINDS:
-            raise CorpusError(located(origin, "kind", f"kind must be one of {SIGNAL_KINDS}, "
-                                                      f"got {self.kind!r}"))
-        if self.seed < 0:
-            raise CorpusError(located(origin, "seed", f"config key 'seed' must be an integer "
-                                                      f">= 0, got {self.seed!r}"))
-        if self.task not in TASKS:
-            raise CorpusError(located(origin, "task", f"task must be detection or agreement, "
-                                                      f"got {self.task!r}"))
+        for key, rule in SPEC_RULES.items():
+            check(key, getattr(self, key), rule, origin, CorpusError)
         if self.task == "detection":
             need = 4 if self.kind == "xor-cross-modal" else 2
             if self.n_samples % need != 0:
-                raise CorpusError(f"detection corpora with kind {self.kind!r} need "
-                                  f"n_samples divisible by {need} for exact class balance")
-        for key in ("face_dim", "pose_dim"):
-            width = getattr(self, key)
-            if width < 1:
-                raise CorpusError(located(origin, key, f"config key {key!r} must be an integer "
-                                                       f">= 1, got {width!r}"))
-        if self.modality not in ("face", "pose"):
-            raise CorpusError(located(origin, "modality", "modality must be 'face' or 'pose'"))
-        if self.t_raw < 2:
-            raise CorpusError(located(origin, "t_raw", "t_raw must be >= 2"))
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise CorpusError(located(origin, "fps", f"config key 'fps' must be a finite "
-                                                     f"number > 0, got {self.fps!r}"))
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise CorpusError(located(origin, "noise", f"config key 'noise' must be a finite "
-                                                       f"number >= 0, got {self.noise!r}"))
-        if not (0 <= self.val_frac and 0 <= self.test_frac
-                and self.val_frac + self.test_frac < 1):
-            raise CorpusError("val_frac/test_frac must be >= 0 and sum below 1")
+                raise CorpusError(located(origin, "n_samples", f"detection corpora with kind "
+                                          f"{self.kind!r} need n_samples divisible by {need} "
+                                          f"for exact class balance"))
+        if self.val_frac + self.test_frac >= 1:
+            key = "test_frac" if origin and "test_frac" in origin else "val_frac"
+            raise CorpusError(located(origin, key, "val_frac + test_frac must be below 1, got "
+                                                   f"{self.val_frac!r} + {self.test_frac!r}"))
+
+
+SPEC_RULES = {"n_samples": at_least(2), "t_raw": at_least(2), "fps": POSITIVE,
+              "kind": one_of(*SIGNAL_KINDS), "noise": NON_NEGATIVE, "seed": at_least(0),
+              "task": one_of(*TASKS), "face_dim": at_least(1), "pose_dim": at_least(1),
+              "modality": one_of("face", "pose"), "val_frac": FRACTION, "test_frac": FRACTION}
 
 
 def _split_counts(n: int, spec: SynthSpec) -> list[str]:

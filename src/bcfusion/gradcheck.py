@@ -9,13 +9,12 @@ gradients are judged on absolute error and large ones on relative error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import toy_model_config
+from .config import NON_NEGATIVE, POSITIVE, toy_model_config
 from .models import FusionTopology, build_model
 from .tensor import Tape, Tensor, backward
 from .training import combined_loss, loss_weights_for
@@ -60,10 +59,10 @@ def finite_diff_gradcheck(f: Callable[[], Tensor],
     checks only that many elements of each parameter (all of a smaller one),
     drawn by a generator of fixed seed.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"gradcheck: step h must be a finite number > 0, got {h}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"gradcheck: tol must be a finite number >= 0, got {tol}")
+    if not POSITIVE.admits(h):
+        raise ValueError(f"gradcheck: step h must be {POSITIVE.text}, got {h}")
+    if not NON_NEGATIVE.admits(tol):
+        raise ValueError(f"gradcheck: tol must be {NON_NEGATIVE.text}, got {tol}")
     reference = reference or f
     rng = np.random.default_rng(0)
     params = list(params)

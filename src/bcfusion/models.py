@@ -38,15 +38,14 @@ import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Optional, get_type_hints
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import tensor as T
-from .config import TASKS, ConfigError, ModelConfig
+from .config import MODEL_RULES, TRAIN_RULES, ConfigError, FusionTopology, ModelConfig, check
 from .layers import Linear, TransformerLayer, add_positional_encoding
 from .tensor import ShapeError, Tensor
 
@@ -56,17 +55,6 @@ CHECKPOINT_VERSION = 1
 # counts in TOPOLOGIES), with the one value each may take.
 _RETIRED_MODEL_KEYS = {"pre_norm": False, "ffn_mult": 2, "face_heads": 4, "pose_heads": 2,
                        "fused_heads": 10, "late_heads": 8}
-
-
-class FusionTopology(str, Enum):
-    ONE_STREAM = "one_stream"
-    ONE_TO_ONE = "one_to_one"
-    ONE_TO_TWO = "one_to_two"
-    TWO_TO_ONE = "two_to_one"
-    CROSS_ATTENTION = "cross_attention"
-    CROSS_TO_ONE = "cross_to_one"
-    FACE_ONLY = "face_only"
-    POSE_ONLY = "pose_only"
 
 
 ALL_TOPOLOGIES = tuple(FusionTopology)
@@ -204,8 +192,7 @@ class FusionModel:
     def __init__(self, topology: FusionTopology, task: str, config: ModelConfig,
                  rng: Optional[np.random.Generator]):
         config.validate()
-        if task not in TASKS:
-            raise ConfigError(f"task must be 'detection' or 'agreement', got {task!r}")
+        check("task", task, TRAIN_RULES["task"])
         self.topology = topology
         self.task = task
         self.config = config
@@ -374,9 +361,10 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
     parameters were never drawn, so a load holds one copy of the parameters.
     The model is returned only when every parameter is bound, with the
     stored topology, task and config and a finite float64 or float32 array
-    of the right shape for each.  A file that is no readable npz archive
-    (truncated, corrupted, empty, a bare ``.npy``) raises ``ValueError``
-    naming it, as does every check that fails.
+    of the right shape for each.  The stored topology, task and
+    ``model_config`` obey the rules a config file does.  A file that is no
+    readable npz archive (truncated, corrupted, empty, a bare ``.npy``)
+    raises ``ValueError`` naming it, as does every check that fails.
     """
     path = Path(path)
     try:
@@ -395,13 +383,11 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         raise ValueError(f"{path}: unexpected format {meta.get('format')!r}")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported version {meta.get('version')!r}")
-    for key, allowed in (("topology", [t.value for t in FusionTopology]), ("task", TASKS),
-                         ("model_config", None)):
+    for key in ("topology", "task", "model_config"):
         if key not in meta:
             raise ValueError(f"{path}: checkpoint meta has no {key!r}")
-        if allowed is not None and meta[key] not in allowed:
-            raise ValueError(f"{path}: checkpoint meta key {key!r}: {meta[key]!r} is not one "
-                             f"of {', '.join(allowed)}")
+    for key in ("topology", "task"):
+        check(key, meta[key], TRAIN_RULES[key], {key: path}, ValueError)
     if not isinstance(meta["model_config"], dict):
         raise ValueError(f"{path}: checkpoint meta key 'model_config' must be an object, "
                          f"got {meta['model_config']!r}")
@@ -410,15 +396,9 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
         if stored.pop(key, value) != value:
             raise ValueError(f"{path}: model_config key {key!r} must be {value!r}, "
                              f"got {meta['model_config'][key]!r}")
-    kinds = get_type_hints(ModelConfig)
-    for key, value in sorted(stored.items()):
-        if key not in kinds:
-            raise ValueError(f"{path}: unknown model_config key {key!r}")
-        # JSON keeps the type: an int is also a valid float, but a bool is no number
-        allowed = (int, float) if kinds[key] is float else kinds[key]
-        if not isinstance(value, allowed) or (isinstance(value, bool) and kinds[key] is not bool):
-            raise ValueError(f"{path}: model_config key {key!r}: expected "
-                             f"{kinds[key].__name__}, got {value!r}")
+    unknown = sorted(set(stored) - set(MODEL_RULES))
+    if unknown:
+        raise ValueError(f"{path}: unknown model_config key {unknown[0]!r}")
     config = ModelConfig(**stored)
     try:
         config.validate()

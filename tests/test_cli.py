@@ -139,6 +139,26 @@ class TestSynth:
             f"error: {spec}:{n_lines}: config key {key!r} must be a finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, key, message", [
+        ("val_frac = nan", "val_frac",
+         "config key 'val_frac' must be a number in [0, 1), got nan"),
+        ("val_frac = 0.5\ntest_frac = 0.5", "test_frac",
+         "val_frac + test_frac must be below 1, got 0.5 + 0.5"),
+        ("kind = xor-cross-modal\nn_samples = 6", "n_samples",
+         "detection corpora with kind 'xor-cross-modal' need n_samples divisible by 4 for "
+         "exact class balance"),
+    ], ids=["nan_val_frac", "fraction_sum", "class_balance"])
+    def test_bad_split_or_balance_names_its_line(self, tmp_path, capsys, lines, key, message):
+        # a rule that joins two keys is reported at the line of one of them
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SPEC_TEXT + lines + "\n")
+        out = tmp_path / "o"
+        assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        text = spec.read_text().splitlines()
+        n_line = max(i for i, line in enumerate(text, start=1) if line.startswith(key + " "))
+        assert sole_error_line(capsys) == f"error: {spec}:{n_line}: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, line", [(["--seed", "-3"], ""), ([], "seed = -3\n")],
                              ids=["flag", "spec_file"])
     def test_negative_seed_rejected_before_writing(self, tmp_path, capsys, flags, line):
@@ -238,7 +258,8 @@ class TestTrain:
                 "--config", str(config), "--out", str(tmp_path / "o")]
         assert run_command(args) == 1
         err = capsys.readouterr().err
-        assert "config key 'topology': 'bogus'" in err and "one_stream, one_to_one" in err
+        assert "config key 'topology' must be one of one_stream, one_to_one" in err
+        assert "got 'bogus'" in err
 
     @pytest.mark.parametrize("line", ["pre_norm = false", "ffn_mult = 2", "beta1 = 0.9",
                                       "beta2 = 0.999", "adam_eps = 1e-8",
@@ -292,8 +313,8 @@ class TestTrain:
             f"error: {where}config key 'seed' must be an integer >= 0, got -1"
 
     @pytest.mark.parametrize("line, message", [
-        ("epochs = 0", "epochs must be >= 1"),
-        ("dropout = 1.0", "dropout rate must be in [0, 1), got 1.0"),
+        ("epochs = 0", "config key 'epochs' must be an integer >= 1, got 0"),
+        ("dropout = 1.0", "config key 'dropout' must be a number in [0, 1), got 1.0"),
     ])
     def test_other_bad_file_values_name_their_line(self, config_file, tmp_path, capsys,
                                                    line, message):
@@ -321,6 +342,24 @@ class TestTrain:
         assert run_command(train_args(corpus_dir, config_file, tmp_path / "run")) == 1
         assert sole_error_line(capsys) == (f"error: sample s00003: face rows {first}-{second}: "
                                            f"difference of consecutive frames is not finite")
+
+    @pytest.mark.parametrize("column, value", [(1, ""), (2, "."), (1, "sub")],
+                             ids=["empty_face_path", "dot_pose_path", "directory_face_path"])
+    def test_sample_path_that_names_no_file_names_its_row(self, corpus_dir, config_file,
+                                                         tmp_path, capsys, column, value):
+        # an empty path is the corpus directory itself: it exists, but is no file to read
+        (corpus_dir / "sub").mkdir()
+        manifest = corpus_dir / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        fields = rows[3].split(",")
+        fields[column] = value
+        rows[3] = ",".join(fields)
+        manifest.write_text("\n".join(rows) + "\n")
+        assert run_command(train_args(corpus_dir, config_file, tmp_path / "run")) == 1
+        name = ("face_path", "pose_path")[column - 1]
+        line = sole_error_line(capsys)
+        assert line.startswith(f"error: {manifest}: row 4: sample {fields[0]!r}: {name} ")
+        assert line.endswith(" is not a file")
 
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",
@@ -388,9 +427,9 @@ class TestEval:
         (lambda meta: meta["model_config"].update(d_fused_face=9),
          "model_config: d_fused_face + d_fused_pose (11) must be"),
         (lambda meta: meta.update(window_seconds=None),
-         "checkpoint meta key 'window_seconds' must be a finite positive number, got None"),
+         "config key 'window_seconds' must be a finite number > 0, got None"),
         (lambda meta: meta.update(window_seconds="abc"),
-         "checkpoint meta key 'window_seconds' must be a finite positive number, got 'abc'"),
+         "config key 'window_seconds' must be a finite number > 0, got 'abc'"),
     ], ids=["invalid_model_config", "null_window", "text_window"])
     def test_invalid_checkpoint_meta_names_file_and_key(self, tmp_path, capsys, edit, where):
         path = eval_with_edited_meta(tmp_path, edit)

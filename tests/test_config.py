@@ -2,15 +2,17 @@
 
 import inspect
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from bcfusion import tensor as T
-from bcfusion.config import TASKS, ConfigError, ModelConfig, TrainConfig, toy_model_config
-from bcfusion.data import ProcessedSample
+from bcfusion.config import (MODEL_RULES, TASKS, TRAIN_RULES, ConfigError, ModelConfig,
+                             TrainConfig, toy_model_config)
+from bcfusion.data import SPEC_RULES, CorpusError, ProcessedSample, SynthSpec
 from bcfusion.layers import TransformerLayer
 from bcfusion.models import ALL_TOPOLOGIES, FusionModel, Topology
 from bcfusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, evaluate_metrics,
@@ -98,6 +100,55 @@ class TestSettableSurface:
                                                           topology=topology.value, model=cfg))
                 evaluate_metrics(result.model, corpus["validation"], task)
         assert [name for name in ops if name not in called] == []
+
+
+OWNERS = [(ModelConfig, MODEL_RULES, ConfigError), (TrainConfig, TRAIN_RULES, ConfigError),
+          (SynthSpec, SPEC_RULES, CorpusError)]
+
+
+def wrong_typed_values(kind, default):
+    """Values a library caller might set by mistake: the text of a number, a bool
+    for a number, a whole float for an int (which the width arithmetic would
+    take), and a number or text for the rest."""
+    if kind is str:
+        return [1, True]
+    if kind is bool:
+        return [str(default).lower(), 1]
+    wrong = [str(default), True]
+    return wrong + [float(default)] if kind is int else wrong
+
+
+WRONG_TYPED = [pytest.param(cls, error, name, value, id=f"{cls.__name__}.{name}={value!r}")
+               for cls, _, error in OWNERS
+               for name, kind in get_type_hints(cls).items() if name != "model"
+               for value in wrong_typed_values(kind, getattr(cls(), name))]
+
+
+class TestRuleTables:
+    """Every field is checked by its class's rule table, whoever set the value."""
+
+    @pytest.mark.parametrize("cls, error, name, value", WRONG_TYPED)
+    def test_wrong_typed_value_is_an_error_naming_the_key(self, cls, error, name, value):
+        with pytest.raises(error, match=rf"^config key '{name}' must be .*, got "
+                                        rf"{re.escape(repr(value))}$"):
+            cls(**{name: value}).validate()
+
+    @pytest.mark.parametrize("cls, rules", [(cls, rules) for cls, rules, _ in OWNERS],
+                             ids=[cls.__name__ for cls, _, _ in OWNERS])
+    def test_table_names_every_field(self, cls, rules):
+        assert list(rules) == [f.name for f in fields(cls) if f.name != "model"]
+
+    @pytest.mark.parametrize("value", [8, np.int64(8)])
+    def test_integral_and_real_numbers_are_accepted(self, value):
+        model = toy_model_config(dropout=0)
+        TrainConfig(epochs=value, learning_rate=value, model=model).validate()
+        replace(toy_model_config(), d_face=value, dropout=np.float32(0.5)).validate()
+
+    def test_int_too_large_for_a_float_is_compared_exactly(self):
+        # no OverflowError from converting it to a float
+        TrainConfig(window_seconds=10**400, model=toy_model_config()).validate()
+        with pytest.raises(ConfigError, match=r"^config key 'weight_decay' must be a finite "):
+            TrainConfig(weight_decay=-10**400).validate()
 
 
 def old_width_table_accepts(c: ModelConfig) -> bool:

@@ -59,6 +59,29 @@ class TestMatrixCsv:
             read_matrix_csv(path)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n\n3,4\nnan,5\n", 2), ("1,2\n#3,4\n5,6\n", 2), ("\n1,2\n", 1),
+        ("1,2\n3,4\n   \n5,6\n", 3), ("# header\n1,2\n", 1),
+    ], ids=["blank", "comment", "leading_blank", "whitespace", "leading_comment"])
+    def test_rejects_blank_or_comment_line_inside_the_data(self, tmp_path, text, line):
+        # rows are file lines: a skipped line would shift every later row number, and a
+        # '#'-led line would drop a row unseen
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"^{path}: row {line}: blank or '#' line "):
+            read_matrix_csv(path)
+
+    def test_trailing_blank_lines_end_the_data(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n\n  \n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1, 2], [3, 4]])
+
+    def test_crlf_line_ends_keep_rows_on_file_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\r\n3,4\r\n5,6\r\nnan,5\r\n")
+        with pytest.raises(CorpusError, match=rf"^{path}: row 4: non-finite value$"):
+            read_matrix_csv(path)
+
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(CorpusError):
             write_matrix_csv(tmp_path / "x.csv", np.zeros(3))
