@@ -9,22 +9,27 @@ from bcfusion.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# scaled dot-product attention: each query row takes a probability-weighted
-# mix of the value rows.  One op runs every head (a column block) of every
-# stacked sequence: here one sequence of 4 queries over 6 keys, 2 heads
-q, k, v = (Tensor(rng.normal(size=s)) for s in [(4, 8), (6, 8), (6, 6)])
-out = T.attention(q, k, v, n_heads=2, batch=1)
-print("attention output:", out.shape)            # (4, 6)
+# multi-head attention is one op from the layer inputs to the output map:
+# queries are projected from x_q, keys and values from x_kv, each head (a
+# column block) takes a probability-weighted mix of its value rows, and wo
+# remixes the heads.  Here one sequence of 4 queries over 6 keys, 2 heads
+x_q, x_kv = Tensor(rng.normal(size=(4, 8))), Tensor(rng.normal(size=(6, 8)))
+wq, wk, wv, wo = (Tensor(rng.normal(size=(8, 8))) for _ in range(4))
+out = T.attention(x_q, x_kv, wq, wk, wv, wo, n_heads=2, batch=1)
+print("attention output:", out.shape)            # (4, 8)
 
-# identity values return the attention matrix itself: every row sums to 1
-weights = T.attention(q, k, Tensor(np.eye(6)), n_heads=1, batch=1)
+# identity values and output map return the attention matrix itself: every row
+# sums to 1.  x_kv carries 8 key columns and a 6x6 identity; wk and wv select them
+x_kv_eye = Tensor(np.hstack([x_kv.data, np.eye(6)]))
+select_k, select_v = Tensor(np.eye(14, 8)), Tensor(np.eye(14, 6, -8))
+weights = T.attention(x_q, x_kv_eye, wq, select_k, select_v, Tensor(np.eye(6)), 1, 1)
 print("attention rows sum to 1:", np.allclose(weights.data.sum(axis=1), 1.0))
 
-# with a single key there is nothing to choose: the value row is returned
-one_k = Tensor(rng.normal(size=(1, 8)))
-one_v = Tensor([[1.0, 2.0, 3.0]])
+# with a single key there is nothing to choose: every query gets its value row
+one_kv = Tensor(rng.normal(size=(1, 8)))
+single = T.attention(x_q, one_kv, wq, wk, wv, wo, n_heads=2, batch=1)
 print("single-key rows equal the value row:",
-      np.allclose(T.attention(q, one_k, one_v, n_heads=1, batch=1).data, one_v.data))
+      np.allclose(single.data, one_kv.data @ wv.data @ wo.data))
 
 # multi-head attention splits the width across heads and remixes with W_O
 mha = MultiHeadAttention(d_model=8, n_heads=2, rng=rng)

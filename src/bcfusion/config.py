@@ -226,7 +226,10 @@ def dataclass_from_mapping(cls, mapping: dict[str, str]):
 
     A key may also name a field of a dataclass-typed field, which is how flat
     train config files set :class:`ModelConfig` fields.  Errors name the key
-    and, for a mapping from :func:`parse_config_file`, the file and line.
+    and, for a mapping from :func:`parse_config_file`, the file and line.  Text
+    that does not parse as its field's type is left in the field as text, which
+    no number or flag rule admits, and the owner's ``validate`` reports it under
+    the field's rule, in the one message format of :func:`check`.
     """
     obj = cls()
     nested = [getattr(obj, name) for name, kind in get_type_hints(cls).items()
@@ -241,7 +244,6 @@ def dataclass_from_mapping(cls, mapping: dict[str, str]):
         try:
             setattr(owner, key, _parse_value(raw, kind))
         except ValueError:
-            name = getattr(kind, "__name__", str(kind))
-            raise ConfigError(located(origin, key, f"config key {key!r}: expected {name}, "
-                                                   f"got {raw!r}")) from None
+            setattr(owner, key, raw)
+            owner.validate(origin)
     return obj

@@ -87,6 +87,21 @@ def write_matrix_csv(path: str | Path, array: np.ndarray) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
+def _unreadable_row(lines: list[str]) -> str:
+    """``row n: <problem>`` for the first file line that ``np.loadtxt`` cannot read:
+    a column count other than row 1's, or a field that is not a number."""
+    width = len(lines[0].split(","))
+    for row, line in enumerate(lines, start=1):
+        columns = len(line.split(","))
+        if columns != width:
+            return f"row {row}: {columns} columns where row 1 has {width}"
+        try:
+            np.loadtxt([line], delimiter=",", dtype=np.float64, comments=None)
+        except ValueError:
+            return f"row {row}: unreadable numeric data {line!r}"
+    return "unreadable numeric data"
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     """A CSV file of finite numbers, one row per line: row n is file line n, so a
     blank or ``#``-led line before the last row is an error naming its line."""
@@ -101,8 +116,8 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
             raise CorpusError(f"{path}: row {row}: blank or '#' line inside the data")
     try:
         arr = np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: unreadable numeric data ({exc})") from exc
+    except ValueError:
+        raise CorpusError(f"{path}: {_unreadable_row(lines)}") from None
     finite = np.isfinite(arr).all(axis=1)
     if not finite.all():
         raise CorpusError(f"{path}: row {np.argmin(finite) + 1}: non-finite value")

@@ -4,12 +4,14 @@ A mini-batch of B sequences of equal length T is stacked into (B·T, d) rows,
 sample after sample, so projections, the feed-forward block and layer norm
 run as one 2-D op over every frame of the batch; the ``batch`` argument tells
 attention and positional encoding where one sequence ends and the next
-begins.  Attention is one tape op over (B·H, T, d_head) stacks, heads and
-samples alike an array axis (the reshape formulation of Vaswani et al. 2017).  A
-single (T, d) sequence is a batch of one.  Parameters are plain ``Tensor``
-objects created with uniform fan-in initialization,
-U(-sqrt(1/fan_in), +sqrt(1/fan_in)), or left undrawn when no generator is
-given (a skeleton that a checkpoint fills).
+begins.  Attention is one tape op from the layer inputs to the output
+projection, over (B, H, T, d_head) views in which heads and samples alike are
+array axes (the reshape formulation of Vaswani et al. 2017); its head kernel
+is chosen by operand shape, and its backward uses the FlashAttention term
+D = rowsum(g_ctx ∘ ctx).  A single (T, d) sequence is a batch of one.
+Parameters are plain ``Tensor`` objects created with uniform fan-in
+initialization, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), or left undrawn when no
+generator is given (a skeleton that a checkpoint fills).
 """
 
 from __future__ import annotations
@@ -60,8 +62,9 @@ class MultiHeadAttention:
     Queries are projected from ``x_q`` and keys/values from ``x_kv``;
     self-attention is the ``x_q is x_kv`` case.  Projections are packed as
     single (d_model, d_model) matrices whose column blocks are the heads.
-    The heads of every stacked sequence run as one :func:`tensor.attention`
-    record between the three input projections and the output map.
+    The three input projections, the heads of every stacked sequence and the
+    output map run as one :func:`tensor.attention` record; the four weights
+    stay separate parameters.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Optional[np.random.Generator]):
@@ -79,8 +82,7 @@ class MultiHeadAttention:
         if x_q.shape[-1] != self.d_model or x_kv.shape[-1] != self.d_model:
             raise ShapeError(
                 f"attention width mismatch: inputs {x_q.shape}/{x_kv.shape}, d_model {self.d_model}")
-        q, k, v = (T.matmul(x, w) for x, w in ((x_q, self.wq), (x_kv, self.wk), (x_kv, self.wv)))
-        return T.matmul(T.attention(q, k, v, self.n_heads, batch), self.wo)
+        return T.attention(x_q, x_kv, self.wq, self.wk, self.wv, self.wo, self.n_heads, batch)
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}wq", self.wq

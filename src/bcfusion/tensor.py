@@ -6,21 +6,24 @@ executed while it is active.  ``backward`` replays the tape in reverse and
 consumes it, accumulating gradients additively, so fan-out works without any
 graph bookkeeping beyond execution order.
 
-The op set is what the batched engine records: one product op for 2-D
-matrices, one affine op (product, bias row and optional ReLU), one
-multi-head attention op, elementwise ops (a difference is a sum with a
-negated operand, a negation a product with -1, both exact), layer norm of
-a residual sum (the residual optionally inverted-dropped by a boolean
-keep-mask, so training-mode dropout adds no record), feature-axis concat
-and slicing, per-sequence row means, and all-element means for losses.  The fused ops
-keep on the tape only what their backward rules read (after Chen et al.
-2016): the affine op its output, from which the ReLU mask is read back;
-layer norm the normalised rows and the keep-mask, one byte per element, but
-neither the residual sum nor the dropped residual.  Attention is one record:
-it cuts the heads out of its (B·T, H·d_head) operands as array axes, works
-on the score stack in place, and keeps only the attention weights for its
-backward rule, which rebuilds the head layouts of q, k and v from the
-tensors the tape already holds.
+The op set is what the batched engine records: one affine op (product,
+bias row and optional ReLU), one multi-head attention op, elementwise ops (a
+difference is a sum with a negated operand, a negation a product with -1,
+both exact), layer norm of a residual sum (the residual optionally
+inverted-dropped by a boolean keep-mask, so training-mode dropout adds no
+record), feature-axis concat and slicing, per-sequence row means, and
+all-element means for losses.  The fused ops keep on the tape only what
+their backward rules read (after Chen et al. 2016): the affine op its
+output, from which the ReLU mask is read back; layer norm the normalised
+rows and the keep-mask, one byte per element, but neither the residual sum
+nor the dropped residual.  Attention is one record from the layer inputs to
+the output projection: the four weights stay separate tensors, and the
+projections run the GEMMs, and accumulate their gradients in the order,
+that separate products would.  It picks its head kernel from the operand
+shapes alone (the key count and the head width), and its backward rule
+takes the softmax gradient through the FlashAttention term
+D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), keeping q, k, v, the attention
+weights and the head outputs.
 Broadcasting is restricted to scalar operands and the affine op's bias row;
 anything else raises a ``ShapeError`` up front rather than silently
 broadcasting.
@@ -44,7 +47,6 @@ __all__ = [
     "ShapeError",
     "as_tensor",
     "backward",
-    "matmul",
     "linear",
     "add",
     "mul",
@@ -184,23 +186,6 @@ def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
 # --------------------------------------------------------------------------
 # Ops
 # --------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for two 2-D matrices, such as stacked (B·T, d) rows @ a weight."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _emit((a, b), a.data @ b.data, bw)
-
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b`` for a 2-D x, the bias row added to every row, followed by
@@ -405,65 +390,127 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit((x,), x.data[:, start:stop].copy(), bw)
 
 
-def _heads_to_rows(x: np.ndarray, batch: int) -> np.ndarray:
-    """(B·H, T, dh) -> (B·T, H·dh)."""
-    bh, t, dh = x.shape
-    return x.reshape(batch, bh // batch, t, dh).transpose(0, 2, 1, 3).reshape(batch * t, -1)
+# Keys a score row may have for its max to be taken as a running maximum over
+# the key columns, one vectorised call per key: numpy reduces each contiguous
+# row in its own inner loop, which dominates for short rows, while for long
+# ones the strided column reads cost more than that loop.
+SHORT_ROWS = 48
 
 
-def _rows_to_heads(x: np.ndarray, n_heads: int, batch: int) -> np.ndarray:
-    """(B·T, H·dh) -> (B·H, T, dh)."""
+def _heads(x: np.ndarray, n_heads: int, batch: int) -> np.ndarray:
+    """(B·T, H·d) rows -> a (B, H, T, d) view: head h of a sequence is its column block h."""
     rows, width = x.shape
-    t, dh = rows // batch, width // n_heads
-    return x.reshape(batch, t, n_heads, dh).transpose(0, 2, 1, 3).reshape(batch * n_heads, t, dh)
+    return x.reshape(batch, rows // batch, n_heads, width // n_heads).swapaxes(1, 2)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, batch: int) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_head)) v within each of ``batch`` stacked sequences
-    and each of ``n_heads`` heads, as one tape op.
+def _rows(x: np.ndarray) -> np.ndarray:
+    """(B, H, T, d) -> (B·T, H·d) rows."""
+    b, h, t, d = x.shape
+    return x.swapaxes(1, 2).reshape(b * t, h * d)
 
-    q: (B·T_q, H·d_head), k: (B·T_k, H·d_head), v: (B·T_k, H·d_v) ->
-    (B·T_q, H·d_v).  Head h of a sequence is its column block h; the heads
-    are computed as (B·H, T, d) stacks (the reshape formulation of Vaswani
-    et al. 2017).  The score stack is scaled, max-shifted, exponentiated and
-    normalised in place; the backward rule keeps only those weights.
+
+def _head_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ bᵀ`` per head, (B, H, m, d) by (B, H, n, d) -> (B, H, m, n): a broadcast
+    product for d = 1 (one exact product per entry, as the GEMM gives), else
+    stacked GEMMs on a contiguous bᵀ.  The result is C-contiguous either way."""
+    if a.shape[-1] == 1:
+        return np.multiply(a, b.swapaxes(-1, -2), order="C")
+    return a @ np.ascontiguousarray(b.swapaxes(-1, -2))
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis as one GEMV against ones in ``x``'s dtype, shape ``x.shape[:-1]``."""
+    return (x.reshape(-1, x.shape[-1]) @ np.ones(x.shape[-1], x.dtype)).reshape(x.shape[:-1])
+
+
+def _softmax_rows(s: np.ndarray) -> None:
+    """Max-shift, exponentiate and normalise each row of ``s`` in place; ``s`` must
+    be C-contiguous, so that its rows are a view of it."""
+    rows = s.reshape(-1, s.shape[-1])
+    if rows.shape[1] <= SHORT_ROWS:
+        top = rows[:, 0].copy()
+        for j in range(1, rows.shape[1]):
+            np.maximum(top, rows[:, j], out=top)
+    else:
+        top = rows.max(axis=1)
+    rows -= top[:, None]
+    np.exp(rows, out=rows)
+    rows /= _row_sums(rows)[:, None]
+
+
+def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              n_heads: int, batch: int) -> Tensor:
+    """Multi-head attention of ``batch`` stacked sequences, from the layer inputs to
+    the output projection, as one tape op:
+    ``concat_h(softmax(q_h k_hᵀ / sqrt(d_head)) v_h) @ wo`` with ``q = x_q @ wq``,
+    ``k = x_kv @ wk`` and ``v = x_kv @ wv``.
+
+    x_q: (B·T_q, d_q), x_kv: (B·T_k, d_kv), wq: (d_q, H·d_head),
+    wk: (d_kv, H·d_head), wv: (d_kv, H·d_v), wo: (H·d_v, d_out) ->
+    (B·T_q, d_out).  Head h of a sequence is column block h of its
+    projections; heads and sequences are array axes of (B, H, T, d) views
+    (the reshape formulation of Vaswani et al. 2017).  The head kernel is
+    chosen by operand shape alone: the scores are a broadcast product for
+    d_head = 1 and stacked GEMMs otherwise, and rows of at most
+    ``SHORT_ROWS`` keys take their max as a running maximum over the key
+    columns.  Row sums are one GEMV.
+
+    The rule keeps q, k, v, the attention weights p and the head outputs
+    ``ctx``.  It takes the softmax gradient through D = rowsum(g_ctx ∘ ctx)
+    over d_v, which equals rowsum(g_p ∘ p) over T_k (Dao et al.,
+    "FlashAttention", 2022), and runs the projection GEMMs, and accumulates
+    their gradients, in the order separate products would.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    for name, t in (("q", q), ("k", k), ("v", v)):
-        if t.data.ndim != 2 or t.shape[0] % batch or t.shape[1] % n_heads:
-            raise ShapeError(f"attention: {name} {t.shape} is not {batch} sequences of "
-                             f"{n_heads} equal heads")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: q/k widths differ: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: k/v rows differ: {k.shape} vs {v.shape}")
-    scale = 1.0 / math.sqrt(q.shape[1] // n_heads)
-    p = _rows_to_heads(q.data, n_heads, batch) @ \
-        _rows_to_heads(k.data, n_heads, batch).swapaxes(-1, -2)
-    p *= scale
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = _heads_to_rows(p @ _rows_to_heads(v.data, n_heads, batch), batch)
+    x_q, x_kv, wq, wk, wv, wo = (as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo))
+    if any(t.data.ndim != 2 for t in (x_q, x_kv, wq, wk, wv, wo)) or batch < 1 \
+            or n_heads < 1 or x_q.shape[0] % batch or x_kv.shape[0] % batch \
+            or (x_q.shape[1], x_kv.shape[1], x_kv.shape[1], wq.shape[1], wv.shape[1]) \
+            != (wq.shape[0], wk.shape[0], wv.shape[0], wk.shape[1], wo.shape[0]) \
+            or wq.shape[1] % n_heads or wv.shape[1] % n_heads:
+        raise ShapeError(f"attention: x_q {x_q.shape} @ wq {wq.shape}, x_kv {x_kv.shape} @ "
+                         f"wk {wk.shape} and @ wv {wv.shape}, then @ wo {wo.shape} is not "
+                         f"{batch} sequences of {n_heads} equal heads")
+    q, k, v = x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data
+    scale = 1.0 / math.sqrt(wq.shape[1] // n_heads)
+    p = _head_product(_heads(q, n_heads, batch), _heads(k, n_heads, batch))
+    if scale != 1.0:
+        p *= scale
+    _softmax_rows(p)
+    ctx = _rows(p @ _heads(v, n_heads, batch))
+    need_q = x_q.requires_grad or wq.requires_grad
+    need_k = x_kv.requires_grad or wk.requires_grad
+    need_v = x_kv.requires_grad or wv.requires_grad
 
     def bw(g: np.ndarray) -> None:
-        gh = _rows_to_heads(g, n_heads, batch)
-        if v.requires_grad:
-            _accum(v, _heads_to_rows(p.swapaxes(-1, -2) @ gh, batch))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        gs = gh @ _rows_to_heads(v.data, n_heads, batch).swapaxes(-1, -2)
-        inner = (gs * p).sum(axis=-1, keepdims=True)
-        gs -= inner
-        gs *= p
-        gs *= scale
-        if k.requires_grad:
-            _accum(k, _heads_to_rows(gs.swapaxes(-1, -2) @
-                                     _rows_to_heads(q.data, n_heads, batch), batch))
-        if q.requires_grad:
-            _accum(q, _heads_to_rows(gs @ _rows_to_heads(k.data, n_heads, batch), batch))
+        g_ctx = g @ wo.data.T
+        if wo.requires_grad:
+            _accum(wo, ctx.T @ g)
+        gh = _heads(g_ctx, n_heads, batch)
+        gq = gk = gv = None
+        if need_v:
+            gv = _rows(p.swapaxes(-1, -2) @ gh)
+        if need_q or need_k:
+            d_v = wv.shape[1] // n_heads
+            dterm = _row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
+            gs = _head_product(gh, _heads(v, n_heads, batch))
+            gs -= _heads(dterm, n_heads, batch)
+            gs *= p
+            if scale != 1.0:
+                gs *= scale
+            if need_k:
+                gk = _rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch))
+            if need_q:
+                gq = _rows(gs @ _heads(k, n_heads, batch))
+            del gs
+        # the projections in the order separate products would take them: v, k, q
+        for x, w, gp in ((x_kv, wv, gv), (x_kv, wk, gk), (x_q, wq, gq)):
+            if gp is not None:
+                if x.requires_grad:
+                    _accum(x, gp @ w.data.T)
+                if w.requires_grad:
+                    _accum(w, x.data.T @ gp)
 
-    return _emit((q, k, v), out_data, bw)
+    return _emit((x_q, x_kv, wq, wk, wv, wo), ctx @ wo.data, bw)
 
 
 def row_mean(x: Tensor, batch: int) -> Tensor:

@@ -16,6 +16,23 @@ def sdpa_reference(q, k, v):
     return attn @ v
 
 
+def identity_projections(q, k, v):
+    """Inputs and weights under which :func:`tensor.attention` projects to exactly
+    ``q``, ``k`` and ``v`` and leaves the head outputs as they are: x_q = q with
+    wq = I, x_kv = [k | v] with wk and wv selecting its two column blocks, and
+    wo = I.  Each projected entry is one product with 1 plus products with 0."""
+    d, d_v, dtype = q.shape[1], v.shape[1], q.dtype
+    return (q, np.concatenate([k, v], axis=1), np.eye(d, dtype=dtype),
+            np.eye(d + d_v, d, dtype=dtype), np.eye(d + d_v, d_v, -d, dtype=dtype),
+            np.eye(d_v, dtype=dtype))
+
+
+def attention_core(q, k, v, n_heads, batch) -> np.ndarray:
+    """:func:`tensor.attention` on given (B·T_q, H·d), (B·T_k, H·d) and (B·T_k, H·d_v)
+    arrays q, k and v, through :func:`identity_projections`."""
+    return T.attention(*(Tensor(a) for a in identity_projections(q, k, v)), n_heads, batch).data
+
+
 def attention_weights(logits) -> np.ndarray:
     """Row-wise softmax of a (B, n) logit array, read off :func:`tensor.attention`.
 
@@ -25,8 +42,8 @@ def attention_weights(logits) -> np.ndarray:
     """
     logits = np.asarray(logits)
     b, n = logits.shape
-    return T.attention(Tensor(np.ones((b, 1), logits.dtype)), Tensor(logits.reshape(b * n, 1)),
-                       Tensor(np.tile(np.eye(n, dtype=logits.dtype), (b, 1))), 1, b).data
+    return attention_core(np.ones((b, 1), logits.dtype), logits.reshape(b * n, 1),
+                          np.tile(np.eye(n, dtype=logits.dtype), (b, 1)), 1, b)
 
 
 def total(x: Tensor) -> Tensor:

@@ -11,7 +11,8 @@ import pytest
 
 from bcfusion import tensor as T
 from bcfusion.config import (MODEL_RULES, TASKS, TRAIN_RULES, ConfigError, ModelConfig,
-                             TrainConfig, toy_model_config)
+                             TrainConfig, dataclass_from_mapping, parse_config_file,
+                             toy_model_config)
 from bcfusion.data import SPEC_RULES, CorpusError, ProcessedSample, SynthSpec
 from bcfusion.layers import TransformerLayer
 from bcfusion.models import ALL_TOPOLOGIES, FusionModel, Topology
@@ -47,18 +48,19 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "matmul", "linear", "add",
-            "mul", "sigmoid", "log", "clip", "layer_norm", "tmean", "concat", "slice_cols",
-            "attention", "row_mean"]
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add", "mul",
+            "sigmoid", "log", "clip", "layer_norm", "tmean", "concat", "slice_cols", "attention",
+            "row_mean"]
         assert all(hasattr(T, name) for name in T.__all__)
-        # one form each: one product op for 2-D operands, one affine op (with the ReLU),
-        # one op for multi-head attention (its softmax included), layer norm of a residual
-        # sum (its residual optionally dropped by a keep-mask), all-element mean,
-        # feature-axis concat
-        for op, args in ((T.matmul, ["a", "b"]), (T.concat, ["parts"]),
+        # one form each: one affine op (with the ReLU), one op for multi-head attention
+        # from the layer inputs to the output projection (its softmax included), layer
+        # norm of a residual sum (its residual optionally dropped by a keep-mask),
+        # all-element mean, feature-axis concat
+        for op, args in ((T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
                          (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
-                         (T.attention, ["q", "k", "v", "n_heads", "batch"]),
+                         (T.attention, ["x_q", "x_kv", "wq", "wk", "wv", "wo", "n_heads",
+                                        "batch"]),
                          (T.tmean, ["x"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__
         # a training forward takes its dropout keep-masks; there is no training flag
@@ -124,8 +126,27 @@ WRONG_TYPED = [pytest.param(cls, error, name, value, id=f"{cls.__name__}.{name}=
                for value in wrong_typed_values(kind, getattr(cls(), name))]
 
 
+# Text in a config file that does not parse as its field's type, per owner and field:
+# a flat train config file sets ModelConfig fields too
+UNPARSABLE = [pytest.param(file_cls, rules, error, name, text,
+                           id=f"{file_cls.__name__}.{name}={text}")
+              for cls, rules, error in OWNERS
+              for file_cls in [SynthSpec if cls is SynthSpec else TrainConfig]
+              for name, kind in get_type_hints(cls).items() if kind in (int, float, bool)
+              for text in (["3.0", "x"] if kind is int else ["x"])]
+
+
 class TestRuleTables:
     """Every field is checked by its class's rule table, whoever set the value."""
+
+    @pytest.mark.parametrize("cls, rules, error, name, text", UNPARSABLE)
+    def test_unparsable_file_value_names_file_line_and_rule(self, tmp_path, cls, rules, error,
+                                                           name, text):
+        path = tmp_path / "settings.cfg"
+        path.write_text(f"# settings\nseed = 1\n{name} = {text}\n")
+        with pytest.raises(error, match=rf"^{re.escape(str(path))}:3: config key '{name}' must "
+                                        rf"be {re.escape(rules[name].text)}, got '{text}'$"):
+            dataclass_from_mapping(cls, parse_config_file(path))
 
     @pytest.mark.parametrize("cls, error, name, value", WRONG_TYPED)
     def test_wrong_typed_value_is_an_error_naming_the_key(self, cls, error, name, value):

@@ -82,6 +82,17 @@ class TestMatrixCsv:
         with pytest.raises(CorpusError, match=rf"^{path}: row 4: non-finite value$"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("1,2\n3,x\n", "unreadable numeric data '3,x'"),
+        ("1,2\n3\n", "1 columns where row 1 has 2"),
+    ], ids=["bad_value", "column_count"])
+    def test_unparsable_data_names_its_file_line(self, tmp_path, text, problem):
+        # one row number for both faults, the file line, and none of numpy's own text
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"^{path}: row 2: {problem}$"):
+            read_matrix_csv(path)
+
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(CorpusError):
             write_matrix_csv(tmp_path / "x.csv", np.zeros(3))

@@ -8,12 +8,12 @@ from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import (Linear, MultiHeadAttention, TransformerLayer,
                              sinusoidal_positional_encoding)
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
-from oracles import sdpa_reference, total
+from oracles import attention_core, sdpa_reference, total
 
 
 def single_head_attention(q, k, v):
-    """One sequence, one head: ``tensor.attention`` on plain 2-D arrays."""
-    return T.attention(Tensor(q), Tensor(k), Tensor(v), 1, 1).data
+    """One sequence, one head: ``tensor.attention`` on plain 2-D arrays q, k and v."""
+    return attention_core(q, k, v, 1, 1)
 
 
 class TestSingleHeadAttention:
@@ -154,6 +154,18 @@ class TestTransformerLayer:
         params = [("x", x)] + list(layer.named_parameters())
         report = finite_diff_gradcheck(f, params, h=1e-5, tol=1e-4)
         assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_training_forward_writes_five_records(self, cross):
+        # attention from the inputs to the output projection, two layer norms
+        # (each with its dropout keep-mask) and the two feed-forward maps
+        rng = np.random.default_rng(14)
+        layer = TransformerLayer(6, 2, rng, dropout_rate=0.3)
+        x, x_q = (Tensor(rng.normal(size=(2 * 5, 6)), requires_grad=True) for _ in range(2))
+        keep = rng.random((2, 2 * 5, 6)) >= 0.3
+        with Tape() as tape:
+            layer.forward(x, x_q if cross else None, batch=2, keep=keep)
+        assert len(tape.records) == 5
 
     def test_rejects_wrong_width(self):
         layer = TransformerLayer(6, 2, np.random.default_rng(11))

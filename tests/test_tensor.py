@@ -8,8 +8,10 @@ import pytest
 
 from bcfusion import tensor as T
 from bcfusion.config import ConfigError, TrainConfig
+from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
-from oracles import attention_weights, sdpa_reference, total
+from oracles import (attention_core, attention_weights, identity_projections,
+                     sdpa_reference, total)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -27,38 +29,32 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-class TestMatmul:
+def product(a, b) -> np.ndarray:
+    """``a @ b`` through :func:`tensor.linear` with a zero bias."""
+    return T.linear(Tensor(a), Tensor(b), Tensor(np.zeros(np.shape(b)[-1]))).data
+
+
+class TestLinearProduct:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(Tensor(np.eye(2)), Tensor(a))
-        np.testing.assert_array_equal(out.data, a)
+        np.testing.assert_array_equal(product(np.eye(2), a), a)
 
     def test_projector_selects_rows(self):
-        p = Tensor([[1.0, 0.0], [0.0, 0.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(T.matmul(p, b).data, [[5.0, 6.0], [0.0, 0.0]])
+        p = np.array([[1.0, 0.0], [0.0, 0.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
+        np.testing.assert_array_equal(product(p, b), [[5.0, 6.0], [0.0, 0.0]])
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data,
-                                   naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        np.testing.assert_allclose(product(a, b), naive_matmul(a, b), rtol=0, atol=1e-12)
 
     def test_associativity(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             a, b, c = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(5, 2))
-            left = T.matmul(T.matmul(Tensor(a), Tensor(b)), Tensor(c)).data
-            right = T.matmul(Tensor(a), T.matmul(Tensor(b), Tensor(c))).data
-            np.testing.assert_allclose(left, right, rtol=0, atol=1e-8)
-
-    def test_rejects_vector_operand(self):
-        with pytest.raises(ShapeError, match="2-D @ 2-D"):
-            T.matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 3))))
+            np.testing.assert_allclose(product(product(a, b), c), product(a, product(b, c)),
+                                       rtol=0, atol=1e-8)
 
 
 class TestAttentionWeights:
@@ -71,6 +67,12 @@ class TestAttentionWeights:
         out = attention_weights([[1000.0, 1000.0, 1000.0]])
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+
+    def test_large_inputs_do_not_overflow_on_long_rows(self):
+        # rows longer than SHORT_ROWS take their max from the rows themselves
+        n = T.SHORT_ROWS + 1
+        out = attention_weights(np.full((2, n), 1000.0))
+        np.testing.assert_allclose(out, 1 / n, rtol=1e-15)
 
     def test_matches_high_precision_reference(self):
         # frozen from an extended-precision exp/sum evaluation of softmax([1, 2, 3])
@@ -93,6 +95,69 @@ class TestAttentionWeights:
             x = rng.normal(size=(4, 7))
             c = rng.normal() * 100
             np.testing.assert_allclose(attention_weights(x), attention_weights(x + c), atol=1e-9)
+
+
+# (T_q, T_k) per attention kernel path: score rows that take their max as a
+# running maximum over the key columns (short) or row by row (long), for self-
+# and cross-attention
+ROW_PATHS = {"short_self": (5, 5), "short_cross": (3, 6),
+             "long_self": (T.SHORT_ROWS + 2, T.SHORT_ROWS + 2),
+             "long_cross": (4, T.SHORT_ROWS + 3)}
+
+
+def attention_case(rows: str, d_head: int, dtype=np.float64):
+    """x_q, x_kv and wq, wk, wv, wo for a kernel path: 2 heads of width ``d_head``;
+    2 sequences on short rows, 1 on long ones."""
+    t_q, t_k = ROW_PATHS[rows]
+    batch = 2 if rows.startswith("short") else 1
+    rng = np.random.default_rng([t_q, t_k, d_head])
+    d = 2 * d_head
+    arrays = [rng.normal(size=(batch * t_q, d)), rng.normal(size=(batch * t_k, d))]
+    arrays += [rng.normal(size=(d, d)) for _ in range(4)]
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in arrays], batch
+
+
+KERNEL_PATHS = [(rows, d_head) for rows in ROW_PATHS for d_head in (1, 2)]
+KERNEL_IDS = [f"{rows}-d_head{d_head}" for rows, d_head in KERNEL_PATHS]
+
+
+class TestAttentionKernelPaths:
+    """Each head kernel that the operand shapes can select: short and long key
+    rows, d_head = 1 and > 1, self- and cross-attention."""
+
+    @pytest.mark.parametrize("rows, d_head", KERNEL_PATHS, ids=KERNEL_IDS)
+    def test_gradients_match_finite_differences(self, rows, d_head):
+        params, batch = attention_case(rows, d_head)
+        r = Tensor(np.random.default_rng(1).normal(size=(params[0].shape[0], 2 * d_head)))
+        report = finite_diff_gradcheck(lambda: total(T.mul(T.attention(*params, 2, batch), r)),
+                                       list(zip(("x_q", "x_kv", "wq", "wk", "wv", "wo"), params)),
+                                       h=1e-5, tol=1e-4)
+        assert report.passed, (report.per_param, report.failures)
+
+    @pytest.mark.parametrize("rows, d_head", KERNEL_PATHS, ids=KERNEL_IDS)
+    def test_matches_projections_and_reference(self, rows, d_head):
+        (x_q, x_kv, wq, wk, wv, wo), batch = attention_case(rows, d_head)
+        q, k, v = x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data
+        t_q, t_k = q.shape[0] // batch, k.shape[0] // batch
+
+        def block(a, t, b, h):
+            return a[b * t:(b + 1) * t, h * d_head:(h + 1) * d_head]
+
+        ctx = np.vstack([np.hstack([sdpa_reference(block(q, t_q, b, h), block(k, t_k, b, h),
+                                                   block(v, t_k, b, h)) for h in range(2)])
+                         for b in range(batch)])
+        np.testing.assert_allclose(T.attention(x_q, x_kv, wq, wk, wv, wo, 2, batch).data,
+                                   ctx @ wo.data, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows, d_head", KERNEL_PATHS, ids=KERNEL_IDS)
+    def test_float32_in_float32_out(self, rows, d_head):
+        params, batch = attention_case(rows, d_head, np.float32)
+        with Tape() as tape:
+            out = T.attention(*params, 2, batch)
+            loss = T.tmean(out)
+        backward(loss, tape)
+        assert out.data.dtype == np.float32
+        assert [p.grad.dtype for p in params] == [np.dtype(np.float32)] * 6
 
 
 class TestLayerNorm:
@@ -173,8 +238,9 @@ class TestLinear:
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
         ((4,), (4, 3), (3,)), ((2, 4), (5, 3), (3,)), ((2, 4), (4, 3), (4,)),
-        ((2, 4), (4, 3), (2, 3)),
-    ], ids=["vector_input", "inner_mismatch", "bias_width", "bias_not_a_row"])
+        ((2, 4), (4, 3), (2, 3)), ((2, 4), (3, 4, 5), (5,)), ((2, 3, 4), (3, 4, 5), (5,)),
+    ], ids=["vector_input", "inner_mismatch", "bias_width", "bias_not_a_row", "2d_at_3d",
+            "unequal_stacks"])
     def test_shape_errors_name_all_shapes(self, x_shape, w_shape, b_shape):
         with pytest.raises(ShapeError, match=re.escape(f"{x_shape} @ {w_shape} + {b_shape}")):
             T.linear(*(Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
@@ -212,20 +278,12 @@ class TestElementwise:
 
 
 class TestBatchedOps:
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((4,), (4, 3)), ((2, 4), (3, 4, 5)), ((2, 3, 4), (3, 4, 5)), ((3, 4), (5, 4)),
-    ], ids=["vector_operand", "2d_at_3d", "unequal_stacks", "inner_mismatch"])
-    def test_matmul_shape_errors_name_both_shapes(self, a_shape, b_shape):
-        pattern = r"\(" + ", ".join(map(str, a_shape)) + ".*" + ", ".join(map(str, b_shape))
-        with pytest.raises(ShapeError, match=pattern):
-            T.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
-
     def test_heads_are_column_blocks_of_each_sequence(self):
         # 2 sequences, 3 heads of width 2, 4 query and 5 key/value steps each:
         # head h of sequence b attends with column block h of that sequence's rows
         rng = np.random.default_rng(0)
         q, k, v = (rng.normal(size=(2 * t, 3 * 2)) for t in (4, 5, 5))
-        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 3, 2).data
+        out = attention_core(q, k, v, 3, 2)
         assert out.shape == (2 * 4, 3 * 2)
         for b in range(2):
             for h in range(3):
@@ -234,15 +292,20 @@ class TestBatchedOps:
                                      v[b * 5:(b + 1) * 5, cols])
                 np.testing.assert_allclose(out[b * 4:(b + 1) * 4, cols], ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("q_shape, k_shape, v_shape, pattern", [
-        ((8, 6), (10, 9), (10, 6), "q/k widths differ"),
-        ((8, 6), (10, 6), (8, 6), "k/v rows differ"),
-        ((7, 6), (10, 6), (10, 6), r"q \(7, 6\) is not 2 sequences"),
-        ((8, 5), (10, 5), (10, 5), "is not 2 sequences of 3 equal heads"),
-    ], ids=["qk_widths", "kv_rows", "rows_not_batch_multiple", "width_not_head_multiple"])
-    def test_attention_shape_errors(self, q_shape, k_shape, v_shape, pattern):
-        with pytest.raises(ShapeError, match=pattern):
-            T.attention(*(Tensor(np.zeros(s)) for s in (q_shape, k_shape, v_shape)), 3, 2)
+    @pytest.mark.parametrize("shapes", [
+        {"wq": (6, 9)}, {"x_kv": (8, 6)}, {"x_q": (7, 6)}, {"wq": (6, 5), "wk": (6, 5)},
+        {"wv": (6, 5), "wo": (5, 6)}, {"wo": (5, 6)}, {"x_q": (9,)},
+    ], ids=["qk_widths", "kv_rows_not_batch_multiple", "q_rows_not_batch_multiple",
+            "qk_width_not_head_multiple", "v_width_not_head_multiple", "ctx_wo_widths",
+            "vector_input"])
+    def test_attention_shape_errors_name_every_shape(self, shapes):
+        # 3 sequences of 3 query and 4 key steps, width 6, 2 heads
+        shapes = {"x_q": (9, 6), "x_kv": (12, 6), "wq": (6, 6), "wk": (6, 6), "wv": (6, 6),
+                  "wo": (6, 6), **shapes}
+        with pytest.raises(ShapeError, match="is not 3 sequences of 2 equal heads") as err:
+            T.attention(*(Tensor(np.zeros(s)) for s in shapes.values()), 2, 3)
+        for name, shape in shapes.items():
+            assert f"{name} {shape}" in str(err.value)
 
     def test_row_mean_per_block(self):
         x = np.arange(12.0).reshape(6, 2)
@@ -262,12 +325,15 @@ class TestBackward:
 
     def test_softmax_sum_has_zero_gradient(self):
         # the attention weights of one query always sum to 1 (identity values
-        # return them), so no key moves that sum
-        k = Tensor([[0.3], [-1.2], [2.0]], requires_grad=True)
+        # return them), so no key moves that sum: the key column of x_kv and the
+        # key projection get no gradient
+        x_q, x_kv, *weights = (Tensor(a, requires_grad=True) for a in identity_projections(
+            np.ones((1, 1)), np.array([[0.3], [-1.2], [2.0]]), np.eye(3)))
         with Tape() as tape:
-            y = total(T.attention(Tensor([[1.0]]), k, Tensor(np.eye(3)), 1, 1))
+            y = total(T.attention(x_q, x_kv, *weights, 1, 1))
         backward(y, tape)
-        np.testing.assert_allclose(k.grad, 0.0, atol=1e-12)
+        np.testing.assert_allclose(x_kv.grad[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(weights[1].grad, 0.0, atol=1e-12)
 
     def test_requires_scalar_output(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -415,9 +481,9 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.matmul(x, x), 1.0), x, gain, bias)
+            h = T.layer_norm(T.add(T.linear(x, x, bias), 1.0), x, gain, bias)
             s = T.linear(h, x, bias, relu=True)
-            weights = T.attention(s, s, Tensor(np.eye(2, dtype=np.float32)), 1, 1)
+            weights = T.attention(s, s, x, x, x, x, 1, 1)
             out = T.tmean(T.mul(T.sigmoid(weights), 0.5))
         backward(out, tape)
         assert out.data.dtype == np.float32
