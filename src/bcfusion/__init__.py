@@ -17,7 +17,7 @@ from .models import (ALL_TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology,
                      build_model, load_checkpoint, parameter_breakdown, parameter_count,
                      save_checkpoint, split_streams)
 from .tensor import Tape, Tensor, ShapeError, backward
-from .training import (AdamState, TrainResult, adam_step, bce_loss, combined_loss,
-                       evaluate_metrics, loss_weights_for, mse_loss, run_training)
+from .training import (AdamState, TrainResult, adam_step, combined_loss,
+                       evaluate_metrics, loss_weights_for, run_training)
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ frame-index column per modality.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -217,11 +218,16 @@ def preprocess(raw: RawSample, window_seconds: float = 3.0) -> ProcessedSample:
     Keeps the last ``window_seconds * fps`` frames, takes the absolute
     difference between consecutive frames per feature, and appends each
     modality's normalized frame index (frame / window length, in (0, 1)).
-    Output length is window length - 1.  Finite frames whose difference
-    overflows raise ``CorpusError`` naming the sample, the modality and the
-    two file rows.
+    Output length is window length - 1.  A window whose frame count
+    overflows, and finite frames whose difference overflows, raise
+    ``CorpusError`` naming the sample (and the window and fps, or the
+    modality and the two file rows).
     """
-    win = int(round(window_seconds * raw.fps))
+    frames = window_seconds * raw.fps
+    if not math.isfinite(frames):
+        raise CorpusError(f"sample {raw.id}: a window of {window_seconds:g} s at {raw.fps:g} fps "
+                          f"is not a finite number of frames")
+    win = int(round(frames))
     if win < 2:
         raise CorpusError(f"sample {raw.id}: window of {win} frames is too short to difference")
     t_raw = raw.face_frames.shape[0]

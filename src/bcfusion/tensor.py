@@ -7,26 +7,26 @@ consumes it, accumulating gradients additively, so fan-out works without any
 graph bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one affine op (product,
-bias row and optional ReLU), one multi-head attention op, elementwise ops (a
-difference is a sum with a negated operand, a negation a product with -1,
-both exact), layer norm of a residual sum (the residual optionally
+bias row and optional ReLU), one multi-head attention op, elementwise sum
+and sigmoid, layer norm of a residual sum (the residual optionally
 inverted-dropped by a boolean keep-mask, so training-mode dropout adds no
-record), feature-axis concat and slicing, per-sequence row means, and
-all-element means for losses.  The fused ops keep on the tape only what
-their backward rules read (after Chen et al. 2016): the affine op its
-output, from which the ReLU mask is read back; layer norm the normalised
-rows and the keep-mask, one byte per element, but neither the residual sum
-nor the dropped residual.  Attention is one record from the layer inputs to
+record), feature-axis concat and slicing, per-sequence row means, and one
+training objective: the weighted sum of per-head mean losses (cross entropy
+or squared error), one record however many heads it mixes (op fusion at
+primitive granularity, Baydin et al. 2018).  The fused ops keep on the tape
+only what their backward rules read (after Chen et al. 2016): the affine op
+its output, from which the ReLU mask is read back; layer norm the
+normalised rows and the keep-mask, one byte per element, but neither the
+residual sum nor the dropped residual.  Attention is one record from the layer inputs to
 the output projection: the four weights stay separate tensors, and the
 projections run the GEMMs, and accumulate their gradients in the order,
 that separate products would.  It picks its head kernel from the operand
 shapes alone (the key count and the head width), and its backward rule
 takes the softmax gradient through the FlashAttention term
 D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), keeping q, k, v, the attention
-weights and the head outputs.
-Broadcasting is restricted to scalar operands and the affine op's bias row;
-anything else raises a ``ShapeError`` up front rather than silently
-broadcasting.
+weights and the head outputs.  Broadcasting is restricted to the affine
+op's bias row; anything else raises a ``ShapeError`` up front rather than
+silently broadcasting.
 
 Active tapes form one module-level stack, so tapes nest and the innermost
 one records.  The stack belongs to the process, not to a thread: tapes are
@@ -49,16 +49,13 @@ __all__ = [
     "backward",
     "linear",
     "add",
-    "mul",
     "sigmoid",
-    "log",
-    "clip",
     "layer_norm",
-    "tmean",
     "concat",
     "slice_cols",
     "attention",
     "row_mean",
+    "weighted_loss",
 ]
 
 
@@ -218,48 +215,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return _emit((x, w, b), out_data, bw)
 
 
-def _is_scalar_operand(v) -> bool:
-    return np.isscalar(v) or (isinstance(v, np.ndarray) and v.ndim == 0)
-
-
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum.
-
-    Supported operand combinations: identical shapes or a python/0-d scalar;
-    a bias row enters through :func:`linear`.
-    """
-    a = as_tensor(a)
-    if _is_scalar_operand(b):
-        c = float(b)
-        return _emit((a,), a.data + c, lambda g: _accum(a, g))
-    b = as_tensor(b)
-    if a.shape == b.shape:
-        def bw_same(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g)
-        return _emit((a, b), a.data + b.data, bw_same)
-    raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
-
-
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product with an identically shaped tensor or a scalar."""
-    a = as_tensor(a)
-    if _is_scalar_operand(b):
-        c = float(b)
-        return _emit((a,), a.data * c, lambda g: _accum(a, g * c))
-    b = as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of identically shaped tensors; a bias row enters through
+    :func:`linear`."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes differ: {a.shape} vs {b.shape}")
+        raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
 
     def bw(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, g * b.data)
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            _accum(b, g)
 
-    return _emit((a, b), a.data * b.data, bw)
+    return _emit((a, b), a.data + b.data, bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -269,19 +238,6 @@ def sigmoid(x: Tensor) -> Tensor:
                         np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
 
     return _emit((x,), out_data, lambda g: _accum(x, g * out_data * (1.0 - out_data)))
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log; inputs must be strictly positive."""
-    x = as_tensor(x)
-    return _emit((x,), np.log(x.data), lambda g: _accum(x, g / x.data))
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
-    x = as_tensor(x)
-    mask = (x.data >= lo) & (x.data <= hi)
-    return _emit((x,), np.clip(x.data, lo, hi), lambda g: _accum(x, g * mask))
 
 
 def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
@@ -346,14 +302,6 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
                 _accum(r, gx)
 
     return _emit((x, r, gain, bias), out_data, bw)
-
-
-def tmean(x: Tensor) -> Tensor:
-    """Mean of all elements, as a 0-d tensor."""
-    x = as_tensor(x)
-    n = x.data.size
-    return _emit((x,), np.asarray(x.data.mean()),
-                 lambda g: _accum(x, np.broadcast_to(g / n, x.shape).copy()))
 
 
 def concat(parts: Iterable[Tensor]) -> Tensor:
@@ -521,3 +469,67 @@ def row_mean(x: Tensor, batch: int) -> Tensor:
     t = x.shape[0] // batch
     return _emit((x,), x.data.reshape(batch, t, -1).mean(axis=1),
                  lambda g: _accum(x, np.repeat(g / t, t, axis=0)))
+
+
+# Probabilities enter the cross entropy clipped to [BCE_EPS, 1 - BCE_EPS].
+BCE_EPS = 1e-7
+LOSS_KINDS = ("bce", "mse")
+
+
+def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: str) -> Tensor:
+    """``Σₖ wₖ · mean(loss(predₖ, y))`` over equally shaped predictions, as one tape op:
+    binary cross entropy of the probabilities clipped to [BCE_EPS, 1 − BCE_EPS]
+    (``kind="bce"``) or squared error (``kind="mse"``).  ``y`` takes the
+    predictions' dtype.
+
+    The order of the arithmetic is part of the contract, since training
+    numerics are pinned bit for bit: the heads' terms are summed in order, and
+    head k receives ``g·wₖ``, each element its mean's share ``gₛ`` of that,
+    negated for the cross entropy.  There the clipped probability pc first
+    gets ``−(gₛ(1 − y))/(1 − pc)``, then ``gₛy/pc`` is added, and entries
+    outside the clip range are masked to zero; squared error gives
+    ``gₛd + gₛd`` for d = pred − y.  The rule keeps pc and the clip mask, or
+    d, per head.
+    """
+    preds = [as_tensor(p) for p in preds]
+    weights = [float(w) for w in weights]
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"weighted_loss: kind must be one of {LOSS_KINDS}, got {kind!r}")
+    if not preds or len(weights) != len(preds):
+        raise ValueError(f"weighted_loss: {len(weights)} weights for {len(preds)} predictions")
+    y = np.asarray(y, dtype=preds[0].data.dtype)
+    if any(p.shape != y.shape for p in preds):
+        raise ShapeError(f"weighted_loss: prediction shapes {[p.shape for p in preds]} "
+                         f"do not all match label shape {y.shape}")
+    n = y.size
+    saved = []
+    total = None
+    for p, w in zip(preds, weights):
+        if kind == "bce":
+            pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
+            inside = (p.data >= BCE_EPS) & (p.data <= 1.0 - BCE_EPS)
+            term = -(np.log(pc) * y + np.log(1.0 - pc) * (1.0 - y)).mean() * w
+            saved.append((pc, inside))
+        else:
+            d = p.data - y
+            term = (d * d).mean() * w
+            saved.append(d)
+        total = term if total is None else total + term
+
+    def bw(g: np.ndarray) -> None:
+        for p, w, kept in zip(preds, weights, saved):
+            if not p.requires_grad:
+                continue
+            if kind == "bce":
+                pc, inside = kept
+                gs = g * w * -1.0 / n
+                gp = (gs * (1.0 - y)) / (1.0 - pc) * -1.0
+                gp += (gs * y) / pc
+                _accum(p, gp * inside)
+            else:
+                gs = g * w / n
+                gp = gs * kept
+                gp += gs * kept
+                _accum(p, gp)
+
+    return _emit(preds, total, bw)

@@ -24,8 +24,6 @@ from .data import ProcessedSample
 from .models import TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology, build_model
 from .tensor import Tape, Tensor, backward
 
-BCE_EPS = 1e-7
-
 STAGE_WEIGHT = 0.35
 FINAL_WEIGHT = 0.3
 
@@ -40,51 +38,26 @@ def loss_weights_for(topology: FusionTopology | str) -> list[float]:
     return weights
 
 
-def _label_array(y, pred: Tensor) -> np.ndarray:
-    arr = np.asarray(y, dtype=pred.data.dtype)
-    if arr.shape == ():
-        arr = np.full(pred.shape, arr)
-    if arr.shape != pred.shape:
-        raise ValueError(f"label shape {arr.shape} does not match prediction shape {pred.shape}")
-    return arr
-
-
-def bce_loss(p: Tensor, y) -> Tensor:
-    """Binary cross entropy, averaged over elements; p clamped away from {0, 1}."""
-    p = T.as_tensor(p)
-    y_arr = _label_array(y, p)
-    if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
-        raise ValueError(f"detection labels must be 0 or 1, got {np.unique(y_arr)}")
-    pc = T.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-    pos = T.mul(T.log(pc), Tensor(y_arr))
-    negt = T.mul(T.log(T.add(T.mul(pc, -1.0), 1.0)), Tensor(1.0 - y_arr))
-    return T.mul(T.tmean(T.add(pos, negt)), -1.0)
-
-
-def mse_loss(pred: Tensor, y) -> Tensor:
-    """Mean squared error over elements."""
-    pred = T.as_tensor(pred)
-    diff = T.add(pred, Tensor(-_label_array(y, pred)))
-    return T.tmean(T.mul(diff, diff))
-
-
 def combined_loss(output: ForwardOutput, y, weights: Sequence[float], task: str) -> Tensor:
     """Task loss on every intermediate prediction and the final one, mixed by ``weights``.
 
     ``weights`` is ordered (supervised layers..., final); its length must be
-    one more than the number of intermediates.
+    one more than the number of intermediates.  ``y`` is a scalar label or an
+    array of the predictions' shape; detection labels must be 0 or 1.  The
+    mix is one :func:`tensor.weighted_loss` record: binary cross entropy for
+    detection, squared error for agreement.
     """
     if len(weights) != len(output.intermediates) + 1:
         raise ConfigError(
             f"expected {len(output.intermediates) + 1} loss weights "
             f"({len(output.intermediates)} intermediates + final), got {len(weights)}")
-    loss_fn = bce_loss if task == "detection" else mse_loss
+    y = np.asarray(y, dtype=output.final.data.dtype)
+    if y.shape == ():
+        y = np.full(output.final.shape, y)
+    if task == "detection" and not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError(f"detection labels must be 0 or 1, got {np.unique(y)}")
     preds = [p for _, p in output.intermediates] + [output.final]
-    total: Optional[Tensor] = None
-    for w, pred in zip(weights, preds):
-        term = T.mul(loss_fn(pred, y), w)
-        total = term if total is None else T.add(total, term)
-    return total
+    return T.weighted_loss(preds, y, weights, "bce" if task == "detection" else "mse")
 
 
 # -- Adam ------------------------------------------------------------------------
@@ -200,7 +173,8 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
     one), each length's mean loss weighted by its share of the batch.  The
     dropout keep-masks are drawn first, sample by sample in batch order, so
     a sample's masks do not depend on how the batch splits by length; each
-    length's forward takes them stacked per stage.
+    length's forward takes them stacked per stage.  A length's share of the
+    batch scales its loss weights, so one length writes one loss record.
     """
     masks = [model.dropout_masks(len(s.face_seq), rng) for s in batch]
     total: Optional[Tensor] = None
@@ -208,9 +182,9 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
         samples = [batch[i] for i in group]
         keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks[i] for i in group))]
         out = model.forward(*_stacked(samples), keep=keep)
-        loss = combined_loss(out, np.array([[s.label] for s in samples]), weights, task)
-        if len(group) < len(batch):
-            loss = T.mul(loss, len(group) / len(batch))
+        share = len(group) / len(batch)
+        loss = combined_loss(out, np.array([[s.label] for s in samples]),
+                             [w * share for w in weights], task)
         total = loss if total is None else T.add(total, loss)
     return total
 

@@ -46,7 +46,42 @@ def attention_weights(logits) -> np.ndarray:
                           np.tile(np.eye(n, dtype=logits.dtype), (b, 1)), 1, b)
 
 
-def total(x: Tensor) -> Tensor:
-    """Sum of all elements as tape ops: the mean times the count, whose
-    backward hands every element exactly n/n = 1."""
-    return T.mul(T.tmean(x), float(x.size))
+def weighted_loss_reference(preds, y, weights, kind, eps=T.BCE_EPS):
+    """Closed-form value and per-head gradients of ``Σₖ wₖ·mean(loss(predₖ, y))``
+    over n elements, in plain numpy.  Cross entropy (``"bce"``) on
+    pc = clip(p, eps, 1 − eps): −(y log pc + (1 − y) log(1 − pc)), whose
+    derivative wₖ/n · (pc − y)/(pc(1 − pc)) is zero outside the clip range;
+    squared error (``"mse"``): (p − y)², derivative 2wₖ(p − y)/n."""
+    y = np.asarray(y, dtype=np.float64)
+    value, grads = 0.0, []
+    for p, w in zip(preds, weights):
+        p = np.asarray(p, dtype=np.float64)
+        if kind == "bce":
+            pc = np.clip(p, eps, 1.0 - eps)
+            value += w * np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+            inside = (p >= eps) & (p <= 1.0 - eps)
+            grads.append(np.where(inside, w / y.size * (pc - y) / (pc * (1.0 - pc)), 0.0))
+        else:
+            value += w * np.mean((p - y) ** 2)
+            grads.append(2.0 * w * (p - y) / y.size)
+    return value, grads
+
+
+def squared_error(x: Tensor, target) -> Tensor:
+    """The mean squared error of ``x`` against a fixed ``target`` through the loss
+    op: the scalar the tests reduce an op's output to, with gradient 2(x − target)/n."""
+    return T.weighted_loss([x], target, [1.0], "mse")
+
+
+def sum_of_squares(x: Tensor) -> Tensor:
+    """Σ x² through the loss op (squared error against 0 with weight n), whose
+    gradient is exactly 2x: each element receives 1·x twice."""
+    return T.weighted_loss([x], np.zeros(x.shape), [x.size], "mse")
+
+
+def unit_gradient_loss(x: Tensor) -> Tensor:
+    """A scalar of ``x`` through the loss op whose gradient is 1 in every element, so
+    an op's backward receives an all-ones output gradient: squared error against
+    x − 2 with weight n/4, which hands each element 0.25·2 twice.  Exact where
+    x − 2 is, as for the small dyadic values the tests use."""
+    return T.weighted_loss([x], x.data - 2.0, [x.size / 4], "mse")

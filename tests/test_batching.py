@@ -38,14 +38,15 @@ def make_samples(lengths, task, seed=0, cfg=CFG):
 
 
 def loop_loss(model, batch, weights, task, rng):
-    """The per-sample loop: one forward and one combined loss per sample."""
+    """The per-sample loop: one forward and one combined loss per sample, each
+    weighted by 1 / batch size."""
     total = None
     for s in batch:
         out = model.forward(Tensor(s.face_seq), Tensor(s.pose_seq),
                             keep=model.dropout_masks(len(s.face_seq), rng))
-        loss = combined_loss(out, s.label, weights, task)
+        loss = combined_loss(out, s.label, [w / len(batch) for w in weights], task)
         total = loss if total is None else T.add(total, loss)
-    return T.mul(total, 1.0 / len(batch))
+    return total
 
 
 def loss_and_grads(model, make_loss):
@@ -85,6 +86,21 @@ class TestBatchedStep:
                                 Tensor(np.stack([s.pose_seq for s in batch])), keep=[keep])
             combined_loss(out, np.array([[s.label] for s in batch]), weights, "agreement")
         assert len(batched.records) == len(plain.records)
+
+    @pytest.mark.parametrize("task", ["detection", "agreement"])
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_one_length_step_writes_one_loss_record(self, topology, task):
+        # the loss is the tape's last record and its only scalar one; it reads every
+        # supervised prediction, and the final head's output directly, so a
+        # single-layer topology writes no weighting record after its head
+        model = build_model(topology, task, CFG, rng_seed=1)
+        weights = loss_weights_for(topology)
+        with Tape() as tape:
+            loss = minibatch_loss(model, make_samples([6, 6, 6], task), weights, task,
+                                  np.random.default_rng(0))
+        assert [out for _, out, _ in tape.records if out.data.ndim == 0] == [loss]
+        (inputs, out, _), (_, final, _) = tape.records[-1], tape.records[-2]
+        assert out is loss and len(inputs) == len(weights) and inputs[-1] is final
 
     def test_dropout_masks_follow_per_stage_draws(self):
         # a one-sample forward takes one (2, T, d) thresholded draw per layer, one

@@ -92,6 +92,17 @@ def overflow_face_rows(corpus_dir, sid="s00003"):
     return len(rows) - 2, len(rows) - 1
 
 
+def huge_face_rows(corpus_dir, sid):
+    """Make every face row of sample ``sid`` alternate between 0 and 1e308: every
+    value and every frame difference is finite, but the first projection of
+    1e308-sized differences is not."""
+    path = corpus_dir / f"{sid}_face.csv"
+    rows = path.read_text().splitlines()
+    width = len(rows[0].split(","))
+    path.write_text("".join(",".join(["1e308" if i % 2 else "0"] * width) + "\n"
+                            for i in range(len(rows))))
+
+
 def train_args(corpus_dir, config_file, out_dir, **extra):
     args = ["train", "--manifest", str(corpus_dir / "manifest.csv"),
             "--topology", extra.pop("topology", "one_stream"), "--task", "detection",
@@ -343,6 +354,23 @@ class TestTrain:
         assert sole_error_line(capsys) == (f"error: sample s00003: face rows {first}-{second}: "
                                            f"difference of consecutive frames is not finite")
 
+    @pytest.mark.parametrize("window, fps", [("1e308", "5"), ("3", "1e308")],
+                             ids=["window", "manifest_fps"])
+    def test_window_of_unbounded_frame_count_names_sample_window_and_fps(
+            self, corpus_dir, config_file, tmp_path, capsys, window, fps):
+        manifest = corpus_dir / "manifest.csv"
+        rows = manifest.read_text().splitlines()
+        fields = rows[1].split(",")
+        fields[3] = fps
+        rows[1] = ",".join(fields)
+        manifest.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_command(train_args(corpus_dir, config_file, tmp_path / "run",
+                                      window=window)) == 1
+        assert sole_error_line(capsys) == (f"error: sample {fields[0]}: a window of "
+                                           f"{float(window):g} s at {float(fps):g} fps is not "
+                                           f"a finite number of frames")
+
     @pytest.mark.parametrize("column, value", [(1, ""), (2, "."), (1, "sub")],
                              ids=["empty_face_path", "dot_pose_path", "directory_face_path"])
     def test_sample_path_that_names_no_file_names_its_row(self, corpus_dir, config_file,
@@ -529,6 +557,36 @@ class TestEval:
                             "--split", "validation"]) == 1
         assert sole_error_line(capsys) == \
             f"error: {manifest}: row 2: fps must be a finite positive number"
+
+
+class TestDocumentedLimits:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_finite_frames_that_overflow_the_first_projection(self, corpus_dir, config_file,
+                                                              tmp_path, capsys, command):
+        # frames of 1e308-scale values pass preprocessing (their differences are
+        # finite) and overflow in the first projection: reported as a divergence
+        # or a non-finite prediction that names samples, not file rows
+        manifest = corpus_dir / "manifest.csv"
+        ids = [row.split(",")[0] for row in manifest.read_text().splitlines()[1:]]
+        for sid in ids:
+            huge_face_rows(corpus_dir, sid)
+        if command == "train":
+            args = train_args(corpus_dir, config_file, tmp_path / "run")
+        else:
+            path = tmp_path / "model.npz"
+            save_checkpoint(build_model("one_stream", "detection",
+                                        toy_model_config(face_dim=7, pose_dim=5)), path)
+            args = ["eval", "--checkpoint", str(path), "--manifest", str(manifest),
+                    "--split", "validation"]
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_command(args) == 1
+        line = sole_error_line(capsys)
+        if command == "train":
+            assert line.startswith("error: training diverged at epoch 1: non-finite loss on "
+                                   "samples s0")
+        else:
+            assert line == "error: non-finite prediction on sample s00001"
 
 
 class TestGradcheck:

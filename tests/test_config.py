@@ -48,20 +48,19 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add", "mul",
-            "sigmoid", "log", "clip", "layer_norm", "tmean", "concat", "slice_cols", "attention",
-            "row_mean"]
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add", "sigmoid",
+            "layer_norm", "concat", "slice_cols", "attention", "row_mean", "weighted_loss"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one affine op (with the ReLU), one op for multi-head attention
         # from the layer inputs to the output projection (its softmax included), layer
         # norm of a residual sum (its residual optionally dropped by a keep-mask),
-        # all-element mean, feature-axis concat
+        # feature-axis concat, and one op for the weighted per-head training loss
         for op, args in ((T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
                          (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
                          (T.attention, ["x_q", "x_kv", "wq", "wk", "wv", "wo", "n_heads",
                                         "batch"]),
-                         (T.tmean, ["x"])):
+                         (T.weighted_loss, ["preds", "y", "weights", "kind"])):
             assert list(inspect.signature(op).parameters) == args, op.__name__
         # a training forward takes its dropout keep-masks; there is no training flag
         params = inspect.signature(TransformerLayer.forward).parameters

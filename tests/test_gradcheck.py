@@ -6,7 +6,7 @@ import pytest
 from bcfusion import tensor as T
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.tensor import Tensor
-from oracles import identity_projections, total
+from oracles import identity_projections, squared_error, weighted_loss_reference
 
 
 def check(make_scalar, params, tol=1e-4):
@@ -16,9 +16,10 @@ def check(make_scalar, params, tol=1e-4):
 
 
 def random_projection(rng, shape):
-    """Fixed random weighting that turns any op output into a scalar."""
-    r = Tensor(rng.normal(size=shape))
-    return lambda out: total(T.mul(out, r))
+    """Squared error against a fixed random target: turns any op output into a scalar
+    whose gradient reaches every element."""
+    target = rng.normal(size=shape)
+    return lambda out: squared_error(out, target)
 
 
 class TestOpGradients:
@@ -57,9 +58,11 @@ class TestOpGradients:
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        proj = random_projection(rng, (2, 3))
 
         def f():
-            return T.tmean(T.mul(T.add(T.mul(x, y), b), T.sigmoid(x)))
+            # x reaches the output by two paths
+            return proj(T.sigmoid(T.add(T.add(x, y), T.sigmoid(T.add(x, b)))))
 
         check(f, [("x", x), ("y", y), ("b", b)])
 
@@ -78,13 +81,6 @@ class TestOpGradients:
         check(lambda: proj(T.linear(x, w, b, relu=True)), params)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_log(self, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.uniform(0.5, 2.0, size=(2, 4)), requires_grad=True)
-        proj = random_projection(rng, (2, 4))
-        check(lambda: proj(T.log(x)), [("x", x)])
-
-    @pytest.mark.parametrize("seed", range(5))
     def test_concat_and_slice(self, seed):
         rng = np.random.default_rng(seed)
         a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
@@ -97,25 +93,37 @@ class TestOpGradients:
 
         check(f, [("a", a), ("b", b)])
 
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
     @pytest.mark.parametrize("seed", range(5))
-    def test_mean_axes(self, seed):
+    def test_weighted_loss(self, seed, kind):
+        # 1 to 4 heads of (3, 2) predictions under unequal weights.  About a third of
+        # the cross entropy's probabilities, [0, 0] among them, lie outside
+        # [eps, 1 - eps] by more than the step h, where the clip leaves the value
+        # flat: their gradient must be zero, and the closed form's elsewhere
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        check(lambda: T.tmean(x), [("x", x)])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_sub_neg_scale_clip(self, seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.uniform(-0.8, 0.8, size=(3, 3)), requires_grad=True)
-        y = Tensor(rng.uniform(-0.8, 0.8, size=(3, 3)), requires_grad=True)
-
-        def f():
-            # x - (-y), in the losses' forms: a negation is a product with -1 and a
-            # difference a sum with the negated operand; all values stay strictly
-            # inside the clip range, so the clip is differentiable
-            return total(T.clip(T.mul(T.add(x, T.mul(T.mul(y, -1.0), -1.0)), 0.25), -1.0, 1.0))
-
-        check(f, [("x", x), ("y", y)])
+        n_heads = seed % 4 + 1
+        weights = list(rng.uniform(0.1, 1.0, size=n_heads))
+        if kind == "bce":
+            y = rng.integers(0, 2, size=(3, 2)).astype(float)
+            arrays, outside = [], []
+            for _ in range(n_heads):
+                p = rng.uniform(0.05, 0.95, size=(3, 2))
+                out = rng.random((3, 2)) < 1 / 3
+                out[0, 0] = True
+                p[out] = rng.choice([-0.4, 1.3], size=out.sum())
+                arrays.append(p)
+                outside.append(out)
+        else:
+            y = rng.normal(size=(3, 2))
+            arrays = [rng.normal(size=(3, 2)) for _ in range(n_heads)]
+        preds = [Tensor(a, requires_grad=True) for a in arrays]
+        check(lambda: T.weighted_loss(preds, y, weights, kind),
+              [(f"pred{k}", p) for k, p in enumerate(preds)])
+        _, expected = weighted_loss_reference(arrays, y, weights, kind)
+        for k, (p, g) in enumerate(zip(preds, expected)):
+            np.testing.assert_allclose(p.grad, g, rtol=1e-12, atol=1e-15, err_msg=f"pred{k}")
+            if kind == "bce":
+                assert (p.grad[outside[k]] == 0.0).all()
 
     @pytest.mark.parametrize("t_q, t_k", [(4, 4), (3, 5)], ids=["self", "cross"])
     @pytest.mark.parametrize("seed", range(3))
@@ -150,24 +158,27 @@ class TestOpGradients:
 
 class TestGradcheckTool:
     def test_linear_function_is_exact(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        report = finite_diff_gradcheck(lambda: total(T.mul(x, 5.0)), [("x", x)], h=1e-5)
+        x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
+        w, b = Tensor(np.full((3, 1), 5.0)), Tensor([0.0])
+        report = finite_diff_gradcheck(lambda: T.linear(x, w, b), [("x", x)], h=1e-5)
         assert report.max_rel_err < 1e-9
 
     def test_cubic_scalar(self):
-        x = Tensor(1.0, requires_grad=True)
-        report = finite_diff_gradcheck(lambda: T.mul(T.mul(x, x), x), [("x", x)], h=1e-5)
+        # x·x·x as two (1, 1) products, x the weight of both
+        x, b = Tensor([[1.0]], requires_grad=True), Tensor([0.0])
+        report = finite_diff_gradcheck(lambda: T.linear(T.linear(x, x, b), x, b), [("x", x)],
+                                       h=1e-5)
         assert report.max_rel_err < 1e-9
 
     def test_nonfinite_probe_is_reported_with_location(self):
-        x = Tensor([0.0], requires_grad=True)  # log(0 - h) is NaN
-        with np.errstate(invalid="ignore"):
-            report = finite_diff_gradcheck(lambda: total(T.log(T.add(x, 1.0))),
+        x = Tensor([[0.0]], requires_grad=True)  # (0 ± h)·1e308 overflows
+        with np.errstate(over="ignore"):
+            report = finite_diff_gradcheck(lambda: T.linear(x, Tensor([[1e308]]), Tensor([0.0])),
                                            [("x", x)], h=2.0)
         assert not report.passed
         assert any("x[0]" in msg for msg in report.failures)
 
     def test_rejects_nonpositive_step(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            finite_diff_gradcheck(lambda: T.mul(x, x), [("x", x)], h=0.0)
+            finite_diff_gradcheck(lambda: squared_error(x, [0.0]), [("x", x)], h=0.0)

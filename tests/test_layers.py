@@ -8,7 +8,7 @@ from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import (Linear, MultiHeadAttention, TransformerLayer,
                              sinusoidal_positional_encoding)
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
-from oracles import attention_core, sdpa_reference, total
+from oracles import attention_core, sdpa_reference, squared_error
 
 
 def single_head_attention(q, k, v):
@@ -146,10 +146,10 @@ class TestTransformerLayer:
         rng = np.random.default_rng(10)
         layer = TransformerLayer(8, 4, rng, dropout_rate=0.0)
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        r = Tensor(rng.normal(size=(4, 8)))
+        target = rng.normal(size=(4, 8))
 
         def f():
-            return total(T.mul(layer.forward(x), r))
+            return squared_error(layer.forward(x), target)
 
         params = [("x", x)] + list(layer.named_parameters())
         report = finite_diff_gradcheck(f, params, h=1e-5, tol=1e-4)
@@ -196,7 +196,7 @@ class TestFusedDropout:
         assert keep.any() and not keep.all()
         values = {"x": rng.normal(size=shape), "a": rng.normal(size=shape),
                   "gain": rng.normal(size=8), "bias": rng.normal(size=8)}
-        weight = Tensor(rng.normal(size=shape).astype(dtype))
+        target = rng.normal(size=shape)
 
         def run(fused):
             ts = {n: Tensor(v.astype(dtype), requires_grad=True) for n, v in values.items()}
@@ -204,10 +204,14 @@ class TestFusedDropout:
                 if fused:
                     out = T.layer_norm(ts["x"], ts["a"], ts["gain"], ts["bias"], keep, self.RATE)
                 else:
-                    mask = Tensor((keep / (1.0 - self.RATE)).astype(dtype))
-                    out = T.layer_norm(ts["x"], T.mul(ts["a"], mask), ts["gain"], ts["bias"])
-                loss = total(T.mul(out, weight))
+                    # the product with the float mask and its backward rule, g times the mask
+                    mask = (keep / (1.0 - self.RATE)).astype(dtype)
+                    dropped = Tensor(ts["a"].data * mask, requires_grad=True)
+                    out = T.layer_norm(ts["x"], dropped, ts["gain"], ts["bias"])
+                loss = squared_error(out, target)
             backward(loss, tape)
+            if not fused:
+                ts["a"].grad = dropped.grad * mask
             return [out.data] + [ts[n].grad for n in values]
 
         for old, new in zip(run(fused=False), run(fused=True)):

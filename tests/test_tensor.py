@@ -11,7 +11,8 @@ from bcfusion.config import ConfigError, TrainConfig
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
 from oracles import (attention_core, attention_weights, identity_projections,
-                     sdpa_reference, total)
+                     sdpa_reference, squared_error, sum_of_squares, unit_gradient_loss,
+                     weighted_loss_reference)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,8 +129,9 @@ class TestAttentionKernelPaths:
     @pytest.mark.parametrize("rows, d_head", KERNEL_PATHS, ids=KERNEL_IDS)
     def test_gradients_match_finite_differences(self, rows, d_head):
         params, batch = attention_case(rows, d_head)
-        r = Tensor(np.random.default_rng(1).normal(size=(params[0].shape[0], 2 * d_head)))
-        report = finite_diff_gradcheck(lambda: total(T.mul(T.attention(*params, 2, batch), r)),
+        target = np.random.default_rng(1).normal(size=(params[0].shape[0], 2 * d_head))
+        report = finite_diff_gradcheck(lambda: squared_error(T.attention(*params, 2, batch),
+                                                             target),
                                        list(zip(("x_q", "x_kv", "wq", "wk", "wv", "wo"), params)),
                                        h=1e-5, tol=1e-4)
         assert report.passed, (report.per_param, report.failures)
@@ -154,7 +156,7 @@ class TestAttentionKernelPaths:
         params, batch = attention_case(rows, d_head, np.float32)
         with Tape() as tape:
             out = T.attention(*params, 2, batch)
-            loss = T.tmean(out)
+            loss = squared_error(out, np.zeros(out.shape, np.float32))
         backward(loss, tape)
         assert out.data.dtype == np.float32
         assert [p.grad.dtype for p in params] == [np.dtype(np.float32)] * 6
@@ -214,7 +216,7 @@ class TestLinear:
         w = Tensor(np.eye(2), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            out = total(T.linear(x, w, b))
+            out = unit_gradient_loss(T.linear(x, w, b))
         backward(out, tape)
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
         np.testing.assert_array_equal(w.grad, np.full((2, 2), 3.0))
@@ -225,7 +227,7 @@ class TestLinear:
         w, b = Tensor(np.eye(2)), Tensor([0.25, 0.0])
         with Tape() as tape:
             h = T.linear(x, w, b, relu=True)
-            out = total(h)
+            out = unit_gradient_loss(h)
         backward(out, tape)
         np.testing.assert_array_equal(h.data, [[1.25, 0.0], [0.0, 3.0]])
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
@@ -252,13 +254,6 @@ class TestElementwise:
             with pytest.raises(ShapeError):
                 T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(b_shape)))
 
-    def test_clip_blocks_gradient_outside_range(self):
-        x = Tensor([0.5, 2.0, -1.0], requires_grad=True)
-        with Tape() as tape:
-            out = total(T.clip(x, 0.0, 1.0))
-        backward(out, tape)
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 0.0])
-
     def test_sigmoid_extreme_inputs_finite(self):
         out = T.sigmoid(Tensor([-1000.0, 0.0, 1000.0])).data
         assert np.all(np.isfinite(out))
@@ -275,6 +270,61 @@ class TestElementwise:
         for parts in ([np.ones(2), np.ones(3)], [np.ones((2, 3)), np.ones((3, 3))]):
             with pytest.raises(ShapeError, match="equal row counts"):
                 T.concat([Tensor(p) for p in parts])
+
+
+class TestWeightedLoss:
+    """The training objective: Σₖ wₖ · mean loss of head k, one tape record."""
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_matches_closed_form_oracle(self, kind):
+        rng = np.random.default_rng(7)
+        y = rng.integers(0, 2, size=(4, 1)).astype(float) if kind == "bce" else \
+            rng.normal(size=(4, 1))
+        arrays = [rng.uniform(-0.2, 1.2, size=(4, 1)) for _ in range(3)]
+        weights = [0.2, 0.5, 0.3]
+        preds = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            loss = T.weighted_loss(preds, y, weights, kind)
+        backward(loss, tape)
+        value, grads = weighted_loss_reference(arrays, y, weights, kind)
+        assert loss.data.shape == ()
+        np.testing.assert_allclose(loss.data, value, rtol=1e-13)
+        for p, g in zip(preds, grads):
+            np.testing.assert_allclose(p.grad, g, rtol=1e-12, atol=1e-15)
+
+    def test_clip_blocks_gradient_outside_range(self):
+        # probabilities outside [eps, 1 - eps] score as the clip bound and get no gradient
+        x = Tensor([0.5, 2.0, -1.0], requires_grad=True)
+        y = np.array([1.0, 0.0, 1.0])
+        with Tape() as tape:
+            out = T.weighted_loss([x], y, [1.0], "bce")
+        backward(out, tape)
+        eps = T.BCE_EPS
+        value, [grad] = weighted_loss_reference([[0.5, 1.0 - eps, eps]], y, [1.0], "bce")
+        np.testing.assert_allclose(out.data, value, rtol=1e-13)
+        np.testing.assert_array_equal(x.grad[1:], [0.0, 0.0])
+        np.testing.assert_allclose(x.grad[0], grad[0], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_one_record_for_any_number_of_heads(self, kind):
+        for n_heads in range(1, 5):
+            preds = [Tensor(np.full((2, 1), 0.25), requires_grad=True) for _ in range(n_heads)]
+            with Tape() as tape:
+                out = T.weighted_loss(preds, np.ones((2, 1)), [1.0 / n_heads] * n_heads, kind)
+            [(inputs, record_out, _)] = tape.records
+            assert record_out is out and list(inputs) == preds
+
+    def test_rejects_bad_operands(self):
+        p = Tensor(np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="kind must be one of"):
+            T.weighted_loss([p], np.zeros((2, 1)), [1.0], "hinge")
+        with pytest.raises(ValueError, match="2 weights for 1 predictions"):
+            T.weighted_loss([p], np.zeros((2, 1)), [0.5, 0.5], "mse")
+        with pytest.raises(ValueError, match="0 weights for 0 predictions"):
+            T.weighted_loss([], np.zeros((2, 1)), [], "mse")
+        with pytest.raises(ShapeError, match=re.escape("[(2, 1), (3, 1)] do not all match "
+                                                       "label shape (2, 1)")):
+            T.weighted_loss([p, Tensor(np.zeros((3, 1)))], np.zeros((2, 1)), [0.5, 0.5], "mse")
 
 
 class TestBatchedOps:
@@ -317,11 +367,11 @@ class TestBatchedOps:
 
 class TestBackward:
     def test_square_derivative(self):
-        x = Tensor(3.0, requires_grad=True)
+        x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = sum_of_squares(x)
         backward(y, tape)
-        np.testing.assert_allclose(x.grad, 6.0, atol=1e-15)
+        np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_softmax_sum_has_zero_gradient(self):
         # the attention weights of one query always sum to 1 (identity values
@@ -330,7 +380,7 @@ class TestBackward:
         x_q, x_kv, *weights = (Tensor(a, requires_grad=True) for a in identity_projections(
             np.ones((1, 1)), np.array([[0.3], [-1.2], [2.0]]), np.eye(3)))
         with Tape() as tape:
-            y = total(T.attention(x_q, x_kv, *weights, 1, 1))
+            y = unit_gradient_loss(T.attention(x_q, x_kv, *weights, 1, 1))
         backward(y, tape)
         np.testing.assert_allclose(x_kv.grad[:, 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(weights[1].grad, 0.0, atol=1e-12)
@@ -338,7 +388,7 @@ class TestBackward:
     def test_requires_scalar_output(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = T.mul(x, 2.0)
+            y = T.sigmoid(x)
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
 
@@ -348,10 +398,10 @@ class TestBackward:
         x0 = rng.normal(size=5)
 
         def path_a(x):
-            return total(T.mul(x, x))
+            return sum_of_squares(x)
 
         def path_b(x):
-            return total(T.mul(x, 3.0))
+            return squared_error(T.sigmoid(x), np.full(5, 0.25))
 
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
@@ -372,8 +422,8 @@ class TestBackward:
         x = Tensor([1.0, 2.0], requires_grad=True)
         z = Tensor([5.0], requires_grad=True)
         with Tape() as tape:
-            T.mul(z, z)  # dead op: never reaches the output
-            y = total(x)
+            T.sigmoid(z)  # dead op: never reaches the output
+            y = unit_gradient_loss(x)
         backward(y, tape)
         assert z.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
@@ -383,26 +433,30 @@ class TestBackward:
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            y = total(T.add(a, b))
+            y = unit_gradient_loss(T.add(a, b))
         backward(y, tape)
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         a.grad[0] = 7.0
         np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
     def test_operand_used_twice_accumulates_both_paths(self):
-        x0 = np.array([0.5, -2.0, 3.0])
-        for op, expected in ((T.add, np.full(3, 2.0)), (T.mul, 2.0 * x0)):
+        # x + x, and x @ x + 0 (x as the input and the weight of one product)
+        x0 = np.array([[0.5, -2.0], [3.0, 1.0]])
+        ones = np.ones((2, 2))
+        for op, expected in ((T.add, np.full((2, 2), 2.0)),
+                             (lambda a, b: T.linear(a, b, Tensor(np.zeros(2))),
+                              ones @ x0.T + x0.T @ ones)):
             x = Tensor(x0.copy(), requires_grad=True)
             with Tape() as tape:
-                y = total(op(x, x))
+                y = unit_gradient_loss(op(x, x))
             backward(y, tape)
-            np.testing.assert_array_equal(x.grad, expected, err_msg=op.__name__)
+            np.testing.assert_array_equal(x.grad, expected)
 
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
             h = T.linear(x, Tensor(np.ones((3, 2))), Tensor(np.zeros(2)), relu=True)
-            y = total(T.mul(h, h))
+            y = sum_of_squares(h)
         records = list(tape.records)
         backward(y, tape)
         assert all(out.grad is None for _, out, _ in records)
@@ -413,9 +467,9 @@ class TestTape:
     def test_records_in_topological_order(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            a = T.mul(x, 2.0)
+            a = T.sigmoid(x)
             b = T.add(a, x)
-            total(b)
+            unit_gradient_loss(b)
         produced_at = {}
         for idx, (inputs, out, _) in enumerate(tape.records):
             for t in inputs:
@@ -426,7 +480,7 @@ class TestTape:
     def test_backward_visits_each_op_once_in_reverse(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            y = total(T.mul(T.add(x, 1.0), x))
+            y = sum_of_squares(T.add(T.sigmoid(x), x))
         visited = []
         original = list(tape.records)
 
@@ -447,32 +501,32 @@ class TestTape:
         # referenced dies during backward
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            h = T.mul(x, x)
-            y = total(h)
+            h = T.add(x, x)
+            y = unit_gradient_loss(h)
         h_data = weakref.ref(h.data)
         del h
         backward(y, tape)
         assert tape.records == []
         assert h_data() is None
-        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_no_tape_means_no_gradients(self):
         x = Tensor([1.0], requires_grad=True)
-        out = T.mul(x, x)
+        out = T.add(x, x)
         assert out.requires_grad is False
 
     def test_independent_tapes_nest(self):
-        x = Tensor(2.0, requires_grad=True)
+        x = Tensor([2.0], requires_grad=True)
         with Tape() as outer:
-            a = T.mul(x, x)
+            a = sum_of_squares(x)
             with Tape() as inner:
-                b = T.mul(x, 3.0)
+                b = unit_gradient_loss(x)
             backward(b, inner)
         inner_grad = x.grad.copy()
         x.zero_grad()
         backward(a, outer)
-        np.testing.assert_allclose(inner_grad, 3.0)
-        np.testing.assert_allclose(x.grad, 4.0)
+        np.testing.assert_array_equal(inner_grad, [1.0])
+        np.testing.assert_array_equal(x.grad, [4.0])
 
 
 class TestDtype:
@@ -481,10 +535,10 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.linear(x, x, bias), 1.0), x, gain, bias)
+            h = T.layer_norm(T.add(T.linear(x, x, bias), x), x, gain, bias)
             s = T.linear(h, x, bias, relu=True)
             weights = T.attention(s, s, x, x, x, x, 1, 1)
-            out = T.tmean(T.mul(T.sigmoid(weights), 0.5))
+            out = T.weighted_loss([T.sigmoid(weights)], np.eye(2), [0.5], "bce")
         backward(out, tape)
         assert out.data.dtype == np.float32
         assert {t.grad.dtype for t in (x, gain, bias)} == {np.dtype(np.float32)}

@@ -13,46 +13,57 @@ from bcfusion.data import SynthSpec, load_corpus, synth_generate
 from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, build_model,
                              load_checkpoint, save_checkpoint)
 from bcfusion.tensor import Tape, Tensor, backward
-from bcfusion.training import (AdamState, adam_step, bce_loss, combined_loss,
-                               evaluate_metrics, loss_weights_for, metrics_record,
-                               minibatch_loss, mse_loss, run_training, write_history_csv)
+from bcfusion.training import (AdamState, adam_step, combined_loss, evaluate_metrics,
+                               loss_weights_for, metrics_record, minibatch_loss, run_training,
+                               write_history_csv)
+
+
+def bce_loss(p, y) -> Tensor:
+    """The detection loss of a single-layer model whose final prediction is ``p``."""
+    return combined_loss(ForwardOutput(final=Tensor(p), intermediates=[]), y, [1.0], "detection")
+
+
+def mse_loss(pred, y) -> Tensor:
+    """The agreement loss of a single-layer model whose final prediction is ``pred``."""
+    return combined_loss(ForwardOutput(final=Tensor(pred), intermediates=[]), y, [1.0],
+                         "agreement")
 
 
 class TestBceLoss:
     def test_coin_flip_prediction(self):
-        loss = bce_loss(Tensor([0.5]), 1.0).data.item()
+        loss = bce_loss([0.5], 1.0).data.item()
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_perfect_predictions_vanish(self):
-        assert bce_loss(Tensor([1.0 - 1e-9]), 1.0).data.item() < 1e-6
-        assert bce_loss(Tensor([1e-9]), 0.0).data.item() < 1e-6
+        assert bce_loss([1.0 - 1e-9], 1.0).data.item() < 1e-6
+        assert bce_loss([1e-9], 0.0).data.item() < 1e-6
 
     def test_matches_formula_oracle_on_batch(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(0.05, 0.95, size=8)
         y = rng.integers(0, 2, size=8).astype(float)
         expected = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-        got = bce_loss(Tensor(p), y).data.item()
+        got = bce_loss(p, y).data.item()
         assert abs(got - expected) < 1e-12
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            bce_loss(Tensor([0.5]), 0.7)
+            bce_loss([0.5], 0.7)
 
     def test_clamps_boundary_probabilities(self):
-        assert np.isfinite(bce_loss(Tensor([1.0]), 0.0).data.item())
-        assert np.isfinite(bce_loss(Tensor([0.0]), 1.0).data.item())
+        assert np.isfinite(bce_loss([1.0], 0.0).data.item())
+        assert np.isfinite(bce_loss([0.0], 1.0).data.item())
 
 
 class TestMseLoss:
     def test_equal_inputs(self):
-        assert mse_loss(Tensor([0.3, -0.1]), np.array([0.3, -0.1])).data.item() == 0.0
+        assert mse_loss([0.3, -0.1], np.array([0.3, -0.1])).data.item() == 0.0
 
     def test_unit_error(self):
-        assert mse_loss(Tensor([0.0]), 1.0).data.item() == 1.0
+        assert mse_loss([0.0], 1.0).data.item() == 1.0
 
     def test_hand_computed_batch(self):
-        assert mse_loss(Tensor([0.0, 1.0]), np.array([1.0, 1.0])).data.item() == 0.5
+        assert mse_loss([0.0, 1.0], np.array([1.0, 1.0])).data.item() == 0.5
 
 
 class TestLossWeights:
@@ -90,10 +101,9 @@ class TestCombinedLoss:
         assert total.data.item() == 0.35
 
     def test_single_layer_equals_task_loss(self):
-        pred = Tensor([0.73])
-        out = ForwardOutput(final=pred, intermediates=[])
+        out = ForwardOutput(final=Tensor([0.73]), intermediates=[])
         total = combined_loss(out, 1.0, [1.0], "detection")
-        assert total.data.item() == bce_loss(pred, 1.0).data.item()
+        assert total.data.item() == pytest.approx(-math.log(0.73), rel=1e-15, abs=0)
 
     def test_gradient_is_weighted_sum_of_component_gradients(self):
         x1 = Tensor([0.4], requires_grad=True)
