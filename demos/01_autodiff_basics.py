@@ -43,10 +43,19 @@ with Tape() as tape:
 backward(s, tape)
 print("layer-norm gradient under a uniform pull:", z.grad)   # -> ~[[0, 0, 0]]
 
+# the cross entropy takes logits z, as detection heads emit them:
+# softplus(z) - y·z, whose gradient sigmoid(z) - y stays near -1 for a
+# label-1 logit of -20, so a confidently wrong head still learns
+z = Tensor([-20.0, 0.0, 20.0], requires_grad=True)
+with Tape() as tape:
+    ce = T.weighted_loss([z], [1.0, 1.0, 1.0], [3.0], "bce")
+backward(ce, tape)
+print("cross-entropy gradient at logits -20, 0, 20:", z.grad)   # -> ~[-1, -0.5, 0]
+
 # every gradient in this library is checked against central differences;
 # the same tool is available for your own compositions
 p = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 labels = (rng.random((3, 3)) < 0.5).astype(float)
 report = finite_diff_gradcheck(
-    lambda: T.weighted_loss([T.sigmoid(p)], labels, [1.0], "bce"), [("p", p)])
+    lambda: T.weighted_loss([p], labels, [1.0], "bce"), [("p", p)])
 print("gradcheck pass:", report.passed, " max rel err: %.2e" % report.max_rel_err)

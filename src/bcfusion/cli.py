@@ -16,6 +16,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (TASKS, TRAIN_RULES, ConfigError, ConfigMapping, ModelConfig, TrainConfig,
                      check, dataclass_from_mapping, parse_config_file)
 from .data import SPLITS, CorpusError, SynthSpec, load_corpus, synth_generate
@@ -211,7 +213,10 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
         handler = {"synth": _cmd_synth, "train": _cmd_train, "eval": _cmd_eval,
                    "gradcheck": _cmd_gradcheck, "sweep": _cmd_sweep}[args.command]
-        return handler(args)
+        # every non-finite loss, gradient, prediction and metric is checked and
+        # reported as an error line, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return handler(args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -233,7 +233,7 @@ def preprocess(raw: RawSample, window_seconds: float = 3.0) -> ProcessedSample:
     t_raw = raw.face_frames.shape[0]
     if t_raw < win:
         raise CorpusError(f"sample {raw.id}: recording has {t_raw} frames, "
-                          f"window needs {win}")
+                          f"window needs {win:g}")
     index_col = (np.arange(1, win, dtype=np.float64) / win)[:, None]
 
     def transform(frames: np.ndarray, modality: str) -> np.ndarray:

@@ -26,9 +26,10 @@ Six fused topologies plus the two single-modality ablations:
 Multi-layer topologies expose intermediate predictions (one small pooled
 linear head per supervised layer) alongside the final prediction so the
 training loss can supervise every layer.  Every head is a linear map (the
-``one_to_two`` final head a two-layer perceptron); for detection the forward
-pass squashes each prediction with a sigmoid, for agreement (regression) it
-leaves them linear.
+``one_to_two`` final head a two-layer perceptron), and the forward pass is
+the same for both tasks: a detection prediction is a logit, which the loss
+and the accuracy read as such, and an agreement prediction is the regressed
+value itself.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class ForwardOutput:
 
     Each prediction is a (B, 1) tensor, one row per sample of the batch; each
     intermediate is paired with its layer tag.  For detection every prediction
-    is a probability in (0, 1).
+    is a logit: the backchannel probability is its sigmoid.
     """
 
     final: Tensor
@@ -278,12 +279,12 @@ class FusionModel:
             x = T.concat(xs) if len(xs) > 1 else xs[0]
             seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), batch=batch,
                                                  keep=masks)
-        squash = T.sigmoid if self.task == "detection" else (lambda x: x)
-        intermediates = [(name, squash(comp[f"head_{name}"](T.row_mean(seq[name], batch))))
-                         for name in spec.supervised]
-        pooled = [T.row_mean(seq[name], batch) for name in spec.pooled]
+        mean = {name: T.row_mean(seq[name], batch)
+                for name in dict.fromkeys(spec.supervised + spec.pooled)}
+        intermediates = [(name, comp[f"head_{name}"](mean[name])) for name in spec.supervised]
+        pooled = [mean[name] for name in spec.pooled]
         final = comp["final"](T.concat(pooled) if len(pooled) > 1 else pooled[0])
-        return ForwardOutput(final=squash(final), intermediates=intermediates)
+        return ForwardOutput(final=final, intermediates=intermediates)
 
     __call__ = forward
 

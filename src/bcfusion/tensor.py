@@ -7,12 +7,12 @@ consumes it, accumulating gradients additively, so fan-out works without any
 graph bookkeeping beyond execution order.
 
 The op set is what the batched engine records: one affine op (product,
-bias row and optional ReLU), one multi-head attention op, elementwise sum
-and sigmoid, layer norm of a residual sum (the residual optionally
-inverted-dropped by a boolean keep-mask, so training-mode dropout adds no
-record), feature-axis concat and slicing, per-sequence row means, and one
-training objective: the weighted sum of per-head mean losses (cross entropy
-or squared error), one record however many heads it mixes (op fusion at
+bias row and optional ReLU), one multi-head attention op, elementwise sum,
+layer norm of a residual sum (the residual optionally inverted-dropped by a
+boolean keep-mask, so training-mode dropout adds no record), feature-axis
+concat and slicing, per-sequence row means, and one training objective: the
+weighted sum of per-head mean losses (cross entropy on logits or squared
+error), one record however many heads it mixes (op fusion at
 primitive granularity, Baydin et al. 2018).  The fused ops keep on the tape
 only what their backward rules read (after Chen et al. 2016): the affine op
 its output, from which the ReLU mask is read back; layer norm the
@@ -49,7 +49,6 @@ __all__ = [
     "backward",
     "linear",
     "add",
-    "sigmoid",
     "layer_norm",
     "concat",
     "slice_cols",
@@ -231,18 +230,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit((a, b), a.data + b.data, bw)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    d = x.data
-    out_data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                        np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-
-    return _emit((x,), out_data, lambda g: _accum(x, g * out_data * (1.0 - out_data)))
+# Added to the variance before its square root in layer_norm.
+LAYER_NORM_EPS = 1e-5
 
 
 def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
-               keep: Optional[np.ndarray] = None, rate: float = 0.0,
-               eps: float = 1e-5) -> Tensor:
+               keep: Optional[np.ndarray] = None, rate: float = 0.0) -> Tensor:
     """Normalize the residual sum ``x + r`` over the last axis to zero mean / unit
     variance, then apply gain and bias.
 
@@ -260,8 +253,6 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got {gain.shape}/{bias.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     if keep is None:
         xhat = x.data + r.data
     else:
@@ -277,7 +268,7 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         xhat += x.data
     xhat -= xhat.mean(axis=-1, keepdims=True)
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -471,25 +462,19 @@ def row_mean(x: Tensor, batch: int) -> Tensor:
                  lambda g: _accum(x, np.repeat(g / t, t, axis=0)))
 
 
-# Probabilities enter the cross entropy clipped to [BCE_EPS, 1 - BCE_EPS].
-BCE_EPS = 1e-7
 LOSS_KINDS = ("bce", "mse")
 
 
 def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: str) -> Tensor:
     """``Σₖ wₖ · mean(loss(predₖ, y))`` over equally shaped predictions, as one tape op:
-    binary cross entropy of the probabilities clipped to [BCE_EPS, 1 − BCE_EPS]
-    (``kind="bce"``) or squared error (``kind="mse"``).  ``y`` takes the
-    predictions' dtype.
+    binary cross entropy on logits z (``kind="bce"``), written as
+    ``max(z, 0) − z·y + log1p(exp(−|z|))`` so that it saturates only where the
+    answer is right (Goodfellow et al., *Deep Learning*, 2016, §6.2.2.2), or
+    squared error (``kind="mse"``).  ``y`` takes the predictions' dtype.
 
-    The order of the arithmetic is part of the contract, since training
-    numerics are pinned bit for bit: the heads' terms are summed in order, and
-    head k receives ``g·wₖ``, each element its mean's share ``gₛ`` of that,
-    negated for the cross entropy.  There the clipped probability pc first
-    gets ``−(gₛ(1 − y))/(1 − pc)``, then ``gₛy/pc`` is added, and entries
-    outside the clip range are masked to zero; squared error gives
-    ``gₛd + gₛd`` for d = pred − y.  The rule keeps pc and the clip mask, or
-    d, per head.
+    The heads' terms are summed in order.  The rule keeps one residual per
+    head, ``sigmoid(z) − y`` (the sigmoid in its overflow-free form) or
+    ``2(pred − y)``, and head k receives ``g·wₖ/n · rₖ`` for n labels.
     """
     preds = [as_tensor(p) for p in preds]
     weights = [float(w) for w in weights]
@@ -502,34 +487,23 @@ def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: st
         raise ShapeError(f"weighted_loss: prediction shapes {[p.shape for p in preds]} "
                          f"do not all match label shape {y.shape}")
     n = y.size
-    saved = []
+    residuals = []
     total = None
     for p, w in zip(preds, weights):
+        z = p.data
         if kind == "bce":
-            pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
-            inside = (p.data >= BCE_EPS) & (p.data <= 1.0 - BCE_EPS)
-            term = -(np.log(pc) * y + np.log(1.0 - pc) * (1.0 - y)).mean() * w
-            saved.append((pc, inside))
+            e = np.exp(-np.abs(z))
+            term = (np.maximum(z, 0.0) - z * y + np.log1p(e)).mean() * w
+            residuals.append(np.where(z >= 0, 1.0, e) / (1.0 + e) - y)
         else:
-            d = p.data - y
+            d = z - y
             term = (d * d).mean() * w
-            saved.append(d)
+            residuals.append(2.0 * d)
         total = term if total is None else total + term
 
     def bw(g: np.ndarray) -> None:
-        for p, w, kept in zip(preds, weights, saved):
-            if not p.requires_grad:
-                continue
-            if kind == "bce":
-                pc, inside = kept
-                gs = g * w * -1.0 / n
-                gp = (gs * (1.0 - y)) / (1.0 - pc) * -1.0
-                gp += (gs * y) / pc
-                _accum(p, gp * inside)
-            else:
-                gs = g * w / n
-                gp = gs * kept
-                gp += gs * kept
-                _accum(p, gp)
+        for p, w, r in zip(preds, weights, residuals):
+            if p.requires_grad:
+                _accum(p, g * w / n * r)
 
     return _emit(preds, total, bw)

@@ -44,8 +44,8 @@ def combined_loss(output: ForwardOutput, y, weights: Sequence[float], task: str)
     ``weights`` is ordered (supervised layers..., final); its length must be
     one more than the number of intermediates.  ``y`` is a scalar label or an
     array of the predictions' shape; detection labels must be 0 or 1.  The
-    mix is one :func:`tensor.weighted_loss` record: binary cross entropy for
-    detection, squared error for agreement.
+    mix is one :func:`tensor.weighted_loss` record: binary cross entropy on
+    the logits for detection, squared error for agreement.
     """
     if len(weights) != len(output.intermediates) + 1:
         raise ConfigError(
@@ -129,7 +129,12 @@ def _stacked(samples: Sequence[ProcessedSample]) -> tuple[Tensor, Tensor]:
 
 def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
                      task: str) -> dict:
-    """Accuracy at threshold 0.5 (detection) or mean squared error (agreement).
+    """Accuracy (detection) or mean squared error (agreement).
+
+    A detection prediction is a logit, and a logit of at least 0 counts as
+    a backchannel.  That is a sigmoid of at least 0.5, except for logits just
+    below 0 (above about −4.5e-17 in float64, −4.1e-8 in float32), whose
+    sigmoid rounds to exactly 0.5.
 
     Samples of one sequence length are scored together, split into the fewest
     equal forward passes (sizes differ by at most one) whose rows x
@@ -154,7 +159,7 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     labels = np.array([s.label for s in samples])
     name = METRIC_NAMES[task]
     if task == "detection":
-        value = float(np.mean((preds >= 0.5) == (labels == 1.0)))
+        value = float(np.mean((preds >= 0.0) == (labels == 1.0)))
     else:
         with np.errstate(over="ignore"):  # an overflow is reported just below
             value = float(np.mean((preds - labels) ** 2))

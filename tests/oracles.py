@@ -46,21 +46,19 @@ def attention_weights(logits) -> np.ndarray:
                           np.tile(np.eye(n, dtype=logits.dtype), (b, 1)), 1, b)
 
 
-def weighted_loss_reference(preds, y, weights, kind, eps=T.BCE_EPS):
+def weighted_loss_reference(preds, y, weights, kind):
     """Closed-form value and per-head gradients of ``Σₖ wₖ·mean(loss(predₖ, y))``
-    over n elements, in plain numpy.  Cross entropy (``"bce"``) on
-    pc = clip(p, eps, 1 − eps): −(y log pc + (1 − y) log(1 − pc)), whose
-    derivative wₖ/n · (pc − y)/(pc(1 − pc)) is zero outside the clip range;
+    over n elements, in plain float64 numpy.  Cross entropy (``"bce"``) on
+    logits z: log(1 + eᶻ) − y·z, taken as ``logaddexp(0, z) − y·z``, whose
+    derivative wₖ/n · (σ(z) − y) takes σ(z) = exp(−logaddexp(0, −z));
     squared error (``"mse"``): (p − y)², derivative 2wₖ(p − y)/n."""
     y = np.asarray(y, dtype=np.float64)
     value, grads = 0.0, []
     for p, w in zip(preds, weights):
         p = np.asarray(p, dtype=np.float64)
         if kind == "bce":
-            pc = np.clip(p, eps, 1.0 - eps)
-            value += w * np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-            inside = (p >= eps) & (p <= 1.0 - eps)
-            grads.append(np.where(inside, w / y.size * (pc - y) / (pc * (1.0 - pc)), 0.0))
+            value += w * np.mean(np.logaddexp(0.0, p) - y * p)
+            grads.append(w / y.size * (np.exp(-np.logaddexp(0.0, -p)) - y))
         else:
             value += w * np.mean((p - y) ** 2)
             grads.append(2.0 * w * (p - y) / y.size)

@@ -222,7 +222,7 @@ class TestBatchedEval:
                           "uneven": [(2, 5), (3, 8), (2, 8), (1, 3)]}[budget]
         assert sizes == expected_sizes
         if task == "detection":
-            assert metrics["value"] == np.mean((preds >= 0.5) == (labels == 1.0))
+            assert metrics["value"] == np.mean((preds >= 0.0) == (labels == 1.0))
         else:
             np.testing.assert_allclose(metrics["value"], np.mean((preds - labels) ** 2),
                                        rtol=0, atol=ATOL)

@@ -48,7 +48,7 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add", "sigmoid",
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add",
             "layer_norm", "concat", "slice_cols", "attention", "row_mean", "weighted_loss"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one affine op (with the ReLU), one op for multi-head attention
@@ -57,7 +57,7 @@ class TestSettableSurface:
         # feature-axis concat, and one op for the weighted per-head training loss
         for op, args in ((T.concat, ["parts"]),
                          (T.linear, ["x", "w", "b", "relu"]),
-                         (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate", "eps"]),
+                         (T.layer_norm, ["x", "r", "gain", "bias", "keep", "rate"]),
                          (T.attention, ["x_q", "x_kv", "wq", "wk", "wv", "wo", "n_heads",
                                         "batch"]),
                          (T.weighted_loss, ["preds", "y", "weights", "kind"])):

@@ -1,6 +1,7 @@
 """Manifest parsing, preprocessing, corpus round-trips, and the synthetic generator."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -223,9 +224,12 @@ class TestPreprocess:
             assert out.face_seq.shape[0] == win - 1
             assert np.all(out.face_seq >= 0.0) and np.all(out.pose_seq >= 0.0)
 
-    def test_window_longer_than_recording_rejected(self):
-        with pytest.raises(CorpusError, match="window"):
-            preprocess(make_raw(np.zeros((10, 2)), np.zeros((10, 2)), fps=30.0), 3.0)
+    @pytest.mark.parametrize("fps, needs", [(30.0, "90"), (1e300, "3e+300")])
+    def test_window_longer_than_recording_rejected(self, fps, needs):
+        # a huge but finite frame count is shown in short form, not with all its digits
+        with pytest.raises(CorpusError, match=rf"^sample r: recording has 10 frames, "
+                                              rf"window needs {re.escape(needs)}$"):
+            preprocess(make_raw(np.zeros((10, 2)), np.zeros((10, 2)), fps=fps), 3.0)
 
     def test_overflowing_difference_names_sample_modality_and_file_rows(self, recwarn):
         # finite frames 1.5e308 apart from -1.5e308: 0-based frames 36 and 37 of 40 are file

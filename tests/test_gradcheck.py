@@ -62,7 +62,7 @@ class TestOpGradients:
 
         def f():
             # x reaches the output by two paths
-            return proj(T.sigmoid(T.add(T.add(x, y), T.sigmoid(T.add(x, b)))))
+            return proj(T.add(T.add(x, y), T.add(x, b)))
 
         check(f, [("x", x), ("y", y), ("b", b)])
 
@@ -96,23 +96,15 @@ class TestOpGradients:
     @pytest.mark.parametrize("kind", ["bce", "mse"])
     @pytest.mark.parametrize("seed", range(5))
     def test_weighted_loss(self, seed, kind):
-        # 1 to 4 heads of (3, 2) predictions under unequal weights.  About a third of
-        # the cross entropy's probabilities, [0, 0] among them, lie outside
-        # [eps, 1 - eps] by more than the step h, where the clip leaves the value
-        # flat: their gradient must be zero, and the closed form's elsewhere
+        # 1 to 4 heads of (3, 2) predictions under unequal weights.  The cross
+        # entropy's logits reach ±20, where a confidently wrong head must keep
+        # its full gradient; the closed form's gradient must match as well
         rng = np.random.default_rng(seed)
         n_heads = seed % 4 + 1
         weights = list(rng.uniform(0.1, 1.0, size=n_heads))
         if kind == "bce":
             y = rng.integers(0, 2, size=(3, 2)).astype(float)
-            arrays, outside = [], []
-            for _ in range(n_heads):
-                p = rng.uniform(0.05, 0.95, size=(3, 2))
-                out = rng.random((3, 2)) < 1 / 3
-                out[0, 0] = True
-                p[out] = rng.choice([-0.4, 1.3], size=out.sum())
-                arrays.append(p)
-                outside.append(out)
+            arrays = [rng.uniform(-20.0, 20.0, size=(3, 2)) for _ in range(n_heads)]
         else:
             y = rng.normal(size=(3, 2))
             arrays = [rng.normal(size=(3, 2)) for _ in range(n_heads)]
@@ -122,8 +114,6 @@ class TestOpGradients:
         _, expected = weighted_loss_reference(arrays, y, weights, kind)
         for k, (p, g) in enumerate(zip(preds, expected)):
             np.testing.assert_allclose(p.grad, g, rtol=1e-12, atol=1e-15, err_msg=f"pred{k}")
-            if kind == "bce":
-                assert (p.grad[outside[k]] == 0.0).all()
 
     @pytest.mark.parametrize("t_q, t_k", [(4, 4), (3, 5)], ids=["self", "cross"])
     @pytest.mark.parametrize("seed", range(3))

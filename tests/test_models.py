@@ -17,7 +17,7 @@ from bcfusion.config import ConfigError, ModelConfig, toy_model_config
 from bcfusion.models import (ALL_TOPOLOGIES, FusionTopology, build_model, load_checkpoint,
                              parameter_breakdown, parameter_count, save_checkpoint,
                              split_streams)
-from bcfusion.tensor import ShapeError, Tensor
+from bcfusion.tensor import ShapeError, Tape, Tensor
 
 TOY = toy_model_config()
 
@@ -95,13 +95,29 @@ class TestBuildModel:
 
 class TestForward:
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
-    def test_detection_output_in_unit_interval(self, topology):
-        model = build_model(topology, "detection", TOY, rng_seed=0)
+    def test_both_tasks_run_one_forward_pass(self, topology):
+        # detection heads emit logits: the same weights give the same finite
+        # predictions, bit for bit, whatever the task
         face, pose = toy_inputs()
-        out = model.forward(face, pose)
-        assert 0.0 < out.final.data.item() < 1.0
-        for _, p in out.intermediates:
-            assert 0.0 < p.data.item() < 1.0
+        detection = build_model(topology, "detection", TOY, rng_seed=0).forward(face, pose)
+        agreement = build_model(topology, "agreement", TOY, rng_seed=0).forward(face, pose)
+        for (tag_d, d), (tag_a, a) in zip([("final", detection.final)] + detection.intermediates,
+                                          [("final", agreement.final)] + agreement.intermediates):
+            assert tag_d == tag_a and np.isfinite(d.data.item())
+            assert d.data.item() == a.data.item()
+
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_each_stage_is_pooled_once(self, topology):
+        # a stage that is both supervised and pooled into the final head shares one
+        # row_mean record between its head and the final head
+        model = build_model(topology, "detection", TOY, rng_seed=0)
+        with Tape() as tape:
+            model.forward(*toy_inputs())
+        pooled = [inputs[0] for inputs, _, rule in tape.records
+                  if rule.__qualname__.startswith("row_mean.")]
+        spec = model.spec
+        assert len(pooled) == len({id(x) for x in pooled}) == \
+            len(set(spec.supervised + spec.pooled))
 
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
     def test_intermediate_count_matches_supervision_table(self, topology):
@@ -136,7 +152,7 @@ class TestForward:
         for (_, pa), (_, pb) in zip(model.named_parameters(), rebuilt.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         out = model.forward(face, pose)
-        assert 0.0 < out.final.data.item() < 1.0
+        assert np.isfinite(out.final.data.item())
 
     def test_misaligned_modalities_rejected(self):
         model = build_model("one_stream", "detection", TOY, 0)
@@ -481,5 +497,7 @@ class TestPinnedWiring:
         assert hashlib.sha256(layout.encode()).hexdigest() == layout_sha
         values = b"".join(p.data.astype("<f8").tobytes() for _, p in params)
         assert hashlib.sha256(values).hexdigest() == init_sha
+        # the recorded value is the detection probability, the sigmoid of the logit
         out = model.forward(*toy_inputs())
-        np.testing.assert_allclose(out.final.data.item(), final, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(1.0 / (1.0 + np.exp(-out.final.data.item())), final,
+                                   rtol=1e-12, atol=0)

@@ -18,9 +18,9 @@ from bcfusion.training import (AdamState, adam_step, combined_loss, evaluate_met
                                write_history_csv)
 
 
-def bce_loss(p, y) -> Tensor:
-    """The detection loss of a single-layer model whose final prediction is ``p``."""
-    return combined_loss(ForwardOutput(final=Tensor(p), intermediates=[]), y, [1.0], "detection")
+def bce_loss(z, y) -> Tensor:
+    """The detection loss of a single-layer model whose final logit is ``z``."""
+    return combined_loss(ForwardOutput(final=Tensor(z), intermediates=[]), y, [1.0], "detection")
 
 
 def mse_loss(pred, y) -> Tensor:
@@ -31,28 +31,42 @@ def mse_loss(pred, y) -> Tensor:
 
 class TestBceLoss:
     def test_coin_flip_prediction(self):
-        loss = bce_loss([0.5], 1.0).data.item()
+        loss = bce_loss([0.0], 1.0).data.item()
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_perfect_predictions_vanish(self):
-        assert bce_loss([1.0 - 1e-9], 1.0).data.item() < 1e-6
-        assert bce_loss([1e-9], 0.0).data.item() < 1e-6
+        assert bce_loss([40.0], 1.0).data.item() < 1e-6
+        assert bce_loss([-40.0], 0.0).data.item() < 1e-6
 
     def test_matches_formula_oracle_on_batch(self):
+        # the cross entropy of the probabilities the logits stand for
         rng = np.random.default_rng(0)
-        p = rng.uniform(0.05, 0.95, size=8)
+        z = rng.normal(scale=3.0, size=8)
+        p = 1.0 / (1.0 + np.exp(-z))
         y = rng.integers(0, 2, size=8).astype(float)
         expected = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-        got = bce_loss(p, y).data.item()
+        got = bce_loss(z, y).data.item()
         assert abs(got - expected) < 1e-12
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError, match="0 or 1"):
             bce_loss([0.5], 0.7)
 
-    def test_clamps_boundary_probabilities(self):
-        assert np.isfinite(bce_loss([1.0], 0.0).data.item())
-        assert np.isfinite(bce_loss([0.0], 1.0).data.item())
+    def test_extreme_logits_score_their_size(self):
+        # softplus(z) - y·z: a wrong logit of 1000 costs 1000, not an infinite log
+        assert bce_loss([1000.0], 0.0).data.item() == 1000.0
+        assert bce_loss([-1000.0], 1.0).data.item() == 1000.0
+
+    def test_confidently_wrong_final_head_keeps_its_gradient(self):
+        # a label-1 sample at logit -20 is pulled back up with (almost) the full
+        # gradient -1, where a clipped probability would give it none
+        z = Tensor([[-20.0]], requires_grad=True)
+        with Tape() as tape:
+            loss = combined_loss(ForwardOutput(final=z, intermediates=[]), 1.0, [1.0],
+                                 "detection")
+        backward(loss, tape)
+        assert loss.data.item() == pytest.approx(20.0, rel=1e-8)
+        assert z.grad.item() == pytest.approx(-1.0, rel=1e-8)
 
 
 class TestMseLoss:
@@ -101,7 +115,8 @@ class TestCombinedLoss:
         assert total.data.item() == 0.35
 
     def test_single_layer_equals_task_loss(self):
-        out = ForwardOutput(final=Tensor([0.73]), intermediates=[])
+        # the logit of probability 0.73
+        out = ForwardOutput(final=Tensor([math.log(0.73 / 0.27)]), intermediates=[])
         total = combined_loss(out, 1.0, [1.0], "detection")
         assert total.data.item() == pytest.approx(-math.log(0.73), rel=1e-15, abs=0)
 
@@ -192,13 +207,14 @@ def stub_samples(labels):
 
 class TestEvaluateMetrics:
     def test_all_correct_accuracy(self):
-        samples = stub_samples([1, 0, 1, 0])
-        model = _StubModel({0.0: 0.9, 1.0: 0.1, 2.0: 0.8, 3.0: 0.2})
+        # detection predictions are logits: a logit of 0 or more is a backchannel
+        samples = stub_samples([1, 0, 1, 0, 1, 0])
+        model = _StubModel({0.0: 2.2, 1.0: -2.2, 2.0: 1.4, 3.0: -1.4, 4.0: 0.0, 5.0: -1e-300})
         assert evaluate_metrics(model, samples, "detection")["value"] == 1.0
 
     def test_half_correct_on_ten(self):
         samples = stub_samples([1] * 10)
-        model = _StubModel({float(i): (0.9 if i < 5 else 0.1) for i in range(10)})
+        model = _StubModel({float(i): (2.2 if i < 5 else -2.2) for i in range(10)})
         metrics = evaluate_metrics(model, samples, "detection")
         assert metrics["value"] == 0.5 and metrics["n"] == 10
 
