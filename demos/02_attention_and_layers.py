@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from bcfusion import MultiHeadAttention, TransformerLayer, sinusoidal_positional_encoding
+from bcfusion import TransformerLayer, sinusoidal_positional_encoding
 from bcfusion import tensor as T
 from bcfusion.tensor import Tensor
 
@@ -31,18 +31,20 @@ single = T.attention(x_q, one_kv, wq, wk, wv, wo, n_heads=2, batch=1)
 print("single-key rows equal the value row:",
       np.allclose(single.data, one_kv.data @ wv.data @ wo.data))
 
-# multi-head attention splits the width across heads and remixes with W_O
-mha = MultiHeadAttention(d_model=8, n_heads=2, rng=rng)
+# an encoder layer owns its four projections, (d_model, d_model) matrices whose
+# column blocks are the heads, and runs this op on them itself; cross-attention
+# takes its queries from another sequence
+layer = TransformerLayer(d_model=8, n_heads=2, rng=rng, dropout_rate=0.0)
+projections = (layer.wq, layer.wk, layer.wv, layer.wo)
 x = Tensor(rng.normal(size=(5, 8)))
-print("self-attention:", mha(x, x).shape, " cross-attention:",
-      mha(Tensor(rng.normal(size=(3, 8))), x).shape)
+print("self-attention:", T.attention(x, x, *projections, 2, 1).shape, " cross-attention:",
+      T.attention(Tensor(rng.normal(size=(3, 8))), x, *projections, 2, 1).shape)
 
 # the sinusoidal position signal: bounded, unique per position
 pe = sinusoidal_positional_encoding(16, 8)
 print("positional encoding range: [%.2f, %.2f]" % (pe.data.min(), pe.data.max()))
 
 # a full encoder layer is permutation-equivariant until positions are added
-layer = TransformerLayer(d_model=8, n_heads=2, rng=rng, dropout_rate=0.0)
 seq = rng.normal(size=(7, 8))
 perm = rng.permutation(7)
 base = layer.forward(Tensor(seq)).data

@@ -12,10 +12,10 @@ from .data import (CorpusError, ProcessedSample, RawSample, SampleDescriptor, Sy
                    load_corpus, load_manifest, load_sample_features, preprocess,
                    synth_generate)
 from .gradcheck import GradcheckReport, finite_diff_gradcheck
-from .layers import Linear, MultiHeadAttention, TransformerLayer, sinusoidal_positional_encoding
+from .layers import Linear, TransformerLayer, sinusoidal_positional_encoding
 from .models import (ALL_TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology,
                      build_model, load_checkpoint, parameter_breakdown, parameter_count,
-                     save_checkpoint, split_streams)
+                     save_checkpoint)
 from .tensor import Tape, Tensor, ShapeError, backward
 from .training import (AdamState, TrainResult, adam_step, combined_loss,
                        evaluate_metrics, loss_weights_for, run_training)

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,6 +208,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one ``warning: <message>`` line, without the source line that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run_command(argv) -> int:
     parser = _build_parser()
     try:
@@ -215,7 +221,10 @@ def run_command(argv) -> int:
                    "gradcheck": _cmd_gradcheck, "sweep": _cmd_sweep}[args.command]
         # every non-finite loss, gradient, prediction and metric is checked and
         # reported as an error line, so numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
             return handler(args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)

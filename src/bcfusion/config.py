@@ -30,17 +30,17 @@ def located(origin: Optional[Mapping[str, str]], key: str, message: str) -> str:
 
 @dataclass(frozen=True)
 class Rule:
-    """A setting's type (``numbers.Integral``, ``numbers.Real``, ``str`` or ``bool``;
-    an int is also a Real, a bool is no number), a condition, and ``text``
-    saying both after "must be"."""
+    """A setting's type (``numbers.Integral``, ``numbers.Real`` or ``str``; an int
+    is also a Real, a bool is no number), a condition, and ``text`` saying both
+    after "must be"."""
 
     kind: type
     text: str
     holds: Callable[[Any], bool] = lambda value: True
 
     def admits(self, value) -> bool:
-        return (isinstance(value, self.kind) and self.holds(value)
-                and (self.kind is bool or not isinstance(value, bool)))
+        return (isinstance(value, self.kind) and not isinstance(value, bool)
+                and self.holds(value))
 
 
 def at_least(n: int) -> Rule:
@@ -55,7 +55,6 @@ def one_of(*choices: str) -> Rule:
 POSITIVE = Rule(numbers.Real, "a finite number > 0", lambda value: 0 < value < math.inf)
 NON_NEGATIVE = Rule(numbers.Real, "a finite number >= 0", lambda value: 0 <= value < math.inf)
 FRACTION = Rule(numbers.Real, "a number in [0, 1)", lambda value: 0 <= value < 1)
-FLAG = Rule(bool, "true or false")
 
 
 def check(key: str, value, rule: Rule, origin: Optional[Mapping[str, str]] = None,
@@ -97,7 +96,8 @@ class ModelConfig:
 
     Only what the paper's topologies vary is settable: every transformer
     layer is the post-norm encoder layer with a feed-forward block twice its
-    width (see :class:`bcfusion.layers.TransformerLayer`).
+    width (see :class:`bcfusion.layers.TransformerLayer`), and positional
+    encoding is always added to first-layer inputs.
     """
 
     face_dim: int = 675
@@ -109,7 +109,6 @@ class ModelConfig:
     d_cross: int = 304
     ff_hidden: int = 64
     dropout: float = 0.1
-    use_positional_encoding: bool = True
 
     def validate(self, origin: Optional[Mapping[str, str]] = None) -> None:
         """Raise ConfigError for a bad setting; see :meth:`TrainConfig.validate` for ``origin``."""
@@ -119,16 +118,17 @@ class ModelConfig:
         for spec in TOPOLOGIES.values():
             widths = spec.widths(self)
             for st in spec.stages:
-                width, heads = widths[st.name], st.heads
+                width, heads, fields = widths[st.name], st.heads, spec.width_fields[st.name]
                 if width < heads or width % heads != 0:
-                    raise ConfigError(f"{' + '.join(spec.width_fields[st.name])} ({width}) "
-                                      f"must be a positive multiple of {heads} heads")
+                    # reported at the first of its fields that a file set
+                    read = [f for f in fields if origin and f in origin] or fields
+                    raise ConfigError(located(origin, read[0], f"{' + '.join(fields)} ({width}) "
+                                              f"must be a positive multiple of {heads} heads"))
 
 
 MODEL_RULES = {"face_dim": at_least(1), "pose_dim": at_least(1), "d_face": at_least(1),
                "d_pose": at_least(1), "d_fused_face": at_least(1), "d_fused_pose": at_least(1),
-               "d_cross": at_least(1), "ff_hidden": at_least(1), "dropout": FRACTION,
-               "use_positional_encoding": FLAG}
+               "d_cross": at_least(1), "ff_hidden": at_least(1), "dropout": FRACTION}
 
 
 def toy_model_config(face_dim: int = 12, pose_dim: int = 6, **overrides) -> ModelConfig:
@@ -194,8 +194,9 @@ class ConfigMapping(dict):
 
 
 def parse_config_file(path: str | Path) -> ConfigMapping:
-    """Read ``key = value`` lines into a string mapping."""
+    """Read ``key = value`` lines into a string mapping; a key may appear once."""
     out = ConfigMapping()
+    first_line: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -203,22 +204,14 @@ def parse_config_file(path: str | Path) -> ConfigMapping:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
-        out.origin[key.strip()] = f"{path}:{lineno}"
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
+        out.origin[key] = f"{path}:{lineno}"
     return out
-
-
-def _parse_value(raw: str, kind):
-    """``raw`` as a value of the annotated field type ``kind``; ValueError if it is not one."""
-    raw = raw.strip()
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(raw)
-    return kind(raw)
 
 
 def dataclass_from_mapping(cls, mapping: dict[str, str]):
@@ -228,7 +221,7 @@ def dataclass_from_mapping(cls, mapping: dict[str, str]):
     train config files set :class:`ModelConfig` fields.  Errors name the key
     and, for a mapping from :func:`parse_config_file`, the file and line.  Text
     that does not parse as its field's type is left in the field as text, which
-    no number or flag rule admits, and the owner's ``validate`` reports it under
+    no number rule admits, and the owner's ``validate`` reports it under
     the field's rule, in the one message format of :func:`check`.
     """
     obj = cls()
@@ -242,7 +235,7 @@ def dataclass_from_mapping(cls, mapping: dict[str, str]):
             raise ConfigError(located(origin, key, f"unknown config key {key!r}"))
         owner, kind = slots[key]
         try:
-            setattr(owner, key, _parse_value(raw, kind))
+            setattr(owner, key, kind(raw.strip()))
         except ValueError:
             setattr(owner, key, raw)
             owner.validate(origin)

@@ -9,7 +9,8 @@ modality.  The manifest is UTF-8 CSV with header::
 
 Paths are resolved relative to the manifest's directory.  Sample files have
 no header; rows are frames, columns are features, written at full precision
-so that write -> read round-trips exactly.
+so that write -> read round-trips exactly.  Both are read as UTF-8, with or
+without the byte-order mark that spreadsheet "CSV UTF-8" exports begin with.
 
 Preprocessing mirrors how the models consume recordings: take the last
 ``window_seconds * fps`` frames, replace features with absolute differences
@@ -108,7 +109,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     blank or ``#``-led line before the last row is an error naming its line."""
     path = Path(path)
     # read_text turns \r\n and \r into \n; splitlines would also split at \f and \x1c-\x1e
-    text = path.read_text(encoding="utf-8", errors="replace").rstrip()
+    text = path.read_text(encoding="utf-8-sig", errors="replace").rstrip()
     if not text:
         raise CorpusError(f"{path}: no data rows")
     lines = text.split("\n")
@@ -151,7 +152,7 @@ def load_manifest(path: str | Path, task: str | None = None) -> list[SampleDescr
     root = path.parent
     descriptors: list[SampleDescriptor] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:

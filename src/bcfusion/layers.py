@@ -4,11 +4,12 @@ A mini-batch of B sequences of equal length T is stacked into (B·T, d) rows,
 sample after sample, so projections, the feed-forward block and layer norm
 run as one 2-D op over every frame of the batch; the ``batch`` argument tells
 attention and positional encoding where one sequence ends and the next
-begins.  Attention is one tape op from the layer inputs to the output
-projection, over (B, H, T, d_head) views in which heads and samples alike are
-array axes (the reshape formulation of Vaswani et al. 2017); its head kernel
-is chosen by operand shape, and its backward uses the FlashAttention term
-D = rowsum(g_ctx ∘ ctx).  A single (T, d) sequence is a batch of one.
+begins.  :class:`TransformerLayer` calls :func:`tensor.attention` itself: one
+tape op from the layer inputs to the output projection, over (B, H, T, d_head)
+views in which heads and samples alike are array axes (the reshape
+formulation of Vaswani et al. 2017); its head kernel is chosen by operand
+shape, and its backward uses the FlashAttention term D = rowsum(g_ctx ∘ ctx).
+A single (T, d) sequence is a batch of one.
 Parameters are plain ``Tensor`` objects created with uniform fan-in
 initialization, U(-sqrt(1/fan_in), +sqrt(1/fan_in)), or left undrawn when no
 generator is given (a skeleton that a checkpoint fills).
@@ -56,41 +57,6 @@ class Linear:
         yield f"{prefix}b", self.b
 
 
-class MultiHeadAttention:
-    """h parallel attention heads over packed projections, then an output map.
-
-    Queries are projected from ``x_q`` and keys/values from ``x_kv``;
-    self-attention is the ``x_q is x_kv`` case.  Projections are packed as
-    single (d_model, d_model) matrices whose column blocks are the heads.
-    The three input projections, the heads of every stacked sequence and the
-    output map run as one :func:`tensor.attention` record; the four weights
-    stay separate parameters.
-    """
-
-    def __init__(self, d_model: int, n_heads: int, rng: Optional[np.random.Generator]):
-        if d_model % n_heads != 0:
-            raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
-        self.d_model = d_model
-        self.n_heads = n_heads
-        self.wq = uniform_init(rng, (d_model, d_model), d_model)
-        self.wk = uniform_init(rng, (d_model, d_model), d_model)
-        self.wv = uniform_init(rng, (d_model, d_model), d_model)
-        self.wo = uniform_init(rng, (d_model, d_model), d_model)
-
-    def __call__(self, x_q: Tensor, x_kv: Tensor, batch: int = 1) -> Tensor:
-        """Attend within each of ``batch`` stacked sequences: rows (B·T_q, d), (B·T_k, d)."""
-        if x_q.shape[-1] != self.d_model or x_kv.shape[-1] != self.d_model:
-            raise ShapeError(
-                f"attention width mismatch: inputs {x_q.shape}/{x_kv.shape}, d_model {self.d_model}")
-        return T.attention(x_q, x_kv, self.wq, self.wk, self.wv, self.wo, self.n_heads, batch)
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}wq", self.wq
-        yield f"{prefix}wk", self.wk
-        yield f"{prefix}wv", self.wv
-        yield f"{prefix}wo", self.wo
-
-
 def sinusoidal_positional_encoding(n_positions: int, d_model: int) -> Tensor:
     """Interleaved sine/cosine position signal, shape (n_positions, d_model).
 
@@ -119,15 +85,24 @@ class TransformerLayer:
     """Post-norm encoder layer (Vaswani et al. 2017): attention, residual, norm,
     feed-forward at twice the model width, residual, norm.
 
-    For cross-attention, pass ``x_q`` to source the queries from another
-    stream; keys, values, and the residual path stay on the layer's own input.
+    The attention projections ``wq``, ``wk``, ``wv`` and ``wo`` are single
+    (d_model, d_model) matrices whose column blocks are the heads; the
+    projections, the heads of every stacked sequence and the output map run
+    as one :func:`tensor.attention` record.  For cross-attention, pass
+    ``x_q`` to source the queries from another stream; keys, values, and the
+    residual path stay on the layer's own input.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng: Optional[np.random.Generator],
                  dropout_rate: float = 0.1):
+        if d_model % n_heads != 0:
+            raise ShapeError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.d_model = d_model
+        self.n_heads = n_heads
         self.dropout_rate = dropout_rate
-        self.attn = MultiHeadAttention(d_model, n_heads, rng)
+        # drawn before the feed-forward maps, in this order, which fixes seeded weights
+        self.wq, self.wk, self.wv, self.wo = (uniform_init(rng, (d_model, d_model), d_model)
+                                              for _ in range(4))
         self.ffn1 = Linear(d_model, 2 * d_model, rng)
         self.ffn2 = Linear(2 * d_model, d_model, rng)
         self.ln1_gain = Tensor(np.ones(d_model), requires_grad=True)
@@ -144,13 +119,10 @@ class TransformerLayer:
         that order.  Each goes into the ``layer_norm`` of its residual branch,
         so dropout adds no tape record and costs one byte per element.
         """
-        if x.data.ndim != 2 or x.shape[1] != self.d_model:
-            raise ShapeError(f"transformer layer expects (T, {self.d_model}), got {x.shape}")
-        if x_q is not None and x_q.shape != x.shape:
-            raise ShapeError(f"query stream shape {x_q.shape} != input shape {x.shape}")
         keep = (None, None) if keep is None else keep
         rate = self.dropout_rate
-        a = self.attn(x if x_q is None else x_q, x, batch)
+        a = T.attention(x if x_q is None else x_q, x, self.wq, self.wk, self.wv, self.wo,
+                        self.n_heads, batch)
         h = T.layer_norm(x, a, self.ln1_gain, self.ln1_bias, keep[0], rate)
         f = self.ffn2(self.ffn1(h, relu=True))
         return T.layer_norm(h, f, self.ln2_gain, self.ln2_bias, keep[1], rate)
@@ -158,7 +130,10 @@ class TransformerLayer:
     __call__ = forward
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield from self.attn.named_parameters(f"{prefix}attn.")
+        yield f"{prefix}attn.wq", self.wq
+        yield f"{prefix}attn.wk", self.wk
+        yield f"{prefix}attn.wv", self.wv
+        yield f"{prefix}attn.wo", self.wo
         yield from self.ffn1.named_parameters(f"{prefix}ffn1.")
         yield from self.ffn2.named_parameters(f"{prefix}ffn2.")
         yield f"{prefix}ln1_gain", self.ln1_gain

@@ -52,10 +52,10 @@ from .tensor import ShapeError, Tensor
 
 CHECKPOINT_FORMAT = "bcfusion-checkpoint"
 CHECKPOINT_VERSION = 1
-# ModelConfig keys of version-1 files that are no settings now (constants, or head
-# counts in TOPOLOGIES), with the one value each may take.
+# ModelConfig keys of version-1 files that are no settings now (constants, head
+# counts in TOPOLOGIES, or always on), with the one value each may take.
 _RETIRED_MODEL_KEYS = {"pre_norm": False, "ffn_mult": 2, "face_heads": 4, "pose_heads": 2,
-                       "fused_heads": 10, "late_heads": 8}
+                       "fused_heads": 10, "late_heads": 8, "use_positional_encoding": True}
 
 
 ALL_TOPOLOGIES = tuple(FusionTopology)
@@ -159,11 +159,6 @@ class ForwardOutput:
 
     final: Tensor
     intermediates: list[tuple[str, Tensor]]
-
-
-def split_streams(x: Tensor, d_a: int) -> tuple[Tensor, Tensor]:
-    """Split rows (B·T, d_a + d_b) at feature index d_a; exact inverse of concat."""
-    return T.slice_cols(x, 0, d_a), T.slice_cols(x, d_a, x.shape[-1])
 
 
 class FeedForwardHead:
@@ -270,11 +265,12 @@ class FusionModel:
         seq = {s: comp[f"{s}_proj"](raw[s]) for s in spec.streams}
         if spec.fused:
             seq = {"fused": T.concat(list(seq.values()))}
-        if self.config.use_positional_encoding:
-            seq = {s: add_positional_encoding(x, batch) for s, x in seq.items()}
+        seq = {s: add_positional_encoding(x, batch) for s, x in seq.items()}
         for st, masks in zip(spec.stages, keep or [None] * len(spec.stages)):
             for s in dict.fromkeys(ref.partition(":")[0] for ref in st.inputs if ref not in seq):
-                seq[s + ":face"], seq[s + ":pose"] = split_streams(seq[s], comp["face_proj"].d_out)
+                cut = comp["face_proj"].d_out
+                seq[s + ":face"] = T.slice_cols(seq[s], 0, cut)
+                seq[s + ":pose"] = T.slice_cols(seq[s], cut, seq[s].shape[1])
             xs = [seq[ref] for ref in st.inputs]
             x = T.concat(xs) if len(xs) > 1 else xs[0]
             seq[st.name] = comp[st.name].forward(x, x_q=seq.get(st.query), batch=batch,
@@ -369,12 +365,14 @@ def load_checkpoint(path: str | Path) -> tuple[FusionModel, dict]:
     """
     path = Path(path)
     try:
-        z = np.load(path)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise TypeError("a bare .npy array, not an npz archive")
-        with z:
-            meta = json.loads(bytes(z["__meta__"]).decode("utf-8")) if "__meta__" in z else None
-            arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
+        with path.open("rb") as fh:  # closed however the archive fails to read
+            z = np.load(fh)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise TypeError("a bare .npy array, not an npz archive")
+            with z:
+                meta = (json.loads(bytes(z["__meta__"]).decode("utf-8"))
+                        if "__meta__" in z else None)
+                arrays = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
     except (zipfile.BadZipFile, zlib.error, EOFError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a readable {CHECKPOINT_FORMAT} file "
                          f"({type(exc).__name__}: {exc})") from None

@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
+from bcfusion import tensor as T
 from bcfusion.cli import run_command
 from bcfusion.config import TrainConfig, toy_model_config
 from bcfusion.data import (SynthSpec, load_corpus, preprocess, read_matrix_csv,
                            synth_generate, write_matrix_csv)
 from bcfusion.data import RawSample
-from bcfusion.layers import MultiHeadAttention, TransformerLayer
+from bcfusion.layers import TransformerLayer
 from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, build_model, load_checkpoint,
                              save_checkpoint)
 from bcfusion.tensor import Tensor
@@ -238,11 +239,9 @@ class TestCriterion8StructuralInvariants:
     def test_single_head_identity_mha_equals_sdpa(self):
         rng = np.random.default_rng(20)
         d = 6
-        mha = MultiHeadAttention(d, 1, rng)
-        for w in (mha.wq, mha.wk, mha.wv, mha.wo):
-            w.data = np.eye(d)
+        eye = Tensor(np.eye(d))
         x = rng.normal(size=(5, d))
-        out = mha(Tensor(x), Tensor(x)).data
+        out = T.attention(Tensor(x), Tensor(x), eye, eye, eye, eye, 1, 1).data
         np.testing.assert_allclose(out, sdpa_reference(x, x, x), rtol=0, atol=1e-12)
         report(8, "attention rows sum to 1, layer permutation-equivariant, "
                   "single-head identity attention matches the numpy reference")

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, artifacts, reproducibility."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def config_file(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text(CONFIG_TEXT)
     return path
+
+
+def set_lines(text, *lines):
+    """``text`` with each ``key = value`` of ``lines`` as its last lines, in place of
+    the line that set that key before: a config key may appear once."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
 
 
 def sole_error_line(capsys):
@@ -142,10 +151,10 @@ class TestSynth:
     ])
     def test_non_finite_spec_value_rejected(self, tmp_path, capsys, line, key):
         spec = tmp_path / "spec.cfg"
-        spec.write_text(SPEC_TEXT + line + "\n")
+        spec.write_text(set_lines(SPEC_TEXT, line))
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-        n_lines = len(SPEC_TEXT.splitlines()) + 1
+        n_lines = len(spec.read_text().splitlines())
         assert sole_error_line(capsys).startswith(
             f"error: {spec}:{n_lines}: config key {key!r} must be a finite")
         assert not out.exists()
@@ -162,7 +171,7 @@ class TestSynth:
     def test_bad_split_or_balance_names_its_line(self, tmp_path, capsys, lines, key, message):
         # a rule that joins two keys is reported at the line of one of them
         spec = tmp_path / "spec.cfg"
-        spec.write_text(SPEC_TEXT + lines + "\n")
+        spec.write_text(set_lines(SPEC_TEXT, *lines.split("\n")))
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         text = spec.read_text().splitlines()
@@ -174,11 +183,11 @@ class TestSynth:
                              ids=["flag", "spec_file"])
     def test_negative_seed_rejected_before_writing(self, tmp_path, capsys, flags, line):
         spec = tmp_path / "spec.cfg"
-        spec.write_text(SPEC_TEXT + line)
+        spec.write_text(set_lines(SPEC_TEXT, *line.splitlines()))
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)] + flags) == 1
-        # a value from the file names its line (the last 'seed' line wins); a flag's does not
-        where = f"{spec}:{len(SPEC_TEXT.splitlines()) + 1}: " if line else ""
+        # a value from the file names its line; a flag's does not
+        where = f"{spec}:{len(spec.read_text().splitlines())}: " if line else ""
         assert sole_error_line(capsys) == \
             f"error: {where}config key 'seed' must be an integer >= 0, got -3"
         assert not out.exists()
@@ -186,10 +195,10 @@ class TestSynth:
     @pytest.mark.parametrize("key, value", [("face_dim", 0), ("pose_dim", -3)])
     def test_stream_width_below_one_rejected_before_writing(self, tmp_path, capsys, key, value):
         spec = tmp_path / "spec.cfg"
-        spec.write_text(SPEC_TEXT + f"{key} = {value}\n")
+        spec.write_text(set_lines(SPEC_TEXT, f"{key} = {value}"))
         out = tmp_path / "o"
         assert run_command(["synth", "--spec", str(spec), "--out", str(out)]) == 1
-        n_lines = len(SPEC_TEXT.splitlines()) + 1
+        n_lines = len(spec.read_text().splitlines())
         assert sole_error_line(capsys) == \
             f"error: {spec}:{n_lines}: config key {key!r} must be an integer >= 1, got {value}"
         assert not out.exists()
@@ -275,7 +284,7 @@ class TestTrain:
     @pytest.mark.parametrize("line", ["pre_norm = false", "ffn_mult = 2", "beta1 = 0.9",
                                       "beta2 = 0.999", "adam_eps = 1e-8",
                                       "loss_weights = 0.35,0.35,0.3", "face_heads = 4",
-                                      "late_heads = 8"])
+                                      "late_heads = 8", "use_positional_encoding = true"])
     def test_removed_setting_is_unknown_key(self, config_file, tmp_path, capsys, line):
         config = tmp_path / "old.cfg"
         config.write_text(config_file.read_text() + line + "\n")
@@ -298,12 +307,12 @@ class TestTrain:
     def test_non_finite_or_negative_setting_rejected_before_corpus_loads(
             self, config_file, tmp_path, capsys, line, key):
         config = tmp_path / "bad.cfg"
-        config.write_text(config_file.read_text() + line + "\n")
+        config.write_text(set_lines(config_file.read_text(), line))
         args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--topology",
                 "one_stream", "--task", "detection", "--config", str(config),
                 "--out", str(tmp_path / "o")]
         assert run_command(args) == 1
-        n_lines = len(CONFIG_TEXT.splitlines()) + 1
+        n_lines = len(config.read_text().splitlines())
         assert sole_error_line(capsys).startswith(
             f"error: {config}:{n_lines}: config key {key!r} must be a finite")
 
@@ -330,12 +339,12 @@ class TestTrain:
     def test_other_bad_file_values_name_their_line(self, config_file, tmp_path, capsys,
                                                    line, message):
         config = tmp_path / "bad.cfg"
-        config.write_text(config_file.read_text() + line + "\n")
+        config.write_text(set_lines(config_file.read_text(), line))
         args = ["train", "--manifest", str(tmp_path / "missing.csv"), "--config", str(config),
                 "--out", str(tmp_path / "o")]
         assert run_command(args) == 1
         assert sole_error_line(capsys) == \
-            f"error: {config}:{len(CONFIG_TEXT.splitlines()) + 1}: {message}"
+            f"error: {config}:{len(config.read_text().splitlines())}: {message}"
 
     def test_flag_overriding_a_bad_file_value_passes_validation(self, config_file, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -388,6 +397,31 @@ class TestTrain:
         line = sole_error_line(capsys)
         assert line.startswith(f"error: {manifest}: row 4: sample {fields[0]!r}: {name} ")
         assert line.endswith(" is not a file")
+
+    def test_repeated_config_key_names_both_lines(self, corpus_dir, tmp_path, capsys):
+        # a later line used to win silently: this file trained 3 epochs
+        config = tmp_path / "twice.cfg"
+        config.write_text(CONFIG_TEXT + "epochs = 3\n")
+        capsys.readouterr()
+        assert run_command(train_args(corpus_dir, config, tmp_path / "run")) == 1
+        n_lines = len(CONFIG_TEXT.splitlines()) + 1
+        assert sole_error_line(capsys) == \
+            f"error: {config}:{n_lines}: config key 'epochs' repeats line 9"
+        assert not (tmp_path / "run").exists()
+
+    def test_unequal_frame_counts_print_one_warning_line(self, corpus_dir, config_file,
+                                                         tmp_path, capsys):
+        pose = corpus_dir / "s00000_pose.csv"
+        pose.write_text("".join(pose.read_text().splitlines(keepends=True)[:-1]))
+        show, filters = warnings.showwarning, list(warnings.filters)
+        capsys.readouterr()
+        assert run_command(train_args(corpus_dir, config_file, tmp_path / "run", window=2)) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["metric_name"] == "accuracy"
+        assert captured.err.splitlines() == [
+            "warning: sample s00000: unequal frame counts (face 15, pose 14); truncating to 14"]
+        # the warning machinery is as it was
+        assert warnings.showwarning is show and warnings.filters == filters
 
     def test_width_mismatch_is_validation_error(self, corpus_dir, tmp_path):
         args = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--topology",

@@ -27,12 +27,20 @@ def write_corpus(tmp_path, rows, face_dim=6, pose_dim=4, t=12, seed=0):
     return manifest
 
 
+def add_byte_order_mark(path):
+    """Prefix ``path`` with the UTF-8 byte-order mark of a spreadsheet "CSV UTF-8" export."""
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
 class TestMatrixCsv:
-    def test_write_read_round_trip_exact(self, tmp_path):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "byte_order_mark"])
+    def test_write_read_round_trip_exact(self, tmp_path, bom):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((13, 7)) * 10.0 ** rng.integers(-6, 6, (13, 7)).astype(float)
         path = tmp_path / "m.csv"
         write_matrix_csv(path, arr)
+        if bom:
+            add_byte_order_mark(path)
         np.testing.assert_array_equal(read_matrix_csv(path), arr)
 
     def test_edge_values_keep_their_bytes_and_round_trip_bitwise(self, tmp_path):
@@ -100,9 +108,12 @@ class TestMatrixCsv:
 
 
 class TestLoadManifest:
-    def test_descriptors_in_file_order(self, tmp_path):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "byte_order_mark"])
+    def test_descriptors_in_file_order(self, tmp_path, bom):
         manifest = write_corpus(tmp_path, [("a", 30, 1, "train"), ("b", 30, 0, "validation"),
                                            ("c", 30, 1, "test")])
+        if bom:
+            add_byte_order_mark(manifest)
         descs = load_manifest(manifest)
         assert [d.id for d in descs] == ["a", "b", "c"]
         assert descs[0].face_path.exists()

@@ -5,8 +5,7 @@ import pytest
 
 from bcfusion import tensor as T
 from bcfusion.gradcheck import finite_diff_gradcheck
-from bcfusion.layers import (Linear, MultiHeadAttention, TransformerLayer,
-                             sinusoidal_positional_encoding)
+from bcfusion.layers import Linear, TransformerLayer, sinusoidal_positional_encoding
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
 from oracles import attention_core, sdpa_reference, squared_error
 
@@ -51,11 +50,9 @@ class TestMultiHeadAttention:
     def test_single_head_identity_projections_equal_sdpa(self):
         rng = np.random.default_rng(2)
         d = 5
-        mha = MultiHeadAttention(d, 1, rng)
-        for w in (mha.wq, mha.wk, mha.wv, mha.wo):
-            w.data = np.eye(d)
+        eye = Tensor(np.eye(d))
         x = rng.normal(size=(6, d))
-        out = mha(Tensor(x), Tensor(x)).data
+        out = T.attention(Tensor(x), Tensor(x), eye, eye, eye, eye, 1, 1).data
         np.testing.assert_allclose(out, sdpa_reference(x, x, x), rtol=0, atol=1e-12)
 
     def test_two_heads_with_block_projections_match_independent_sdpa(self):
@@ -63,31 +60,29 @@ class TestMultiHeadAttention:
         # features, so the pre-output concat must equal two separate attentions
         rng = np.random.default_rng(3)
         d, h = 6, 2
-        mha = MultiHeadAttention(d, h, rng)
-        for w in (mha.wq, mha.wk, mha.wv):
-            w.data = np.eye(d)
-        mha.wo.data = np.eye(d)
+        eye = Tensor(np.eye(d))
         x = rng.normal(size=(4, d))
-        out = mha(Tensor(x), Tensor(x)).data
+        out = T.attention(Tensor(x), Tensor(x), eye, eye, eye, eye, h, 1).data
         lo, hi = x[:, :3], x[:, 3:]
         ref = np.hstack([sdpa_reference(lo, lo, lo), sdpa_reference(hi, hi, hi)])
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_cross_attention_output_shape(self):
         rng = np.random.default_rng(4)
-        mha = MultiHeadAttention(8, 2, rng)
-        out = mha(Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))))
+        layer = TransformerLayer(8, 2, rng)
+        out = T.attention(Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=(5, 8))),
+                          layer.wq, layer.wk, layer.wv, layer.wo, layer.n_heads, 1)
         assert out.shape == (2, 8)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ShapeError):
-            MultiHeadAttention(7, 2, np.random.default_rng(0))
+            TransformerLayer(7, 2, np.random.default_rng(0))
 
     def test_rejects_width_mismatch(self):
         rng = np.random.default_rng(5)
-        mha = MultiHeadAttention(4, 2, rng)
+        layer = TransformerLayer(4, 2, rng)
         with pytest.raises(ShapeError):
-            mha(Tensor(np.zeros((3, 5))), Tensor(np.zeros((3, 4))))
+            layer.forward(Tensor(np.zeros((3, 4))), x_q=Tensor(np.zeros((3, 5))))
 
 
 class TestPositionalEncoding:
@@ -171,6 +166,12 @@ class TestTransformerLayer:
         layer = TransformerLayer(6, 2, np.random.default_rng(11))
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.zeros((3, 5))))
+
+    def test_rejects_query_rows_other_than_the_inputs(self):
+        # the query stream supplies the rows of the residual sum
+        layer = TransformerLayer(6, 2, np.random.default_rng(11))
+        with pytest.raises(ShapeError):
+            layer.forward(Tensor(np.zeros((4, 6))), x_q=Tensor(np.zeros((2, 6))), batch=2)
 
 
 def record_arrays(record):

@@ -1,22 +1,24 @@
 """Topology wiring, determinism, parameter accounting, and checkpoint round-trips."""
 
 import errno
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bcfusion import models
 from bcfusion.config import ConfigError, ModelConfig, toy_model_config
 from bcfusion.models import (ALL_TOPOLOGIES, FusionTopology, build_model, load_checkpoint,
-                             parameter_breakdown, parameter_count, save_checkpoint,
-                             split_streams)
+                             parameter_breakdown, parameter_count, save_checkpoint)
 from bcfusion.tensor import ShapeError, Tape, Tensor
 
 TOY = toy_model_config()
@@ -182,8 +184,10 @@ class TestForward:
         assert abs(moved - base) > 0.0
 
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
-    def test_pooled_prediction_invariant_under_joint_time_permutation(self, topology):
-        cfg = toy_model_config(use_positional_encoding=False, dropout=0.0)
+    def test_pooled_prediction_invariant_under_joint_time_permutation(self, topology,
+                                                                      monkeypatch):
+        monkeypatch.setattr(models, "add_positional_encoding", lambda x, batch: x)
+        cfg = toy_model_config(dropout=0.0)
         model = build_model(topology, "detection", cfg, rng_seed=0)
         rng = np.random.default_rng(5)
         face = rng.normal(size=(8, cfg.face_dim))
@@ -202,34 +206,6 @@ class TestForward:
         a = model.forward(Tensor(face), Tensor(pose)).final.data.item()
         b = model.forward(Tensor(face[perm]), Tensor(pose[perm])).final.data.item()
         assert abs(a - b) > 1e-12
-
-
-class TestSplitStreams:
-    def test_inverse_of_concat(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=(5, 2)), rng.normal(size=(5, 3))
-        left, right = split_streams(Tensor(np.hstack([a, b])), 2)
-        np.testing.assert_array_equal(left.data, a)
-        np.testing.assert_array_equal(right.data, b)
-
-    def test_shape_contract(self):
-        left, right = split_streams(Tensor(np.zeros((1, 5))), 2)
-        assert left.shape == (1, 2) and right.shape == (1, 3)
-
-    def test_round_trip_many_seeds(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            w = int(rng.integers(2, 12))
-            cut = int(rng.integers(1, w))
-            x = rng.normal(size=(int(rng.integers(1, 6)), w))
-            left, right = split_streams(Tensor(x), cut)
-            np.testing.assert_array_equal(np.hstack([left.data, right.data]), x)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            split_streams(Tensor(np.zeros((2, 4))), 4)
-        with pytest.raises(ShapeError):
-            split_streams(Tensor(np.zeros((2, 4))), 0)
 
 
 class TestParameterCount:
@@ -288,9 +264,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_loads_meta_with_retired_model_config_keys_bitwise(self, tmp_path):
-        # version-1 files written while pre_norm, ffn_mult and the four head
-        # counts were settings hold a 16-key model_config; the values every
-        # such file holds still load
+        # version-1 files written while pre_norm, ffn_mult, the four head counts
+        # and use_positional_encoding were settings hold a 16-key model_config;
+        # the values every such file holds still load
         model = build_model("one_to_two", "detection", TOY, rng_seed=3)
         face, pose = toy_inputs(seed=8)
         before = model.forward(face, pose)
@@ -298,7 +274,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         assert list(read_meta(path)["model_config"]) == [f.name for f in fields(ModelConfig)]
         rewrite_meta(path, lambda meta: meta["model_config"].update(
-            ffn_mult=2, pre_norm=False, face_heads=4, pose_heads=2, fused_heads=10, late_heads=8))
+            ffn_mult=2, pre_norm=False, face_heads=4, pose_heads=2, fused_heads=10, late_heads=8,
+            use_positional_encoding=True))
         assert len(read_meta(path)["model_config"]) == 16
         loaded, _ = load_checkpoint(path)
         after = loaded.forward(face, pose)
@@ -307,13 +284,26 @@ class TestCheckpoint:
             assert pa.data.tobytes() == pb.data.tobytes()
 
     @pytest.mark.parametrize("key, value", [("pre_norm", True), ("ffn_mult", 3),
-                                            ("face_heads", 5)])
+                                            ("face_heads", 5),
+                                            ("use_positional_encoding", False)])
     def test_rejects_retired_key_with_other_value(self, tmp_path, key, value):
         path = tmp_path / "model.npz"
         save_checkpoint(build_model("one_stream", "detection", TOY), path)
         rewrite_meta(path, lambda meta: meta["model_config"].update({key: value}))
         with pytest.raises(ValueError, match=rf"{path}: model_config key '{key}'"):
             load_checkpoint(path)
+
+    def test_unreadable_archive_closes_its_file(self, tmp_path):
+        # np.load on the path left the handle of a truncated archive to the collector
+        path = tmp_path / "model.npz"
+        save_checkpoint(build_model("one_stream", "detection", TOY), path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="not a readable"):
+                load_checkpoint(path)
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -253,12 +253,30 @@ class TestElementwise:
             with pytest.raises(ShapeError):
                 T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(b_shape)))
 
-    def test_concat_slice_round_trip(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
-        joined = T.concat([Tensor(a), Tensor(b)])
-        np.testing.assert_array_equal(T.slice_cols(joined, 0, 3).data, a)
-        np.testing.assert_array_equal(T.slice_cols(joined, 3, 8).data, b)
+    @pytest.mark.parametrize("case", ["widths_3_5", "random_cuts"])
+    def test_concat_slice_round_trip(self, case):
+        if case == "widths_3_5":
+            rng = np.random.default_rng(3)
+            pairs = [(rng.normal(size=(4, 3)), rng.normal(size=(4, 5)))]
+        else:  # 100 seeded widths, cuts and row counts, one row included
+            pairs = []
+            for seed in range(100):
+                rng = np.random.default_rng(seed)
+                w = int(rng.integers(2, 12))
+                cut = int(rng.integers(1, w))
+                x = rng.normal(size=(int(rng.integers(1, 6)), w))
+                pairs.append((x[:, :cut], x[:, cut:]))
+        for a, b in pairs:
+            joined = T.concat([Tensor(a), Tensor(b)])
+            np.testing.assert_array_equal(joined.data, np.hstack([a, b]))
+            cut, width = a.shape[1], joined.shape[1]
+            np.testing.assert_array_equal(T.slice_cols(joined, 0, cut).data, a)
+            np.testing.assert_array_equal(T.slice_cols(joined, cut, width).data, b)
+
+    @pytest.mark.parametrize("start, stop", [(4, 4), (0, 0), (-1, 2), (2, 5), (3, 1)])
+    def test_slice_out_of_range_rejected(self, start, stop):
+        with pytest.raises(ShapeError, match="out of range for width 4"):
+            T.slice_cols(Tensor(np.zeros((2, 4))), start, stop)
 
     def test_concat_takes_2d_parts_with_equal_rows(self):
         for parts in ([np.ones(2), np.ones(3)], [np.ones((2, 3)), np.ones((3, 3))]):
