@@ -194,10 +194,11 @@ class ConfigMapping(dict):
 
 
 def parse_config_file(path: str | Path) -> ConfigMapping:
-    """Read ``key = value`` lines into a string mapping; a key may appear once."""
+    """Read ``key = value`` lines into a string mapping; a key may appear once.
+    A leading byte-order mark is skipped, as in manifests and sample CSVs."""
     out = ConfigMapping()
     first_line: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

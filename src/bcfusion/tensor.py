@@ -13,29 +13,46 @@ boolean keep-mask, so training-mode dropout adds no record), feature-axis
 concat and slicing, per-sequence row means, and one training objective: the
 weighted sum of per-head mean losses (cross entropy on logits or squared
 error), one record however many heads it mixes (op fusion at
-primitive granularity, Baydin et al. 2018).  The fused ops keep on the tape
-only what their backward rules read (after Chen et al. 2016): the affine op
-its output, from which the ReLU mask is read back; layer norm the
-normalised rows and the keep-mask, one byte per element, but neither the
-residual sum nor the dropped residual.  Attention is one record from the layer inputs to
-the output projection: the four weights stay separate tensors, and the
+primitive granularity, Baydin et al. 2018).
+
+A record is a backward rule plus gradient slots (the ``save_for_backward``
+design of PyTorch autograd, Paszke et al. 2019): the slots of the op's
+inputs that take a gradient and the :class:`Slot` of its output, which
+holds a gradient but no data.  A leaf that takes a gradient is its own
+slot.  Each rule closes over exactly the arrays it reads and over those
+slots; weight operands are read through their tensors.  No record holds an
+op output's tensor, so an activation that no rule reads dies with the
+forward's locals (after Chen et al. 2016).  The affine op saves its input
+when the weight takes a gradient, and its output only with the ReLU, whose
+mask it reads back from it; layer norm saves the normalised rows, their
+inverse deviations and the keep-mask, one byte per element, but neither
+summand; slicing saves its input's shape and dtype; sum, concat and row
+means save nothing.  Attention is one record from the layer inputs to the
+output projection: the four weights stay separate tensors, and the
 projections run the GEMMs, and accumulate their gradients in the order,
 that separate products would.  It picks its head kernel from the operand
 shapes alone (the key count and the head width), and its backward rule
 takes the softmax gradient through the FlashAttention term
-D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), keeping q, k, v, the attention
-weights and the head outputs.  Broadcasting is restricted to the affine
-op's bias row; anything else raises a ``ShapeError`` up front rather than
-silently broadcasting.
+D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), saving the attention weights
+and, as the gradients asked for need them, q, k, v, the head outputs and
+the layer inputs.
+
+A gradient has one owner: no two slots ever hold one array.  The first
+write of a fresh result into an empty slot keeps it; an array handed to
+two inputs is copied.  A rule may therefore work in place on its spent
+output gradient, as the affine op does with its ReLU mask.  Broadcasting
+is restricted to the affine op's bias row; anything else raises a
+``ShapeError`` up front rather than silently broadcasting.
 
 Active tapes form one module-level stack, so tapes nest and the innermost
 one records.  The stack belongs to the process, not to a thread: tapes are
 not shared across threads.  With no active tape, ops run as plain numpy
-(inference mode).
+(inference mode) and allocate no slot.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -68,15 +85,19 @@ class Tensor:
     ``data`` is immutable by convention once the tensor has been used in an
     op; only ``grad`` is mutated (by ``backward`` and the optimizer).  A
     floating-point array keeps its dtype; anything else becomes float64.
+    An op output recorded on a tape has a gradient :class:`Slot` in
+    ``slot``; a leaf that takes a gradient is its own slot, and ``grad`` is
+    where its gradient lands.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self.slot: Optional[Slot] = None
 
     @property
     def shape(self):
@@ -86,12 +107,35 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
+
+
+class Slot:
+    """Where the gradient of a recorded op output accumulates.
+
+    The consumers' rules add into ``grad``, in the output's ``dtype``; the
+    producing record's rule reads it once and it is released.  A slot holds
+    no data (``data`` is None), so a record keeps no output alive; like a
+    leaf that takes a gradient, it has ``requires_grad`` set, so that the
+    slots of a record read alike.
+    """
+
+    __slots__ = ("grad", "dtype")
+    data = None
+    requires_grad = True
+
+    def __init__(self, dtype: np.dtype):
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
 
 
 def as_tensor(x) -> Tensor:
@@ -112,16 +156,17 @@ def active_tape() -> Optional["Tape"]:
 class Tape:
     """Ordered record of executed differentiable ops.
 
-    Each record holds the op's input tensors, its output tensor, and a
-    backward rule mapping the output gradient to input-gradient updates.
-    Records are appended at execution time, so inputs always precede the
-    ops that consume them; the backward pass visits each record exactly
-    once, in reverse order, and pops it as it goes: after :func:`backward`
-    ``records`` is empty and the tape holds no arrays.
+    Each record holds the gradient slots of the op's inputs that take a
+    gradient, the slot of its output, and a backward rule that reads the
+    output gradient and adds to the input slots.  Records are appended at
+    execution time, so inputs always precede the ops that consume them; the
+    backward pass visits each record exactly once, in reverse order, and
+    pops it as it goes: after :func:`backward` ``records`` is empty and the
+    tape holds no arrays.
     """
 
     def __init__(self):
-        self.records: list[tuple[tuple[Tensor, ...], Tensor, Callable[[np.ndarray], None]]] = []
+        self.records: list[tuple[tuple, Slot, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         _tapes.append(self)
@@ -131,52 +176,86 @@ class Tape:
         assert _tapes and _tapes[-1] is self, "tape stack corrupted"
         _tapes.pop()
 
-    def record(self, inputs: tuple[Tensor, ...], out: Tensor,
-               backward_fn: Callable[[np.ndarray], None]) -> None:
+    def record(self, inputs: tuple, out: Slot, backward_fn: Callable[[np.ndarray], None]) -> None:
         self.records.append((inputs, out, backward_fn))
 
 
 def backward(output: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from ``output``.
+    """Populate ``grad`` on every requires-grad leaf reachable from ``output``.
 
     ``output`` must be a size-1 tensor produced on ``tape``.  Gradients
     accumulate additively across fan-out; ops whose result never reached
     the output are skipped.  Every consumer of a record's output comes later
-    on the tape, so once the record's rule has run its output gradient is
-    complete and spent: it is released, and only leaves keep a gradient.
-    The tape is consumed the same way: each record is popped off as it is
-    replayed, so the arrays it saved are freed as soon as its rule has run.
-    A tape is spent after backward; record a new one for another pass.
+    on the tape, so once the record is reached its output gradient is
+    complete: the slot lets go of it and the rule spends it, and only leaves
+    keep a gradient.  The tape is consumed the same way: each record is
+    popped off as it is replayed, so the arrays its rule saved are freed as
+    soon as the rule has run.  A tape is spent after backward; record a new
+    one for another pass.
     """
     if output.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {output.shape}")
-    output.grad = np.ones_like(output.data)
+    (output if output.slot is None else output.slot).grad = np.ones_like(output.data)
     records = tape.records
     while records:
         _, out, backward_fn = records.pop()
-        if out.grad is None:
+        g = out.grad
+        if g is None:
             continue
-        backward_fn(out.grad)
         out.grad = None
+        backward_fn(g)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to ``t.grad``; the first write is a copy in ``t``'s dtype, never ``g`` itself."""
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
+def _slot(t: Tensor):
+    """Where ``t``'s gradient goes: its op's slot, ``t`` itself for a leaf that
+    takes a gradient, or None."""
+    if t.slot is not None:
+        return t.slot
+    return t if t.requires_grad else None
 
 
-def _emit(inputs: Sequence[Tensor], out_data: np.ndarray,
+def _recording(*inputs: Tensor) -> Optional[Tape]:
+    """The active tape if an op of ``inputs`` is to be recorded on it: one of
+    them takes a gradient.  None in inference mode."""
+    if _tapes and any(t.requires_grad for t in inputs):
+        return _tapes[-1]
+    return None
+
+
+def _emit(tape: Tape, slots: Sequence, out_data: np.ndarray,
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap op output; record on the active tape when gradients are needed."""
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.record(tuple(inputs), out, backward_fn)
+    """Wrap a recorded op's output, give it a slot, and record the op on ``tape``."""
+    out = Tensor(out_data, requires_grad=True)
+    out.slot = Slot(out.data.dtype)
+    tape.record(tuple(s for s in slots if s is not None), out.slot, backward_fn)
     return out
+
+
+def _accum(s, g: np.ndarray) -> None:
+    """Add ``g`` to slot ``s``; a first write is a copy in ``s``'s dtype, never ``g`` itself."""
+    if s.grad is None:
+        s.grad = np.array(g, dtype=s.dtype)
+    else:
+        s.grad += g
+
+
+def _take(s, g: np.ndarray) -> None:
+    """:func:`_accum` for a ``g`` that nothing else references, such as a fresh
+    GEMM result: a first write in ``s``'s dtype keeps ``g`` itself.  No two
+    slots ever hold one array, so a rule may work in place on its spent
+    output gradient."""
+    if s.grad is None:
+        s.grad = g if g.dtype == s.dtype else g.astype(s.dtype)
+    else:
+        s.grad += g
+
+
+def _project(gp: np.ndarray, sx, w: Tensor, x_data: Optional[np.ndarray], sw) -> None:
+    """Route the gradient ``gp`` of a product ``x @ w`` to the slots of x and of w."""
+    if sx is not None:
+        _take(sx, gp @ w.data.T)
+    if sw is not None:
+        _take(sw, x_data.T @ gp)
 
 
 # --------------------------------------------------------------------------
@@ -187,9 +266,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b`` for a 2-D x, the bias row added to every row, followed by
     ``max(·, 0)`` when ``relu`` is set, as one tape op.
 
-    The bias and the ReLU work in place on the product, so the tape keeps
-    only the output; the backward rule reads the ReLU mask back from it
-    (``out > 0`` exactly where ``x @ w + b > 0``).
+    The bias and the ReLU work in place on the product.  The rule saves x
+    when w takes a gradient and, with the ReLU, the output, from which it
+    reads the mask back (``out > 0`` exactly where ``x @ w + b > 0``) and
+    applies it in place to the spent output gradient; w is read through its
+    tensor.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
@@ -200,18 +281,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     out_data += b.data
     if relu:
         np.maximum(out_data, 0.0, out=out_data)
+    tape = _recording(x, w, b)
+    if tape is None:
+        return Tensor(out_data)
+    sx, sw, sb = _slot(x), _slot(w), _slot(b)
+    x_data = x.data if sw is not None else None
+    w = w if sx is not None else None
+    activated = out_data if relu else None
 
     def bw(g: np.ndarray) -> None:
-        if relu:
-            g = g * (out_data > 0)
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        if activated is not None:
+            np.multiply(g, activated > 0, out=g)
+        _project(g, sx, w, x_data, sw)
+        if sb is not None:
+            _take(sb, g.sum(axis=0))
 
-    return _emit((x, w, b), out_data, bw)
+    return _emit(tape, (sx, sw, sb), out_data, bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -221,13 +306,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
 
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+    out_data = a.data + b.data
+    tape = _recording(a, b)
+    if tape is None:
+        return Tensor(out_data)
+    sa, sb = _slot(a), _slot(b)
 
-    return _emit((a, b), a.data + b.data, bw)
+    def bw(g: np.ndarray) -> None:
+        if sa is not None:
+            _accum(sa, g)
+        if sb is not None:
+            _accum(sb, g)
+
+    return _emit(tape, (sa, sb), out_data, bw)
 
 
 # Added to the variance before its square root in layer_norm.
@@ -245,7 +336,10 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
     of 0 and 1/(1−rate), signed zeros included.  The sum is centred in place
     and the variance taken from the centred rows, as ``np.var`` does; both
     passes then work in place on their own arrays, and one input gradient
-    goes to both summands, masked and scaled the same way for ``r``.
+    goes to both summands, masked and scaled the same way for ``r``.  The
+    rule saves the normalised rows and their inverse deviations, and the
+    keep-mask, one byte per element, when ``r`` takes a gradient; it reads
+    neither summand, and gain through its tensor.
     """
     x, r, gain, bias = as_tensor(x), as_tensor(r), as_tensor(gain), as_tensor(bias)
     if r.shape != x.shape:
@@ -272,27 +366,41 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
+    tape = _recording(x, r, gain, bias)
+    if tape is None:
+        return Tensor(out_data)
+    sx, sr, s_gain, s_bias = _slot(x), _slot(r), _slot(gain), _slot(bias)
+    through = sx is not None or sr is not None
+    xhat = xhat if through or s_gain is not None else None
+    inv, gain = (inv, gain) if through else (None, None)
+    keep = keep if sr is not None else None
 
     def bw(g: np.ndarray) -> None:
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad or r.requires_grad:
-            gx = g * gain.data
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
-            gx -= xhat * m2
-            gx *= inv
-            if x.requires_grad:
-                _accum(x, gx)
-            if r.requires_grad:
-                if keep is not None:
-                    gx = gx * keep
-                    gx *= scale
-                _accum(r, gx)
+        if s_gain is not None:
+            _take(s_gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if s_bias is not None:
+            _take(s_bias, g.reshape(-1, d).sum(axis=0))
+        if not through:
+            return
+        gx = g * gain.data
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= xhat * m2
+        gx *= inv
+        if sr is None:
+            _take(sx, gx)
+        elif keep is None:  # one array for both summands: x takes a copy
+            if sx is not None:
+                _accum(sx, gx)
+            _take(sr, gx)
+        else:
+            gr = gx * keep
+            gr *= scale
+            if sx is not None:
+                _take(sx, gx)
+            _take(sr, gr)
 
-    return _emit((x, r, gain, bias), out_data, bw)
+    return _emit(tape, (sx, sr, s_gain, s_bias), out_data, bw)
 
 
 def concat(parts: Iterable[Tensor]) -> Tensor:
@@ -303,14 +411,19 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
     if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
         raise ShapeError(f"concat expects 2-D tensors with equal row counts, "
                          f"got {[p.shape for p in parts]}")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    out_data = np.concatenate([p.data for p in parts], axis=1)
+    tape = _recording(*parts)
+    if tape is None:
+        return Tensor(out_data)
+    slots = [_slot(p) for p in parts]
+    stops = list(itertools.accumulate(p.shape[1] for p in parts))
 
     def bw(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                _accum(p, g[:, lo:hi])
+        for s, lo, hi in zip(slots, [0] + stops, stops):
+            if s is not None:
+                _accum(s, g[:, lo:hi])
 
-    return _emit(tuple(parts), np.concatenate([p.data for p in parts], axis=1), bw)
+    return _emit(tape, slots, out_data, bw)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -321,12 +434,18 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= x.shape[1]:
         raise ShapeError(f"slice_cols: [{start}, {stop}) out of range for width {x.shape[1]}")
 
-    def bw(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[:, start:stop] = g
-        _accum(x, full)
+    out_data = x.data[:, start:stop].copy()
+    tape = _recording(x)
+    if tape is None:
+        return Tensor(out_data)
+    sx, shape, dtype = _slot(x), x.shape, x.data.dtype
 
-    return _emit((x,), x.data[:, start:stop].copy(), bw)
+    def bw(g: np.ndarray) -> None:
+        full = np.zeros(shape, dtype)
+        full[:, start:stop] = g
+        _take(sx, full)
+
+    return _emit(tape, (sx,), out_data, bw)
 
 
 # Keys a score row may have for its max to be taken as a running maximum over
@@ -394,11 +513,14 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
     ``SHORT_ROWS`` keys take their max as a running maximum over the key
     columns.  Row sums are one GEMV.
 
-    The rule keeps q, k, v, the attention weights p and the head outputs
-    ``ctx``.  It takes the softmax gradient through D = rowsum(g_ctx ∘ ctx)
-    over d_v, which equals rowsum(g_p ∘ p) over T_k (Dao et al.,
-    "FlashAttention", 2022), and runs the projection GEMMs, and accumulates
-    their gradients, in the order separate products would.
+    The rule saves the attention weights p and, as the gradients asked for
+    need them, q, k, v, the head outputs ``ctx`` and the layer inputs; the
+    four weights are read through their tensors.  It takes the softmax
+    gradient through D = rowsum(g_ctx ∘ ctx) over d_v, which equals
+    rowsum(g_p ∘ p) over T_k (Dao et al., "FlashAttention", 2022), and runs
+    the projection GEMMs, and accumulates their gradients, in the order
+    separate products would: v, k, q.  Each projection's gradient is routed
+    as soon as it is formed, so no two of them are alive at once.
     """
     x_q, x_kv, wq, wk, wv, wo = (as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo))
     if any(t.data.ndim != 2 for t in (x_q, x_kv, wq, wk, wv, wo)) or batch < 1 \
@@ -416,40 +538,51 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
         p *= scale
     _softmax_rows(p)
     ctx = _rows(p @ _heads(v, n_heads, batch))
-    need_q = x_q.requires_grad or wq.requires_grad
-    need_k = x_kv.requires_grad or wk.requires_grad
-    need_v = x_kv.requires_grad or wv.requires_grad
+    out_data = ctx @ wo.data
+    tape = _recording(x_q, x_kv, wq, wk, wv, wo)
+    if tape is None:
+        return Tensor(out_data)
+    s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo = (_slot(t) for t in (x_q, x_kv, wq, wk, wv, wo))
+    need_v = s_xkv is not None or s_wv is not None
+    need_s = s_xq is not None or s_wq is not None or s_xkv is not None or s_wk is not None
+    d_v = wv.shape[1] // n_heads
+    # what the rule reads: only the arrays and weights the gradients asked for need
+    q = q if s_xkv is not None or s_wk is not None else None
+    k = k if s_xq is not None or s_wq is not None else None
+    v = v if need_s else None
+    ctx = ctx if need_s or s_wo is not None else None
+    p = p if need_v or need_s else None
+    xq_data = x_q.data if s_wq is not None else None
+    xkv_data = x_kv.data if s_wk is not None or s_wv is not None else None
+    wo = wo if need_v or need_s else None
+    wq = wq if s_xq is not None else None
+    wk, wv = (wk, wv) if s_xkv is not None else (None, None)
 
     def bw(g: np.ndarray) -> None:
+        if s_wo is not None:
+            _take(s_wo, ctx.T @ g)
+        if not (need_v or need_s):
+            return
         g_ctx = g @ wo.data.T
-        if wo.requires_grad:
-            _accum(wo, ctx.T @ g)
         gh = _heads(g_ctx, n_heads, batch)
-        gq = gk = gv = None
         if need_v:
-            gv = _rows(p.swapaxes(-1, -2) @ gh)
-        if need_q or need_k:
-            d_v = wv.shape[1] // n_heads
-            dterm = _row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
-            gs = _head_product(gh, _heads(v, n_heads, batch))
-            gs -= _heads(dterm, n_heads, batch)
-            gs *= p
-            if scale != 1.0:
-                gs *= scale
-            if need_k:
-                gk = _rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch))
-            if need_q:
-                gq = _rows(gs @ _heads(k, n_heads, batch))
-            del gs
-        # the projections in the order separate products would take them: v, k, q
-        for x, w, gp in ((x_kv, wv, gv), (x_kv, wk, gk), (x_q, wq, gq)):
-            if gp is not None:
-                if x.requires_grad:
-                    _accum(x, gp @ w.data.T)
-                if w.requires_grad:
-                    _accum(w, x.data.T @ gp)
+            _project(_rows(p.swapaxes(-1, -2) @ gh), s_xkv, wv, xkv_data, s_wv)
+        if not need_s:
+            return
+        dterm = _row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
+        gs = _head_product(gh, _heads(v, n_heads, batch))
+        del g_ctx, gh
+        gs -= _heads(dterm, n_heads, batch)
+        gs *= p
+        if scale != 1.0:
+            gs *= scale
+        if q is not None:
+            _project(_rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch)),
+                     s_xkv, wk, xkv_data, s_wk)
+        if k is not None:
+            _project(_rows(gs @ _heads(k, n_heads, batch)), s_xq, wq, xq_data, s_wq)
 
-    return _emit((x_q, x_kv, wq, wk, wv, wo), ctx @ wo.data, bw)
+    return _emit(tape, (s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo), out_data, bw)
 
 
 def row_mean(x: Tensor, batch: int) -> Tensor:
@@ -458,8 +591,12 @@ def row_mean(x: Tensor, batch: int) -> Tensor:
     if x.data.ndim != 2 or batch < 1 or x.shape[0] < batch or x.shape[0] % batch:
         raise ShapeError(f"row_mean: {x.shape} is not {batch} nonempty equal row blocks")
     t = x.shape[0] // batch
-    return _emit((x,), x.data.reshape(batch, t, -1).mean(axis=1),
-                 lambda g: _accum(x, np.repeat(g / t, t, axis=0)))
+    out_data = x.data.reshape(batch, t, -1).mean(axis=1)
+    tape = _recording(x)
+    if tape is None:
+        return Tensor(out_data)
+    sx = _slot(x)
+    return _emit(tape, (sx,), out_data, lambda g: _take(sx, np.repeat(g / t, t, axis=0)))
 
 
 LOSS_KINDS = ("bce", "mse")
@@ -474,7 +611,8 @@ def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: st
 
     The heads' terms are summed in order.  The rule keeps one residual per
     head, ``sigmoid(z) − y`` (the sigmoid in its overflow-free form) or
-    ``2(pred − y)``, and head k receives ``g·wₖ/n · rₖ`` for n labels.
+    ``2(pred − y)``, stacked in one array, and head k receives
+    ``g·wₖ/n · rₖ`` for n labels.
     """
     preds = [as_tensor(p) for p in preds]
     weights = [float(w) for w in weights]
@@ -487,6 +625,7 @@ def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: st
         raise ShapeError(f"weighted_loss: prediction shapes {[p.shape for p in preds]} "
                          f"do not all match label shape {y.shape}")
     n = y.size
+    tape = _recording(*preds)
     residuals = []
     total = None
     for p, w in zip(preds, weights):
@@ -494,16 +633,22 @@ def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: st
         if kind == "bce":
             e = np.exp(-np.abs(z))
             term = (np.maximum(z, 0.0) - z * y + np.log1p(e)).mean() * w
-            residuals.append(np.where(z >= 0, 1.0, e) / (1.0 + e) - y)
+            if tape is not None:
+                residuals.append(np.where(z >= 0, 1.0, e) / (1.0 + e) - y)
         else:
             d = z - y
             term = (d * d).mean() * w
-            residuals.append(2.0 * d)
+            if tape is not None:
+                residuals.append(2.0 * d)
         total = term if total is None else total + term
+    if tape is None:
+        return Tensor(total)
+    slots = [_slot(p) for p in preds]
+    residuals = np.stack(residuals)
 
     def bw(g: np.ndarray) -> None:
-        for p, w, r in zip(preds, weights, residuals):
-            if p.requires_grad:
-                _accum(p, g * w / n * r)
+        for s, w, r in zip(slots, weights, residuals):
+            if s is not None:
+                _take(s, g * w / n * r)
 
-    return _emit(preds, total, bw)
+    return _emit(tape, slots, total, bw)

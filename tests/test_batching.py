@@ -90,17 +90,20 @@ class TestBatchedStep:
     @pytest.mark.parametrize("task", ["detection", "agreement"])
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
     def test_one_length_step_writes_one_loss_record(self, topology, task):
-        # the loss is the tape's last record and its only scalar one; it reads every
-        # supervised prediction, and the final head's output directly, so a
-        # single-layer topology writes no weighting record after its head
+        # the loss is the tape's last record and its only loss one (a record holds
+        # slots, not arrays: the op that owns its rule tells it apart); it reads
+        # every supervised prediction, and the final head's output directly, so
+        # a single-layer topology writes no weighting record after its head
         model = build_model(topology, task, CFG, rng_seed=1)
         weights = loss_weights_for(topology)
         with Tape() as tape:
             loss = minibatch_loss(model, make_samples([6, 6, 6], task), weights, task,
                                   np.random.default_rng(0))
-        assert [out for _, out, _ in tape.records if out.data.ndim == 0] == [loss]
+        assert loss.data.ndim == 0
+        assert [out for _, out, rule in tape.records
+                if rule.__qualname__.startswith("weighted_loss.")] == [loss.slot]
         (inputs, out, _), (_, final, _) = tape.records[-1], tape.records[-2]
-        assert out is loss and len(inputs) == len(weights) and inputs[-1] is final
+        assert out is loss.slot and len(inputs) == len(weights) and inputs[-1] is final
 
     def test_dropout_masks_follow_per_stage_draws(self):
         # a one-sample forward takes one (2, T, d) thresholded draw per layer, one

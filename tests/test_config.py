@@ -1,5 +1,6 @@
 """The settable surface: which knobs the configuration and the layers expose."""
 
+import codecs
 import inspect
 import re
 from dataclasses import fields, replace
@@ -145,6 +146,18 @@ class TestRuleTables:
         with pytest.raises(error, match=rf"^{re.escape(str(path))}:3: config key '{name}' must "
                                         rf"be {re.escape(rules[name].text)}, got '{text}'$"):
             dataclass_from_mapping(cls, parse_config_file(path))
+
+    @pytest.mark.parametrize("text", ["# spec\nn_samples = 8\n", "n_samples = 8\nseed = 2\n"],
+                             ids=["comment_first", "key_first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+        a, b = parse_config_file(plain), parse_config_file(marked)
+        assert dict(b) == dict(a) and "n_samples" in b
+        assert [o.rsplit(":", 1)[1] for o in b.origin.values()] == \
+            [o.rsplit(":", 1)[1] for o in a.origin.values()]
 
     @pytest.mark.parametrize("cls, error, name, value", WRONG_TYPED)
     def test_wrong_typed_value_is_an_error_naming_the_key(self, cls, error, name, value):

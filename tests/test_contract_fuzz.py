@@ -9,6 +9,7 @@ fault.  No traceback, no ``nan`` or ``inf`` that the mutation did not write
 itself, and no output directory may be left.
 """
 
+import codecs
 import io
 import json
 import re
@@ -282,6 +283,18 @@ def _line(file: str, line: str, *names: str, replaces: str = "", echo=()):
     return mutate
 
 
+def _bom(file: str, key: str, line: str, *names: str):
+    """Lead the config (or spec) file with a UTF-8 byte-order mark and put ``line``
+    in place of the line of ``key``: the mark is skipped, and the error must
+    name that file line and the key as written."""
+    def mutate(w: Work) -> Expect:
+        path = getattr(w, file)
+        n = replace_line(path, key, line)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        return Expect(1, (f"{path}:{n}: ",) + names)
+    return mutate
+
+
 def _missing(file: str):
     def mutate(w: Work) -> Expect:
         path = getattr(w, file)
@@ -320,6 +333,8 @@ CONFIG_MUTATIONS = {
                                  replaces="d_fused_face"),
     "window_too_long": _config_window_too_long,
     "face_width": _config_face_width,
+    # the mark leads the first line, a key
+    "byte_order_mark": _bom("config", "face_dim", "face_dim = 0", "'face_dim' must be"),
     "missing": _missing("config"),
 }
 
@@ -333,6 +348,8 @@ SPEC_MUTATIONS = {
     "fps_nan": _line("spec", "fps = nan", "'fps' must be", replaces="fps", echo=("nan",)),
     "kind": _line("spec", "kind = loud", "'kind' must be", replaces="kind"),
     "val_frac_one": _line("spec", "val_frac = 1", "'val_frac' must be", replaces="val_frac"),
+    # the mark leads the first line, a comment
+    "byte_order_mark": _bom("spec", "n_samples", "n_samples = 7", "n_samples divisible by 2"),
     "missing": _missing("spec"),
 }
 

@@ -175,7 +175,8 @@ class TestTransformerLayer:
 
 
 def record_arrays(record):
-    """Every array a tape record holds: its inputs, its output and what its rule closes over."""
+    """Every array a tape record holds: its input and output slots (a slot holds
+    no data, a leaf is its own slot) and what its rule closes over."""
     inputs, out, rule = record
     cells = [c.cell_contents for c in rule.__closure__ or ()]
     held = [t.data for t in (*inputs, out)] + [c.data if isinstance(c, Tensor) else c

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,10 +17,12 @@ import numpy as np
 import pytest
 
 from bcfusion import models
+from bcfusion import tensor as T
 from bcfusion.config import ConfigError, ModelConfig, toy_model_config
 from bcfusion.models import (ALL_TOPOLOGIES, FusionTopology, build_model, load_checkpoint,
                              parameter_breakdown, parameter_count, save_checkpoint)
-from bcfusion.tensor import ShapeError, Tape, Tensor
+from bcfusion.tensor import ShapeError, Tape, Tensor, backward
+from bcfusion.training import combined_loss, loss_weights_for
 
 TOY = toy_model_config()
 
@@ -115,10 +118,11 @@ class TestForward:
         model = build_model(topology, "detection", TOY, rng_seed=0)
         with Tape() as tape:
             model.forward(*toy_inputs())
+        # a record holds its input's gradient slot, one per stage output
         pooled = [inputs[0] for inputs, _, rule in tape.records
                   if rule.__qualname__.startswith("row_mean.")]
         spec = model.spec
-        assert len(pooled) == len({id(x) for x in pooled}) == \
+        assert len(pooled) == len({id(slot) for slot in pooled}) == \
             len(set(spec.supervised + spec.pooled))
 
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
@@ -206,6 +210,80 @@ class TestForward:
         a = model.forward(Tensor(face), Tensor(pose)).final.data.item()
         b = model.forward(Tensor(face[perm]), Tensor(pose[perm])).final.data.item()
         assert abs(a - b) > 1e-12
+
+
+class TestTapeLiveness:
+    """A training forward's tape keeps what its backward rules read and nothing
+    else: an activation that no rule reads dies with the forward's locals."""
+
+    TOPOLOGY = "one_to_one"
+
+    def step(self, pin: bool):
+        """One dropout training step of a toy ``one_to_one`` batch, watching the
+        op outputs that no rule reads.  Returns, taken while the tape is still
+        alive, whether each watched array (by label) and each input the first
+        layer's attention reads are alive, then the gradients.  With ``pin``
+        the watched arrays are kept alive through ``backward``."""
+        model = build_model(self.TOPOLOGY, "detection", TOY, rng_seed=0)
+        comp = model._components
+        ffn2 = {comp[st].ffn2.w for st in ("tf1", "tf2")}
+        proj = {comp["face_proj"].w, comp["pose_proj"].w}
+        watched: dict[str, list] = {}
+        read: list = []
+        held: list = []
+
+        def watch(label, array):
+            if pin:
+                held.append(array)
+            watched.setdefault(label, []).append(weakref.ref(array))
+
+        def spy(name, fn):
+            def op(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                if name == "linear" and args[1] in ffn2 | proj:
+                    watch("ffn2" if args[1] in ffn2 else "projection", out.data)
+                elif name == "add":  # positional encoding: the tile is the constant operand
+                    watch("positional tile", args[1].data)
+                    read.append(weakref.ref(out.data))
+                elif name in ("attention", "concat"):
+                    watch(name, out.data)
+                elif name == "layer_norm":
+                    watched["last layer_norm"] = []
+                    watch("last layer_norm", out.data)
+                return out
+            return op
+
+        batch, steps = 2, 5
+        rng = np.random.default_rng(3)
+        face = rng.normal(size=(batch, steps, TOY.face_dim))
+        pose = rng.normal(size=(batch, steps, TOY.pose_dim))
+        keep = model.dropout_masks(batch * steps, rng)
+        with pytest.MonkeyPatch.context() as mp, Tape() as tape:
+            for name in ("linear", "add", "attention", "concat", "layer_norm"):
+                mp.setattr(T, name, spy(name, getattr(T, name)))
+            out = model.forward(face, pose, keep=keep)
+            loss = combined_loss(out, np.array([[1.0], [0.0]]), loss_weights_for(self.TOPOLOGY),
+                                 "detection")
+        del out
+        alive = {label: [r() is not None for r in refs] for label, refs in watched.items()}
+        alive["read"] = [r() is not None for r in read]
+        backward(loss, tape)
+        return alive, {n: p.grad for n, p in model.named_parameters()}
+
+    def test_unread_activations_die_with_the_forward(self):
+        alive, _ = self.step(pin=False)
+        assert {label: len(flags) for label, flags in alive.items()} == {
+            "projection": 2, "concat": 1, "positional tile": 1, "read": 1, "attention": 2,
+            "ffn2": 2, "last layer_norm": 1}
+        assert alive.pop("read") == [True]  # the first layer's input, which attention reads
+        assert not any(any(flags) for flags in alive.values()), alive
+
+    def test_gradients_do_not_depend_on_what_stays_alive(self):
+        _, freed = self.step(pin=False)
+        alive, pinned = self.step(pin=True)
+        assert all(all(flags) for flags in alive.values())
+        for name, g in pinned.items():
+            assert freed[name].tobytes() == g.tobytes(), name
 
 
 class TestParameterCount:

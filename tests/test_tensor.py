@@ -341,7 +341,7 @@ class TestWeightedLoss:
             with Tape() as tape:
                 out = T.weighted_loss(preds, np.ones((2, 1)), [1.0 / n_heads] * n_heads, kind)
             [(inputs, record_out, _)] = tape.records
-            assert record_out is out and list(inputs) == preds
+            assert record_out is out.slot and list(inputs) == preds
 
     def test_rejects_bad_operands(self):
         p = Tensor(np.zeros((2, 1)))
@@ -492,6 +492,102 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, np.tile(4.0 * np.array([[3.0], [12.0]]), (1, 3)))
 
 
+def fanout_case(name: str, split: bool):
+    """Leaves and a forward for one fan-out path, reduced to a scalar loss.
+
+    With ``split`` the operand that fans out is two leaves holding the same
+    values, one per use, in the order the op's rule routes the uses: the
+    fanned-out gradient must then be the sum of theirs, in that order, bit
+    for bit, which is what the engine gave before its slots took ownership
+    of fresh results (a copy at the first write, then ``+=``).  Returns the
+    forward, its parameters by name, and the two split leaves' names in the
+    order their gradients are summed.
+    """
+    rng = np.random.default_rng(sum(map(ord, name)))
+    width, batch = 4, 2
+    rows = width if name == "linear" else 6  # t @ t needs a square t
+    t0 = rng.normal(size=(rows, width))
+    target = rng.normal(size=(rows, 2 * width if name == "concat" else width))
+    params = {"t": Tensor(t0.copy(), requires_grad=True)}
+    if split:
+        params["t2"] = Tensor(t0.copy(), requires_grad=True)
+    if name.startswith("layer_norm"):
+        params["gain"] = Tensor(rng.normal(size=width), requires_grad=True)
+        params["bias"] = Tensor(rng.normal(size=width), requires_grad=True)
+    elif name == "self_attention":
+        for w in ("wq", "wk", "wv", "wo"):
+            params[w] = Tensor(rng.normal(size=(width, width)), requires_grad=True)
+    elif name == "linear":
+        params["b"] = Tensor(rng.normal(size=width), requires_grad=True)
+    keep = rng.random((rows, width)) >= 0.3
+
+    def forward():
+        a = params["t"]
+        b = params["t2"] if split else a
+        p = params
+        if name == "add":
+            out = T.add(a, b)
+        elif name == "layer_norm":
+            out = T.layer_norm(a, b, p["gain"], p["bias"])
+        elif name == "layer_norm_keep":
+            out = T.layer_norm(a, b, p["gain"], p["bias"], keep, 0.3)
+        elif name == "concat":
+            out = T.concat([a, b])
+        elif name == "self_attention":  # x_q, then x_kv: the rule routes v, k, then q
+            out = T.attention(a, b, p["wq"], p["wk"], p["wv"], p["wo"], 2, batch)
+        else:  # "linear": t as the input and as the weight
+            out = T.linear(a, b, p["b"])
+        return squared_error(out, target)
+
+    fanned = ("t2", "t") if name == "self_attention" else ("t", "t2")
+    return forward, params, fanned
+
+
+FANOUT_PATHS = ["add", "layer_norm", "layer_norm_keep", "concat", "self_attention", "linear"]
+
+
+class TestGradientOwnership:
+    """Where one gradient reaches a slot twice: the first write of a fresh result
+    is kept without a copy, one array handed to two inputs is copied, and no
+    two gradients ever share memory."""
+
+    @staticmethod
+    def gradients(forward, params):
+        with Tape() as tape:
+            loss = forward()
+        backward(loss, tape)
+        return {n: p.grad for n, p in params.items()}
+
+    @pytest.mark.parametrize("name", FANOUT_PATHS)
+    def test_fanout_matches_split_operands_bitwise(self, name):
+        grads = self.gradients(*fanout_case(name, split=False)[:2])
+        forward, params, (first, second) = fanout_case(name, split=True)
+        split = self.gradients(forward, params)
+        expected = split[first] + split[second]
+        assert grads["t"].tobytes() == expected.tobytes()
+        for n in grads:
+            if n != "t":
+                assert grads[n].tobytes() == split[n].tobytes(), n
+
+    @pytest.mark.parametrize("name", FANOUT_PATHS)
+    def test_fanout_matches_finite_differences(self, name):
+        forward, params, _ = fanout_case(name, split=False)
+        report = finite_diff_gradcheck(forward, list(params.items()))
+        assert report.passed, report.per_param
+
+    @pytest.mark.parametrize("split", [False, True], ids=["fanned", "split"])
+    @pytest.mark.parametrize("name", FANOUT_PATHS)
+    def test_no_two_gradients_share_memory(self, name, split):
+        # nor are two of them views of one buffer, which would keep all of it alive
+        grads = list(self.gradients(*fanout_case(name, split)[:2]).values())
+        assert all(g is not None for g in grads)
+        buffers = [g if g.base is None else g.base for g in grads]
+        for i, a in enumerate(grads):
+            for j in range(i + 1, len(grads)):
+                assert not np.shares_memory(a, grads[j])
+                assert buffers[i] is not buffers[j]
+
+
 class TestTape:
     def test_records_in_topological_order(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -526,14 +622,17 @@ class TestTape:
         assert len(visited) == len(set(visited)) == len(original)
 
     def test_backward_consumes_the_tape(self):
-        # each record is dropped once replayed, so an op output only the tape
-        # referenced dies during backward
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        # each record is dropped once replayed, so an op output that only a rule
+        # reads (the ReLU output, for its mask) dies during backward; one that no
+        # rule reads (the sum) dies with its tensor
+        x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            h = T.add(x, x)
+            s = T.add(x, x)
+            h = T.linear(s, Tensor(np.eye(3)), Tensor(np.zeros(3)), relu=True)
             y = unit_gradient_loss(h)
-        h_data = weakref.ref(h.data)
-        del h
+        s_data, h_data = weakref.ref(s.data), weakref.ref(h.data)
+        del s, h
+        assert s_data() is None and h_data() is not None
         backward(y, tape)
         assert tape.records == []
         assert h_data() is None
