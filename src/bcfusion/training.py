@@ -69,40 +69,68 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and the shared step counter."""
+    """First/second moment buffers and the shared step counter.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    A parameter's moments are ``None`` until its first :func:`adam_step`
+    zero-fills them, so they take no memory under the first step's tape.
+    """
+
+    m: list[Optional[np.ndarray]]
+    v: list[Optional[np.ndarray]]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+        return cls(m=[None] * len(params), v=[None] * len(params))
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
 
-    Each parameter gets a new array: the old ``p.data`` is never written into,
-    so a caller may keep it as a snapshot.
+    Every gradient is checked against its parameter's shape and dtype before
+    anything is written, so a rejected step leaves parameters, moments and
+    the step count as they were.  The moments are allocated at a parameter's
+    first update and then updated in place, with two scratch arrays per
+    parameter.  Each parameter gets a new array: the old ``p.data`` is never
+    written into, so a caller may keep it as a snapshot.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and optimizer state are misaligned")
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g.shape != p.data.shape:
+            raise ValueError(f"parameter {i}: gradient shape {g.shape} "
+                             f"!= parameter shape {p.data.shape}")
+        if g.dtype != p.data.dtype:
+            raise ValueError(f"parameter {i}: gradient dtype {g.dtype} "
+                             f"!= parameter dtype {p.data.dtype}")
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        if state.m[i] is None:
+            state.m[i], state.v[i] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[i], state.v[i]
+        # The operations, in order, of g + wd·p, m = b1·m + (1−b1)·g,
+        # v = b2·v + (1−b2)·(g·g) and p − (lr·(m/bc1)) / (sqrt(v/bc2) + eps),
+        # so the result is bit for bit that of the out-of-place expressions.
         if weight_decay != 0.0:
-            g = g + weight_decay * p.data
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            g = np.add(g, np.multiply(weight_decay, p.data))
+        scratch = np.multiply(1.0 - ADAM_BETA1, g)
+        np.multiply(ADAM_BETA1, m, out=m)
+        np.add(m, scratch, out=m)
+        np.multiply(g, g, out=scratch)
+        del g  # frees a decayed copy before the third array is made
+        np.multiply(1.0 - ADAM_BETA2, scratch, out=scratch)
+        np.multiply(ADAM_BETA2, v, out=v)
+        np.add(v, scratch, out=v)
+        step = np.divide(m, bc1)
+        np.multiply(lr, step, out=step)
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        np.add(scratch, ADAM_EPS, out=scratch)
+        np.divide(step, scratch, out=step)
+        p.data = np.subtract(p.data, step, out=scratch)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -218,7 +246,9 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
 
     Memory follows liveness: ``backward`` consumes the step's tape and the
     step's gradients are dropped after the Adam update, so neither lives on
-    through the next step's forward.  The best epoch is kept by reference to
+    through the next step's forward.  The Adam moments are allocated at the
+    first update, once that step's tape is spent, and updated in place from
+    then on.  The best epoch is kept by reference to
     its parameter arrays, not by a copy: :func:`adam_step` binds new arrays to
     the parameters and never writes into the old ones, so only an epoch that
     has since been beaten holds a second set of parameters.

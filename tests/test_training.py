@@ -1,6 +1,7 @@
 """Losses, weight tables, Adam, and the training loop."""
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -27,6 +28,23 @@ def mse_loss(pred, y) -> Tensor:
     """The agreement loss of a single-layer model whose final prediction is ``pred``."""
     return combined_loss(ForwardOutput(final=Tensor(pred), intermediates=[]), y, [1.0],
                          "agreement")
+
+
+def oracle_adam_step(params, grads, state, lr, weight_decay=0.0):
+    """The out-of-place Adam update that :func:`adam_step` must match bit for bit."""
+    state.step += 1
+    bc1 = 1.0 - training.ADAM_BETA1 ** state.step
+    bc2 = 1.0 - training.ADAM_BETA2 ** state.step
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if weight_decay != 0.0:
+            g = g + weight_decay * p.data
+        m = np.zeros_like(p.data) if state.m[i] is None else state.m[i]
+        v = np.zeros_like(p.data) if state.v[i] is None else state.v[i]
+        state.m[i] = training.ADAM_BETA1 * m + (1.0 - training.ADAM_BETA1) * g
+        state.v[i] = training.ADAM_BETA2 * v + (1.0 - training.ADAM_BETA2) * (g * g)
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
 
 
 class TestBceLoss:
@@ -173,11 +191,75 @@ class TestAdam:
         adam_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
         assert p.data[0] < 5.0
 
-    def test_shape_mismatch_rejected(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
+    @pytest.mark.parametrize("bad_grad, match", [
+        (np.zeros(2), r"^parameter 1: gradient shape \(2,\) != parameter shape \(3,\)$"),
+        (np.zeros(3), r"^parameter 1: gradient dtype float64 != parameter dtype float32$"),
+    ], ids=["shape", "dtype"])
+    def test_rejected_step_writes_nothing(self, bad_grad, match):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        state = AdamState.for_params([a, b])
+        adam_step([a, b], [np.array([1.0]), np.ones(3, np.float32)], state, lr=0.1)
+        before = [a.data, b.data, *state.m, *state.v]
+        snapshot = [x.copy() for x in before]
+        with pytest.raises(ValueError, match=match):
+            adam_step([a, b], [np.array([1.0]), bad_grad], state, lr=0.1)
+        after = [a.data, b.data, *state.m, *state.v]
+        assert state.step == 1 and all(x is y for x, y in zip(after, before))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(after, snapshot))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_bitwise_equal_to_out_of_place_update(self, dtype, weight_decay):
+        rng = np.random.default_rng(4)
+        info = np.finfo(dtype)
+        special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                            info.tiny, 1e3, -1e30, info.max], dtype)
+        start = [rng.normal(size=(3, 8)).astype(dtype), rng.normal(size=5).astype(dtype)]
+        ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+        theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
+        ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        for _ in range(5):
+            grads = [rng.normal(size=a.shape).astype(dtype) for a in start]
+            grads[0].flat[:special.size] = special
+            grads[1][:] = special[[0, 1, 2, 5, 6]]
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                adam_step(ours, grads, ours_state, 0.01, weight_decay)
+                oracle_adam_step(theirs, grads, their_state, 0.01, weight_decay)
+            for got, want in [([p.data for p in ours], [p.data for p in theirs]),
+                              (ours_state.m, their_state.m), (ours_state.v, their_state.v)]:
+                assert [(a.dtype, a.tobytes()) for a in got] == \
+                    [(a.dtype, a.tobytes()) for a in want]
+        assert ours_state.step == their_state.step == 5
+
+    def test_moments_are_allocated_at_the_first_update_and_kept(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
         state = AdamState.for_params([p])
-        with pytest.raises(ValueError):
-            adam_step([p], [np.zeros(2)], state, lr=0.1)
+        assert state.m == [None] and state.v == [None]
+        arrays = [(p.data, None, None)]
+        for _ in range(3):
+            adam_step([p], [np.full((2, 3), 0.5)], state, lr=0.1)
+            arrays.append((p.data, state.m[0], state.v[0]))
+        params, ms, vs = zip(*arrays)
+        assert len({id(a) for a in params}) == 4
+        assert params[0].tobytes() == np.ones((2, 3)).tobytes()
+        assert all(m is ms[1] for m in ms[1:]) and all(v is vs[1] for v in vs[1:])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_update_peaks_at_two_scratch_arrays(self, weight_decay):
+        rng = np.random.default_rng(5)
+        p = Tensor(rng.normal(size=(1000, 1000)), requires_grad=True)
+        grad = rng.normal(size=(1000, 1000))
+        state = AdamState.for_params([p])
+        adam_step([p], [grad], state, 1e-3, weight_decay)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            adam_step([p], [grad], state, 1e-3, weight_decay)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / p.data.nbytes <= 3.0
 
 
 class _StubModel:
@@ -378,6 +460,37 @@ class TestRunTraining:
         monkeypatch.setattr(training, "minibatch_loss", spy_loss)
         run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
         assert len(handed) == 2 and alive_at_forward == [0, 0]
+
+    def test_no_moment_lives_under_the_first_tape(self, tiny_corpus, monkeypatch):
+        states, moments_at_backward = [], []
+        for_params = AdamState.for_params.__func__
+
+        def spy_state(cls, params):
+            states.append(for_params(cls, params))
+            return states[-1]
+
+        def spy_backward(output, tape):
+            moments = states[0].m + states[0].v
+            moments_at_backward.append(sum(isinstance(a, np.ndarray) for a in moments))
+            return backward(output, tape)
+
+        monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
+        monkeypatch.setattr(training, "backward", spy_backward)
+        run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
+        assert moments_at_backward == [0, 2 * len(states[0].m)]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_training_matches_the_out_of_place_update_bitwise(self, tiny_corpus, monkeypatch,
+                                                             dtype):
+        def trained(topology):
+            result = run_training(tiny_corpus, tiny_config(topology=topology, epochs=3,
+                                                           dtype=dtype, weight_decay=5e-4))
+            return result.history, [(p.data.dtype, p.data.tobytes())
+                                    for p in result.model.parameters()]
+
+        in_place = [trained(topology) for topology in ALL_TOPOLOGIES]
+        monkeypatch.setattr(training, "adam_step", oracle_adam_step)
+        assert [trained(topology) for topology in ALL_TOPOLOGIES] == in_place
 
     def test_best_model_restored(self, tiny_corpus):
         result = run_training(tiny_corpus, tiny_config(epochs=4))
