@@ -17,6 +17,7 @@ generator is given (a skeleton that a checkpoint fills).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Optional
 
@@ -75,10 +76,24 @@ def sinusoidal_positional_encoding(n_positions: int, d_model: int) -> Tensor:
     return Tensor(pe)
 
 
+@functools.lru_cache(maxsize=16)
+def _position_table(n_positions: int, d_model: int, dtype: np.dtype) -> np.ndarray:
+    """The (n_positions, d_model) position signal in ``dtype``, read-only."""
+    pe = sinusoidal_positional_encoding(n_positions, d_model).data.astype(dtype, copy=False)
+    pe.flags.writeable = False
+    return pe
+
+
 def add_positional_encoding(x: Tensor, batch: int = 1) -> Tensor:
-    """Add the position signal to each of ``batch`` stacked sequences."""
-    pe = sinusoidal_positional_encoding(x.shape[0] // batch, x.shape[1]).data
-    return T.add(x, Tensor(np.tile(pe.astype(x.data.dtype, copy=False), (batch, 1))))
+    """Add the position signal to each of ``batch`` stacked sequences.
+
+    The (T, width) table is computed once per shape and dtype and memoised
+    read-only, in a cache of a few entries (about half a MiB each at paper
+    widths).  Each call tiles it afresh: the tiled (B·T, width) rows are not
+    kept, so they die with the forward as other unread activations do.
+    """
+    pe = _position_table(x.shape[0] // batch, x.shape[1], x.data.dtype)
+    return T.add(x, Tensor(np.tile(pe, (batch, 1))))
 
 
 class TransformerLayer:

@@ -230,13 +230,21 @@ class FusionModel:
 
         Per stage, in order, one (2, length, stage width) bool array: the
         attention-branch mask, then the feed-forward-branch mask.  An entry is
-        kept where its uniform is at least the dropout rate.  Empty, drawing
-        nothing, when the rate is zero.
+        kept where its uniform is at least the dropout rate.  All stages come
+        from one draw of 2·length·Σ(stage widths) uniforms, thresholded once
+        and split into views; a draw per batch instead would hold a float64
+        transient of B times that size.  Empty, drawing nothing, when the rate
+        is zero.
         """
         rate = self.config.dropout
         if rate == 0.0:
             return []
-        return [rng.random((2, length, w)) >= rate for w in self._stage_widths]
+        keep = rng.random(2 * length * sum(self._stage_widths)) >= rate
+        masks, lo = [], 0
+        for w in self._stage_widths:
+            masks.append(keep[lo:lo + 2 * length * w].reshape(2, length, w))
+            lo += 2 * length * w
+        return masks
 
     def forward(self, face_seq, pose_seq,
                 keep: Optional[list[np.ndarray]] = None) -> ForwardOutput:

@@ -360,7 +360,11 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         xhat = r.data * keep
         xhat *= scale
         xhat += x.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
+    # np.add.reduce then an in-place divide is what np.mean computes, bit for
+    # bit, without its Python wrapper; so are the two means of the backward
+    mean = np.add.reduce(xhat, axis=-1, keepdims=True)
+    mean /= d
+    xhat -= mean
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
@@ -383,8 +387,11 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         if not through:
             return
         gx = g * gain.data
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        gx -= gx.mean(axis=-1, keepdims=True)
+        m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True)
+        m2 /= d
+        mean = np.add.reduce(gx, axis=-1, keepdims=True)
+        mean /= d
+        gx -= mean
         gx -= xhat * m2
         gx *= inv
         if sr is None:

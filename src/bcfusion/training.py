@@ -66,13 +66,22 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Most elements in one Adam bucket: a run of consecutive parameters of one dtype
+# that one pass of the update's ufuncs covers, gathered into flat arrays, so a
+# toy model's step takes a few numpy calls, not 14 per tensor.  A larger
+# parameter is a bucket of its own, updated through views without a copy.
+ADAM_BUCKET_ELEMENTS = 1 << 16
+
 
 @dataclass
 class AdamState:
     """First/second moment buffers and the shared step counter.
 
-    A parameter's moments are ``None`` until its first :func:`adam_step`
-    zero-fills them, so they take no memory under the first step's tape.
+    A parameter's moments are ``None`` until its first :func:`adam_step`, so
+    they take no memory under the first step's tape.  From then on ``m[i]``
+    and ``v[i]`` are views, shaped like parameter ``i``, of one flat buffer
+    per bucket (see ``ADAM_BUCKET_ELEMENTS``), which every step updates in
+    place.
     """
 
     m: list[Optional[np.ndarray]]
@@ -84,38 +93,98 @@ class AdamState:
         return cls(m=[None] * len(params), v=[None] * len(params))
 
 
+def _buckets(params: Sequence[Tensor], grads: Sequence[np.ndarray],
+             state: AdamState) -> list[tuple[int, list[int]]]:
+    """Check every gradient and allocated moment against its parameter's shape
+    and dtype, and split the parameters, in order, into buckets.
+
+    A bucket is (first, offsets): parameter ``first + j`` spans
+    ``offsets[j]:offsets[j + 1]`` of the bucket's flat arrays.
+    """
+    buckets: list[tuple[int, list[int]]] = []
+    offsets, dtype = [], None
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
+        data = p.data
+        shape = data.shape
+        if g.shape != shape or g.dtype != data.dtype or (m is not None and (
+                m.shape != shape or m.dtype != data.dtype or
+                v.shape != shape or v.dtype != data.dtype)):
+            for what, a in (("gradient", g), ("moment", m), ("moment", v)):
+                part = "shape" if a.shape != shape else "dtype"
+                if getattr(a, part) != getattr(data, part):
+                    raise ValueError(f"parameter {i}: {what} {part} {getattr(a, part)} "
+                                     f"!= parameter {part} {getattr(data, part)}")
+        if buckets and data.dtype == dtype and offsets[-1] + data.size <= ADAM_BUCKET_ELEMENTS:
+            offsets.append(offsets[-1] + data.size)
+        else:
+            offsets, dtype = [0, data.size], data.dtype
+            buckets.append((i, offsets))
+    return buckets
+
+
+def _moment_buffer(moments: list[Optional[np.ndarray]], first: int, group: Sequence[Tensor],
+                   offsets: list[int]) -> np.ndarray:
+    """The flat buffer of which ``moments[first:first + len(group)]`` are views.
+
+    At a bucket's first update, or if the moments are not views of one buffer
+    of the bucket's size, they are copied (``None`` as zeros) into a new
+    buffer and rebound to views of it.
+    """
+    span = range(first, first + len(group))
+    base = getattr(moments[first], "base", None)
+    if base is not None and base.shape == (offsets[-1],) and \
+            all(getattr(moments[i], "base", None) is base for i in span):
+        return base
+    buf = np.zeros(offsets[-1], group[0].data.dtype)
+    for i, p, lo, hi in zip(span, group, offsets, offsets[1:]):
+        if moments[i] is not None:
+            buf[lo:hi] = moments[i].reshape(-1)
+        moments[i] = buf[lo:hi].reshape(p.data.shape)
+    return buf
+
+
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
 
-    Every gradient is checked against its parameter's shape and dtype before
-    anything is written, so a rejected step leaves parameters, moments and
-    the step count as they were.  The moments are allocated at a parameter's
-    first update and then updated in place, with two scratch arrays per
-    parameter.  Each parameter gets a new array: the old ``p.data`` is never
-    written into, so a caller may keep it as a snapshot.
+    The parameters are updated in buckets (see ``ADAM_BUCKET_ELEMENTS``): one
+    pass of the update over each bucket's flat gradient and parameters, with
+    two scratch arrays.  Before anything is written, every gradient and
+    allocated moment is checked against its parameter's shape and dtype
+    (``ValueError``), and every gradient for non-finite values
+    (``FloatingPointError``); both name the parameter's position.  So a
+    rejected step leaves parameters, moments and the step count as they
+    were.  The moments are allocated at a bucket's first update and then
+    updated in place.  Each bucket gets a new array, and each parameter is
+    rebound to its view of it: the old ``p.data`` is never written into, so
+    a caller may keep it as a snapshot.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and optimizer state are misaligned")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ValueError(f"parameter {i}: gradient shape {g.shape} "
-                             f"!= parameter shape {p.data.shape}")
-        if g.dtype != p.data.dtype:
-            raise ValueError(f"parameter {i}: gradient dtype {g.dtype} "
-                             f"!= parameter dtype {p.data.dtype}")
+    buckets = _buckets(params, grads, state)
+    flat_grads = []
+    for first, offsets in buckets:
+        stop = first + len(offsets) - 1
+        g = grads[first].reshape(-1) if stop - first == 1 else \
+            np.concatenate([g.reshape(-1) for g in grads[first:stop]])
+        if not np.isfinite(g).all():
+            i = next(i for i in range(first, stop) if not np.isfinite(grads[i]).all())
+            raise FloatingPointError(f"parameter {i}: non-finite gradient")
+        flat_grads.append(g)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if state.m[i] is None:
-            state.m[i], state.v[i] = np.zeros_like(p.data), np.zeros_like(p.data)
-        m, v = state.m[i], state.v[i]
+    for (first, offsets), g in zip(buckets, flat_grads):
+        group = params[first:first + len(offsets) - 1]
+        old = group[0].data.reshape(-1) if len(group) == 1 else \
+            np.concatenate([p.data.reshape(-1) for p in group])
+        m = _moment_buffer(state.m, first, group, offsets)
+        v = _moment_buffer(state.v, first, group, offsets)
         # The operations, in order, of g + wd·p, m = b1·m + (1−b1)·g,
         # v = b2·v + (1−b2)·(g·g) and p − (lr·(m/bc1)) / (sqrt(v/bc2) + eps),
         # so the result is bit for bit that of the out-of-place expressions.
         if weight_decay != 0.0:
-            g = np.add(g, np.multiply(weight_decay, p.data))
+            g = np.add(g, np.multiply(weight_decay, old))
         scratch = np.multiply(1.0 - ADAM_BETA1, g)
         np.multiply(ADAM_BETA1, m, out=m)
         np.add(m, scratch, out=m)
@@ -130,7 +199,9 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
         np.sqrt(scratch, out=scratch)
         np.add(scratch, ADAM_EPS, out=scratch)
         np.divide(step, scratch, out=step)
-        p.data = np.subtract(p.data, step, out=scratch)
+        new = np.subtract(old, step, out=scratch)
+        for p, lo, hi in zip(group, offsets, offsets[1:]):
+            p.data = new[lo:hi].reshape(p.data.shape)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -222,6 +293,11 @@ def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
     return total
 
 
+def _diverged(epoch: int, what: str, batch: Sequence[ProcessedSample]) -> RuntimeError:
+    return RuntimeError(f"training diverged at epoch {epoch}: non-finite {what} "
+                        f"on samples {', '.join(s.id for s in batch)}")
+
+
 @dataclass
 class TrainResult:
     model: FusionModel
@@ -240,18 +316,20 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     the metric is always finite, so the first epoch is always kept.  The history
     holds one (epoch, train_loss, val_metric) row per epoch.  The new parameters
     are cast to ``config.dtype``, which the model and its checkpoint keep.
-    A non-finite batch loss or gradient raises RuntimeError before the Adam step,
-    naming the epoch and the batch's sample ids; so does a non-finite validation
+    A non-finite batch loss (checked before backward) or gradient (checked by
+    :func:`adam_step` before it writes anything) raises RuntimeError naming the
+    epoch and the batch's sample ids; so does a non-finite validation
     prediction (naming the sample) or metric.
 
     Memory follows liveness: ``backward`` consumes the step's tape and the
     step's gradients are dropped after the Adam update, so neither lives on
     through the next step's forward.  The Adam moments are allocated at the
     first update, once that step's tape is spent, and updated in place from
-    then on.  The best epoch is kept by reference to
-    its parameter arrays, not by a copy: :func:`adam_step` binds new arrays to
-    the parameters and never writes into the old ones, so only an epoch that
-    has since been beaten holds a second set of parameters.
+    then on, one flat buffer per bucket.  The best epoch is kept by reference
+    to its parameter arrays, not by a copy: :func:`adam_step` binds the
+    parameters to views of new bucket arrays and never writes into the old
+    ones, so only an epoch that has since been beaten holds a second set of
+    parameters.
     """
     config.validate()
     train = corpus.get("train") or []
@@ -288,14 +366,14 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
             with Tape() as tape:
                 batch_loss = minibatch_loss(model, batch, weights, config.task, dropout_rng)
             value = batch_loss.data.item()
-            if np.isfinite(value):
-                backward(batch_loss, tape)
+            if not np.isfinite(value):
+                raise _diverged(epoch, "loss", batch)
+            backward(batch_loss, tape)
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            if not (np.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
-                what = "gradient" if np.isfinite(value) else "loss"
-                raise RuntimeError(f"training diverged at epoch {epoch}: non-finite {what} "
-                                   f"on samples {', '.join(s.id for s in batch)}")
-            adam_step(params, grads, state, config.learning_rate, config.weight_decay)
+            try:
+                adam_step(params, grads, state, config.learning_rate, config.weight_decay)
+            except FloatingPointError:  # a non-finite gradient, found before any write
+                raise _diverged(epoch, "gradient", batch) from None
             del grads
             for p in params:
                 p.zero_grad()

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from bcfusion import layers
 from bcfusion import tensor as T
+from bcfusion.config import toy_model_config
 from bcfusion.gradcheck import finite_diff_gradcheck
-from bcfusion.layers import Linear, TransformerLayer, sinusoidal_positional_encoding
+from bcfusion.layers import (Linear, TransformerLayer, add_positional_encoding,
+                             sinusoidal_positional_encoding)
+from bcfusion.models import build_model
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
 from oracles import attention_core, sdpa_reference, squared_error
 
@@ -108,6 +112,46 @@ class TestPositionalEncoding:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sinusoidal_positional_encoding(0, 4)
+
+
+class TestPositionTableMemo:
+    """``add_positional_encoding`` memoises the untiled (T, width) table per dtype."""
+
+    def test_memo_holds_read_only_untiled_tables(self):
+        layers._position_table.cache_clear()
+        x = Tensor(np.random.default_rng(0).normal(size=(3 * 5, 8)).astype(np.float32))
+        out = add_positional_encoding(x, batch=3)
+        pe = sinusoidal_positional_encoding(5, 8).data.astype(np.float32)
+        assert out.data.tobytes() == (x.data + np.tile(pe, (3, 1))).tobytes()
+        info = layers._position_table.cache_info()
+        assert info.currsize == 1
+        table = layers._position_table(5, 8, np.dtype(np.float32))
+        assert layers._position_table.cache_info().hits == info.hits + 1
+        assert table.shape == (5, 8) and table.tobytes() == pe.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+
+    def test_memo_is_bounded(self):
+        layers._position_table.cache_clear()
+        maxsize = layers._position_table.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, maxsize + 5):
+            add_positional_encoding(Tensor(np.zeros((n, 4))))
+        assert layers._position_table.cache_info().currsize == maxsize
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cold_and_warm_forwards_are_bitwise_equal(self, dtype):
+        cfg = toy_model_config()
+        model = build_model("cross_to_one", "agreement", cfg, rng_seed=0)
+        for p in model.parameters():
+            p.data = p.data.astype(dtype)
+        rng = np.random.default_rng(1)
+        face, pose = rng.normal(size=(3, 6, cfg.face_dim)), rng.normal(size=(3, 6, cfg.pose_dim))
+        layers._position_table.cache_clear()
+        cold = model.forward(face, pose).final.data
+        assert layers._position_table.cache_info().misses > 0
+        warm = model.forward(face, pose).final.data
+        assert cold.dtype == warm.dtype == dtype and cold.tobytes() == warm.tobytes()
 
 
 class TestTransformerLayer:

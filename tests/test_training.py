@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from bcfusion import training
-from bcfusion.config import ConfigError, TrainConfig, toy_model_config
+from bcfusion.config import ConfigError, ModelConfig, TrainConfig, toy_model_config
 from bcfusion.data import SynthSpec, load_corpus, synth_generate
-from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionTopology, build_model,
-                             load_checkpoint, save_checkpoint)
+from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology,
+                             build_model, load_checkpoint, save_checkpoint)
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, combined_loss, evaluate_metrics,
                                loss_weights_for, metrics_record, minibatch_loss, run_training,
@@ -191,38 +191,76 @@ class TestAdam:
         adam_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
         assert p.data[0] < 5.0
 
-    @pytest.mark.parametrize("bad_grad, match", [
-        (np.zeros(2), r"^parameter 1: gradient shape \(2,\) != parameter shape \(3,\)$"),
-        (np.zeros(3), r"^parameter 1: gradient dtype float64 != parameter dtype float32$"),
-    ], ids=["shape", "dtype"])
-    def test_rejected_step_writes_nothing(self, bad_grad, match):
-        a = Tensor(np.array([1.0]), requires_grad=True)
+    @pytest.mark.parametrize("order, grads, match", [
+        ("ab", [np.ones(2), np.zeros(2)],
+         r"^parameter 1: gradient shape \(2,\) != parameter shape \(3,\)$"),
+        ("ab", [np.ones(2), np.zeros(3)],
+         r"^parameter 1: gradient dtype float64 != parameter dtype float32$"),
+        # a state whose moments were allocated for other parameters
+        ("ca", [np.ones(3), np.ones(2)],
+         r"^parameter 0: moment shape \(2,\) != parameter shape \(3,\)$"),
+        ("ac", [np.ones(2), np.ones(3)],
+         r"^parameter 1: moment dtype float32 != parameter dtype float64$"),
+    ], ids=["shape", "dtype", "moment-shape", "moment-dtype"])
+    def test_rejected_step_writes_nothing(self, order, grads, match):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        c = Tensor(np.zeros(3), requires_grad=True)
         state = AdamState.for_params([a, b])
-        adam_step([a, b], [np.array([1.0]), np.ones(3, np.float32)], state, lr=0.1)
-        before = [a.data, b.data, *state.m, *state.v]
+        adam_step([a, b], [np.ones(2), np.ones(3, np.float32)], state, lr=0.1)
+        before = [a.data, b.data, c.data, *state.m, *state.v]
         snapshot = [x.copy() for x in before]
         with pytest.raises(ValueError, match=match):
-            adam_step([a, b], [np.array([1.0]), bad_grad], state, lr=0.1)
-        after = [a.data, b.data, *state.m, *state.v]
+            adam_step([{"a": a, "b": b, "c": c}[k] for k in order], grads, state, lr=0.1)
+        after = [a.data, b.data, c.data, *state.m, *state.v]
         assert state.step == 1 and all(x is y for x, y in zip(after, before))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(after, snapshot))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_mid_bucket_writes_nothing(self, bad):
+        params = [Tensor(np.full(n, 1.0), requires_grad=True) for n in (3, 4, 5)]
+        state = AdamState.for_params(params)
+        adam_step(params, [np.ones(n) for n in (3, 4, 5)], state, lr=0.1)
+        grads = [np.ones(n) for n in (3, 4, 5)]
+        grads[1][2] = bad
+        assert [len(offsets) - 1 for _, offsets in training._buckets(params, grads, state)] == [3]
+        before = [p.data for p in params] + state.m + state.v
+        snapshot = [x.tobytes() for x in before]
+        with pytest.raises(FloatingPointError, match=r"^parameter 1: non-finite gradient$"):
+            adam_step(params, grads, state, lr=0.1)
+        after = [p.data for p in params] + state.m + state.v
+        assert state.step == 1 and all(x is y for x, y in zip(after, before))
+        assert [x.tobytes() for x in after] == snapshot
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-    def test_bitwise_equal_to_out_of_place_update(self, dtype, weight_decay):
+    @pytest.mark.parametrize("layout", ["one bucket", "several buckets"])
+    def test_bitwise_equal_to_out_of_place_update(self, dtype, weight_decay, layout):
         rng = np.random.default_rng(4)
-        info = np.finfo(dtype)
-        special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
-                            info.tiny, 1e3, -1e30, info.max], dtype)
-        start = [rng.normal(size=(3, 8)).astype(dtype), rng.normal(size=5).astype(dtype)]
+        other = np.float32 if dtype == np.float64 else np.float64
+        cap = training.ADAM_BUCKET_ELEMENTS
+        shapes = [((3, 8), dtype), (5, dtype)]
+        if layout == "several buckets":
+            # a tensor above the cap; two that fill a bucket up to 20 short of it and
+            # one that would straddle it; then a tensor of the other dtype between two
+            shapes += [(cap + 3, dtype), (cap // 2, dtype), (cap // 2 - 20, dtype), (30, dtype),
+                       (4, other), ((6, 2), dtype)]
+        start = [rng.normal(size=shape).astype(t) for shape, t in shapes]
         ours = [Tensor(a.copy(), requires_grad=True) for a in start]
         theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
         ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        sizes = [len(o) - 1 for _, o in training._buckets(ours, start, ours_state)]
+        assert sizes == ([2] if layout == "one bucket" else [2, 1, 2, 1, 1, 1])
         for _ in range(5):
-            grads = [rng.normal(size=a.shape).astype(dtype) for a in start]
-            grads[0].flat[:special.size] = special
-            grads[1][:] = special[[0, 1, 2, 5, 6]]
+            grads = [rng.normal(size=a.shape).astype(a.dtype) for a in start]
+            for g in grads:
+                info = np.finfo(g.dtype)
+                special = np.array([0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                                    info.tiny, 1e3, -1e30, info.max], g.dtype)
+                if g.size >= special.size:
+                    g.flat[:special.size] = special
+                else:
+                    g.flat[:] = special[[0, 1, 2, 5, 6, 4][:g.size]]
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 adam_step(ours, grads, ours_state, 0.01, weight_decay)
                 oracle_adam_step(theirs, grads, their_state, 0.01, weight_decay)
@@ -231,6 +269,33 @@ class TestAdam:
                 assert [(a.dtype, a.tobytes()) for a in got] == \
                     [(a.dtype, a.tobytes()) for a in want]
         assert ours_state.step == their_state.step == 5
+
+    def test_a_toy_model_is_one_bucket(self):
+        params = build_model("one_to_one", "agreement", toy_model_config(7, 5)).parameters()
+        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        assert [(first, len(offsets) - 1) for first, offsets in buckets] == [(0, len(params))]
+
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_paper_width_buckets(self, topology):
+        # an undrawn skeleton has the paper's shapes at no cost in memory
+        params = FusionModel(FusionTopology(topology), "detection", ModelConfig(),
+                             rng=None).parameters()
+        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        cap = training.ADAM_BUCKET_ELEMENTS
+        stops = list(np.cumsum([len(o) - 1 for _, o in buckets]))
+        assert [first for first, _ in buckets] == [0] + stops[:-1] and stops[-1] == len(params)
+        for first, offsets in buckets:
+            group = params[first:first + len(offsets) - 1]
+            assert offsets == [0] + list(np.cumsum([p.data.size for p in group]))
+            assert len(group) == 1 or offsets[-1] <= cap
+        assert all(len(o) == 2 for first, o in buckets if params[first].data.size > cap)
+        assert any(len(o) > 2 for _, o in buckets)
+
+    def test_no_bucket_mixes_dtypes(self):
+        dtypes = [np.float64, np.float64, np.float32, np.float32, np.float64]
+        params = [Tensor(np.zeros(3, t), requires_grad=True) for t in dtypes]
+        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        assert [(first, len(o) - 1) for first, o in buckets] == [(0, 2), (2, 2), (4, 1)]
 
     def test_moments_are_allocated_at_the_first_update_and_kept(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -244,6 +309,26 @@ class TestAdam:
         assert len({id(a) for a in params}) == 4
         assert params[0].tobytes() == np.ones((2, 3)).tobytes()
         assert all(m is ms[1] for m in ms[1:]) and all(v is vs[1] for v in vs[1:])
+
+    def test_moments_held_as_separate_arrays_are_taken_over(self):
+        # as a state restored from a file would hold them: adam_step copies them into
+        # its bucket buffer once and goes on bit for bit as the out-of-place update does
+        rng = np.random.default_rng(6)
+        start = [rng.normal(size=shape) for shape in [(2, 3), 4, (3, 1)]]
+        ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+        theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
+        ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        grads = [rng.normal(size=a.shape) for a in start]
+        oracle_adam_step(ours, grads, ours_state, 0.01)
+        oracle_adam_step(theirs, grads, their_state, 0.01)
+        for _ in range(2):
+            grads = [rng.normal(size=a.shape) for a in start]
+            adam_step(ours, grads, ours_state, 0.01)
+            oracle_adam_step(theirs, grads, their_state, 0.01)
+        for got, want in [([p.data for p in ours], [p.data for p in theirs]),
+                          (ours_state.m, their_state.m), (ours_state.v, their_state.v)]:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert len({id(m.base) for m in ours_state.m}) == 1 and ours_state.step == 3
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_update_peaks_at_two_scratch_arrays(self, weight_decay):
@@ -412,21 +497,35 @@ class TestRunTraining:
         assert bad.id in batch and len(batch) == 2
 
     def test_non_finite_gradient_stops_before_the_update(self, tiny_corpus, monkeypatch):
-        built = []
+        # adam_step finds the NaN before it writes: the parameters stay byte for byte
+        # those the poisoned step started from, and no step or moment is taken
+        built, states, before = [], [], []
+        for_params = AdamState.for_params.__func__
 
         def keep_model(*args, **kwargs):
             built.append(build_model(*args, **kwargs))
             return built[-1]
 
+        def spy_state(cls, params):
+            states.append(for_params(cls, params))
+            return states[-1]
+
         def poisoned_backward(output, tape):
             backward(output, tape)
-            built[0].parameters()[-1].grad[...] = np.nan
+            params = built[0].parameters()
+            before[:] = [(p.data, p.data.tobytes()) for p in params]
+            params[-1].grad[...] = np.nan
 
         monkeypatch.setattr(training, "build_model", keep_model)
+        monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
         monkeypatch.setattr(training, "backward", poisoned_backward)
-        monkeypatch.setattr(training, "adam_step", lambda *a, **k: pytest.fail("Adam ran"))
         with pytest.raises(RuntimeError, match="at epoch 1: non-finite gradient on samples "):
             run_training(tiny_corpus, tiny_config())
+        after = built[0].parameters()
+        assert len(after) == len(before) and \
+            all(p.data is a and p.data.tobytes() == b for p, (a, b) in zip(after, before))
+        [state] = states
+        assert state.step == 0 and all(m is None for m in state.m + state.v)
 
     def test_best_epoch_is_restored_bitwise(self, tiny_corpus, monkeypatch):
         # guards keeping the best epoch by reference: Adam must not write into old arrays
