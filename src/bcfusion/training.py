@@ -14,7 +14,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,22 +75,25 @@ ADAM_BUCKET_ELEMENTS = 1 << 16
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and the shared step counter.
+    """First/second moment buffers, the parameter arrays last bound, and the
+    shared step counter.
 
     A parameter's moments are ``None`` until its first :func:`adam_step`, so
     they take no memory under the first step's tape.  From then on ``m[i]``
     and ``v[i]`` are views, shaped like parameter ``i``, of one flat buffer
     per bucket (see ``ADAM_BUCKET_ELEMENTS``), which every step updates in
-    place.
+    place.  ``bound[i]`` is the array the last step bound parameter ``i`` to
+    (``None`` before the first), a view of that step's bucket array.
     """
 
     m: list[Optional[np.ndarray]]
     v: list[Optional[np.ndarray]]
+    bound: list[Optional[np.ndarray]]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(m=[None] * len(params), v=[None] * len(params))
+        return cls(m=[None] * len(params), v=[None] * len(params), bound=[None] * len(params))
 
 
 def _buckets(params: Sequence[Tensor], grads: Sequence[np.ndarray],
@@ -143,6 +146,25 @@ def _moment_buffer(moments: list[Optional[np.ndarray]], first: int, group: Seque
     return buf
 
 
+def _flat_params(group: Sequence[Tensor], bound: Sequence[Optional[np.ndarray]],
+                 offsets: list[int]) -> np.ndarray:
+    """The parameters of one bucket as a flat array, to be read only.
+
+    From the second step on they are usually still the views of one bucket
+    array that the last step bound (``bound``, in order), and that array is
+    returned as it is.  Identity with those views proves that each sits at
+    its offset; reading data pointers would cost more than the gather.
+    Otherwise the parameters are gathered into a copy.
+    """
+    if len(group) == 1:
+        return group[0].data.reshape(-1)
+    base = getattr(bound[0], "base", None)
+    if base is not None and base.shape == (offsets[-1],) and \
+            all(p.data is b and b.base is base for p, b in zip(group, bound)):
+        return base
+    return np.concatenate([p.data.reshape(-1) for p in group])
+
+
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
@@ -157,9 +179,10 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     were.  The moments are allocated at a bucket's first update and then
     updated in place.  Each bucket gets a new array, and each parameter is
     rebound to its view of it: the old ``p.data`` is never written into, so
-    a caller may keep it as a snapshot.
+    a caller may keep it as a snapshot.  Parameters still bound to the
+    previous step's views are read from that bucket array without a gather.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v):
+    if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.bound):
         raise ValueError("params, grads, and optimizer state are misaligned")
     buckets = _buckets(params, grads, state)
     flat_grads = []
@@ -176,8 +199,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for (first, offsets), g in zip(buckets, flat_grads):
         group = params[first:first + len(offsets) - 1]
-        old = group[0].data.reshape(-1) if len(group) == 1 else \
-            np.concatenate([p.data.reshape(-1) for p in group])
+        old = _flat_params(group, state.bound[first:first + len(group)], offsets)
         m = _moment_buffer(state.m, first, group, offsets)
         v = _moment_buffer(state.v, first, group, offsets)
         # The operations, in order, of g + wd·p, m = b1·m + (1−b1)·g,
@@ -200,30 +222,46 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
         np.add(scratch, ADAM_EPS, out=scratch)
         np.divide(step, scratch, out=step)
         new = np.subtract(old, step, out=scratch)
-        for p, lo, hi in zip(group, offsets, offsets[1:]):
-            p.data = new[lo:hi].reshape(p.data.shape)
+        for i, p, lo, hi in zip(range(first, first + len(group)), group, offsets, offsets[1:]):
+            p.data = state.bound[i] = new[lo:hi].reshape(p.data.shape)
 
 
 # -- evaluation --------------------------------------------------------------------
 
 METRIC_NAMES = {"detection": "accuracy", "agreement": "mse"}
 
-# Most activation elements (rows x widest stage width) one evaluation forward holds:
-# 4 MiB per widest float64 activation, several hundred GEMM rows at paper widths.
+# Most activation elements (rows x widest stage width) one forward holds.  Evaluation
+# keeps 4 MiB per widest float64 activation, several hundred GEMM rows at paper widths.
+# Training keeps a batch of 32 windows of 89 frames as one chunk at every paper width
+# (widest stage 752), so a default run keeps its bits; a batch of 128 runs as four.
 EVAL_CHUNK_ELEMENTS = 1 << 19
+TRAIN_CHUNK_ELEMENTS = 32 * 89 * 752
 
 
-def _length_groups(samples: Sequence[ProcessedSample]) -> list[list[int]]:
-    """Indices of ``samples`` grouped by sequence length, each group in sample order."""
+def _chunks(model: FusionModel, samples: Sequence[ProcessedSample],
+            budget: int) -> Iterator[tuple[list[int], Tensor, Tensor]]:
+    """The forward passes a set of samples runs as: (indices, face, pose) per chunk.
+
+    Samples are grouped by sequence length, in order of first appearance,
+    each group in sample order.  A group is cut into the fewest runs whose
+    rows x ``model.max_width`` stay within ``budget`` elements, or one sample
+    each; run sizes differ by at most one, the larger first.  An empty
+    sequence counts as one step, so that the forward rejects it.  ``face``
+    and ``pose`` are the run's stacked (B, T, features) inputs, built only
+    as the run is reached.
+    """
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         groups.setdefault(len(s.face_seq), []).append(i)
-    return list(groups.values())
-
-
-def _stacked(samples: Sequence[ProcessedSample]) -> tuple[Tensor, Tensor]:
-    return (Tensor(np.stack([s.face_seq for s in samples])),
-            Tensor(np.stack([s.pose_seq for s in samples])))
+    for steps, group in groups.items():
+        n = -(-len(group) // max(1, budget // (max(steps, 1) * model.max_width)))
+        size, extra = divmod(len(group), n)
+        lo = 0
+        for k in range(n):
+            run = group[lo:lo + size + (k < extra)]
+            lo += len(run)
+            yield (run, Tensor(np.stack([samples[i].face_seq for i in run])),
+                   Tensor(np.stack([samples[i].pose_seq for i in run])))
 
 
 def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
@@ -235,23 +273,17 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     below 0 (above about −4.5e-17 in float64, −4.1e-8 in float32), whose
     sigmoid rounds to exactly 0.5.
 
-    Samples of one sequence length are scored together, split into the fewest
-    equal forward passes (sizes differ by at most one) whose rows x
-    ``model.max_width`` stay within ``EVAL_CHUNK_ELEMENTS``, or one sample
-    each, so memory stays flat at paper widths.  A non-finite prediction
-    raises FloatingPointError naming the first sample that has one; so does
-    a non-finite metric, such as finite predictions whose squared error
-    overflows.
+    The samples are scored in the chunks of :func:`_chunks` under
+    ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths.  A
+    non-finite prediction raises FloatingPointError naming the first sample
+    that has one; so does a non-finite metric, such as finite predictions
+    whose squared error overflows.
     """
     if not samples:
         raise ValueError("cannot evaluate an empty split")
     preds = np.empty(len(samples))
-    for group in _length_groups(samples):
-        steps = len(samples[group[0]].face_seq)
-        chunk = max(1, EVAL_CHUNK_ELEMENTS // (steps * model.max_width))
-        for part in np.array_split(group, -(-len(group) // chunk)):
-            out = model.forward(*_stacked([samples[i] for i in part]))
-            preds[part] = out.final.data[:, 0]
+    for run, face, pose in _chunks(model, samples, EVAL_CHUNK_ELEMENTS):
+        preds[run] = model.forward(face, pose).final.data[:, 0]
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
         raise FloatingPointError(f"non-finite prediction on sample {samples[bad[0]].id}")
@@ -269,27 +301,35 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
 
 # -- training loop -------------------------------------------------------------------
 
-def minibatch_loss(model: FusionModel, batch: Sequence[ProcessedSample],
-                   weights: Sequence[float], task: str, rng: np.random.Generator) -> Tensor:
-    """Training-mode mean of the samples' combined losses.
+def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
+                       weights: Sequence[float], task: str, rng: np.random.Generator) -> float:
+    """Accumulate the gradient of the batch's mean combined loss on the parameters.
 
-    The batch runs as one forward pass per sequence length in it (usually
-    one), each length's mean loss weighted by its share of the batch.  The
-    dropout keep-masks are drawn first, sample by sample in batch order, so
-    a sample's masks do not depend on how the batch splits by length; each
-    length's forward takes them stacked per stage.  A length's share of the
-    batch scales its loss weights, so one length writes one loss record.
+    The dropout keep-masks are drawn first, sample by sample in batch order,
+    so a sample's masks do not depend on how the batch is cut.  The batch
+    then runs in the chunks of :func:`_chunks` under ``TRAIN_CHUNK_ELEMENTS``,
+    each on a tape of its own: the forward with its samples' masks stacked
+    per stage, :func:`combined_loss` with the loss weights scaled by the
+    chunk's share of the batch, a finite-loss check, then backward.  The
+    gradients add up on the parameters, and only one chunk's activations
+    live at a time.  Returns the batch loss, the sum of the chunk losses; a
+    non-finite chunk loss raises FloatingPointError before its backward.
     """
-    masks = [model.dropout_masks(len(s.face_seq), rng) for s in batch]
-    total: Optional[Tensor] = None
-    for group in _length_groups(batch):
-        samples = [batch[i] for i in group]
-        keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks[i] for i in group))]
-        out = model.forward(*_stacked(samples), keep=keep)
-        share = len(group) / len(batch)
-        loss = combined_loss(out, np.array([[s.label] for s in samples]),
-                             [w * share for w in weights], task)
-        total = loss if total is None else T.add(total, loss)
+    masks = {i: model.dropout_masks(len(s.face_seq), rng) for i, s in enumerate(batch)}
+    total = 0.0
+    for run, face, pose in _chunks(model, batch, TRAIN_CHUNK_ELEMENTS):
+        keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks.pop(i) for i in run))]
+        share = len(run) / len(batch)
+        with Tape() as tape:
+            out = model.forward(face, pose, keep=keep)
+            loss = combined_loss(out, np.array([[batch[i].label] for i in run]),
+                                 [w * share for w in weights], task)
+        del keep  # the tape alone holds the masks, and backward frees them as it goes
+        value = loss.data.item()
+        if not np.isfinite(value):
+            raise FloatingPointError("non-finite loss")
+        backward(loss, tape)
+        total += value
     return total
 
 
@@ -309,19 +349,23 @@ class TrainResult:
 def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) -> TrainResult:
     """Train one topology; returns the model restored to its best-validation epoch.
 
-    Mini-batches are reshuffled every epoch from a seeded generator; each takes
-    one tape, one backward pass and one Adam step (see :func:`minibatch_loss`).
+    Mini-batches are reshuffled every epoch from a seeded generator.  Each runs
+    forward and backward chunk by chunk, one tape per chunk, the gradients
+    adding up on the parameters, and then takes one Adam step (see
+    :func:`minibatch_backward`).  A default batch at paper widths is one
+    chunk, and the chunk budget, not ``batch_size``, bounds a step's memory.
     After every epoch the validation metric decides whether to keep the
     parameters (higher accuracy / lower MSE wins; ties keep the earlier epoch);
     the metric is always finite, so the first epoch is always kept.  The history
     holds one (epoch, train_loss, val_metric) row per epoch.  The new parameters
     are cast to ``config.dtype``, which the model and its checkpoint keep.
-    A non-finite batch loss (checked before backward) or gradient (checked by
-    :func:`adam_step` before it writes anything) raises RuntimeError naming the
-    epoch and the batch's sample ids; so does a non-finite validation
+    A non-finite loss (checked per chunk before its backward) or gradient
+    (checked by :func:`adam_step` before it writes anything) raises
+    RuntimeError naming the epoch and the whole batch's sample ids, with no
+    Adam step taken; so does a non-finite validation
     prediction (naming the sample) or metric.
 
-    Memory follows liveness: ``backward`` consumes the step's tape and the
+    Memory follows liveness: ``backward`` consumes each chunk's tape and the
     step's gradients are dropped after the Adam update, so neither lives on
     through the next step's forward.  The Adam moments are allocated at the
     first update, once that step's tape is spent, and updated in place from
@@ -363,12 +407,10 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
         loss_sum, n_seen = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            with Tape() as tape:
-                batch_loss = minibatch_loss(model, batch, weights, config.task, dropout_rng)
-            value = batch_loss.data.item()
-            if not np.isfinite(value):
-                raise _diverged(epoch, "loss", batch)
-            backward(batch_loss, tape)
+            try:
+                value = minibatch_backward(model, batch, weights, config.task, dropout_rng)
+            except FloatingPointError:  # a non-finite chunk loss, found before its backward
+                raise _diverged(epoch, "loss", batch) from None
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             try:
                 adam_step(params, grads, state, config.learning_rate, config.weight_decay)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bcfusion import tensor as T
 from bcfusion import training
 from bcfusion.config import ConfigError, ModelConfig, TrainConfig, toy_model_config
 from bcfusion.data import SynthSpec, load_corpus, synth_generate
@@ -15,8 +16,8 @@ from bcfusion.models import (ALL_TOPOLOGIES, ForwardOutput, FusionModel, FusionT
                              build_model, load_checkpoint, save_checkpoint)
 from bcfusion.tensor import Tape, Tensor, backward
 from bcfusion.training import (AdamState, adam_step, combined_loss, evaluate_metrics,
-                               loss_weights_for, metrics_record, minibatch_loss, run_training,
-                               write_history_csv)
+                               loss_weights_for, metrics_record, minibatch_backward,
+                               run_training, write_history_csv)
 
 
 def bce_loss(z, y) -> Tensor:
@@ -234,7 +235,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
-    @pytest.mark.parametrize("layout", ["one bucket", "several buckets"])
+    @pytest.mark.parametrize("layout", ["one bucket", "several buckets", "misplaced views"])
     def test_bitwise_equal_to_out_of_place_update(self, dtype, weight_decay, layout):
         rng = np.random.default_rng(4)
         other = np.float32 if dtype == np.float64 else np.float64
@@ -245,13 +246,24 @@ class TestAdam:
             # one that would straddle it; then a tensor of the other dtype between two
             shapes += [(cap + 3, dtype), (cap // 2, dtype), (cap // 2 - 20, dtype), (30, dtype),
                        (4, other), ((6, 2), dtype)]
+        if layout == "misplaced views":
+            # views of the last step's bucket array at the wrong offsets: two swapped
+            # before the third step, one replaced by a copy before the fourth
+            shapes += [(5, dtype), ((2, 3), dtype)]
         start = [rng.normal(size=shape).astype(t) for shape, t in shapes]
         ours = [Tensor(a.copy(), requires_grad=True) for a in start]
         theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
         ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
         sizes = [len(o) - 1 for _, o in training._buckets(ours, start, ours_state)]
-        assert sizes == ([2] if layout == "one bucket" else [2, 1, 2, 1, 1, 1])
-        for _ in range(5):
+        assert sizes == {"one bucket": [2], "several buckets": [2, 1, 2, 1, 1, 1],
+                         "misplaced views": [4]}[layout]
+        for step in range(5):
+            if layout == "misplaced views" and step == 2:
+                for ps in (ours, theirs):
+                    ps[1].data, ps[2].data = ps[2].data, ps[1].data
+            if layout == "misplaced views" and step == 3:
+                for ps in (ours, theirs):
+                    ps[3].data = ps[3].data.copy()
             grads = [rng.normal(size=a.shape).astype(a.dtype) for a in start]
             for g in grads:
                 info = np.finfo(g.dtype)
@@ -545,22 +557,41 @@ class TestRunTraining:
         assert any(not np.array_equal(a, b) for a, b in zip(restored, seen[2]))
 
     def test_no_gradient_outlives_its_adam_step(self, tiny_corpus, monkeypatch):
+        # checked at every chunk's training forward: 6 training samples of one length
+        # run as 2 steps of 3, each one chunk, 2 + 1, or three of 1
         handed, alive_at_forward = [], []
+        build = training.build_model
 
         def spy_adam(params, grads, *args, **kwargs):
             handed.append([weakref.ref(g) for g in grads])
             return adam_step(params, grads, *args, **kwargs)
 
-        def spy_loss(*args, **kwargs):
-            alive_at_forward.append(sum(ref() is not None for step in handed for ref in step))
-            return minibatch_loss(*args, **kwargs)
+        def spied_model(*args, **kwargs):
+            model = build(*args, **kwargs)
+            forward = model.forward
+
+            def spy_forward(face, pose, keep=None):
+                if keep is not None:
+                    alive_at_forward.append(
+                        sum(ref() is not None for step in handed for ref in step))
+                return forward(face, pose, keep=keep)
+
+            model.forward = spy_forward
+            return model
 
         monkeypatch.setattr(training, "adam_step", spy_adam)
-        monkeypatch.setattr(training, "minibatch_loss", spy_loss)
-        run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
-        assert len(handed) == 2 and alive_at_forward == [0, 0]
+        monkeypatch.setattr(training, "build_model", spied_model)
+        rows = len(tiny_corpus["train"][0].face_seq) * \
+            build("one_to_one", "detection", toy_model_config(7, 5)).max_width
+        for per_chunk, chunks in [(3, 1), (2, 2), (1, 3)]:
+            handed.clear()
+            alive_at_forward.clear()
+            monkeypatch.setattr(training, "TRAIN_CHUNK_ELEMENTS", per_chunk * rows)
+            run_training(tiny_corpus, tiny_config(topology="one_to_one", batch_size=3))
+            assert len(handed) == 2 and alive_at_forward == [0] * 2 * chunks
 
     def test_no_moment_lives_under_the_first_tape(self, tiny_corpus, monkeypatch):
+        # under none of the first step's chunk tapes; every later backward sees them all
         states, moments_at_backward = [], []
         for_params = AdamState.for_params.__func__
 
@@ -569,14 +600,58 @@ class TestRunTraining:
             return states[-1]
 
         def spy_backward(output, tape):
-            moments = states[0].m + states[0].v
+            moments = states[-1].m + states[-1].v
             moments_at_backward.append(sum(isinstance(a, np.ndarray) for a in moments))
             return backward(output, tape)
 
         monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
         monkeypatch.setattr(training, "backward", spy_backward)
-        run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
-        assert moments_at_backward == [0, 2 * len(states[0].m)]
+        for budget, chunks in [(training.TRAIN_CHUNK_ELEMENTS, 1), (1, 3)]:
+            moments_at_backward.clear()
+            monkeypatch.setattr(training, "TRAIN_CHUNK_ELEMENTS", budget)
+            run_training(tiny_corpus, tiny_config(batch_size=3))  # 6 training samples: 2 steps
+            assert moments_at_backward == [0] * chunks + [2 * len(states[-1].m)] * chunks
+
+    def test_non_finite_loss_in_a_later_chunk_stops_before_the_update(self, tiny_corpus,
+                                                                      monkeypatch):
+        # the first chunk's backward has run, the second chunk's loss is NaN: the error
+        # names the whole batch, and Adam never runs
+        built, states, batches, losses = [], [], [], []
+        for_params = AdamState.for_params.__func__
+
+        def keep_model(*args, **kwargs):
+            built.append(build_model(*args, **kwargs))
+            return built[-1]
+
+        def spy_state(cls, params):
+            states.append(for_params(cls, params))
+            return states[-1]
+
+        def spy_step(model, batch, *args):
+            batches.append([s.id for s in batch])
+            return minibatch_backward(model, batch, *args)
+
+        def poisoned_loss(*args):
+            losses.append(combined_loss(*args))
+            return T.add(losses[-1], Tensor(np.nan)) if len(losses) == 2 else losses[-1]
+
+        monkeypatch.setattr(training, "build_model", keep_model)
+        monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
+        monkeypatch.setattr(training, "minibatch_backward", spy_step)
+        monkeypatch.setattr(training, "combined_loss", poisoned_loss)
+        monkeypatch.setattr(training, "TRAIN_CHUNK_ELEMENTS", 1)
+        start = build_model("one_stream", "detection", toy_model_config(7, 5), rng_seed=0)
+        with pytest.raises(RuntimeError) as exc:
+            run_training(tiny_corpus, tiny_config(batch_size=3))
+        [batch] = batches
+        assert str(exc.value) == ("training diverged at epoch 1: non-finite loss on samples "
+                                  + ", ".join(batch))
+        assert len(batch) == 3 and len(losses) == 2
+        params = built[0].parameters()
+        assert any(p.grad is not None for p in params)  # the first chunk's backward ran
+        assert [p.data.tobytes() for p in params] == [p.data.tobytes() for p in start.parameters()]
+        [state] = states
+        assert state.step == 0 and all(m is None for m in state.m + state.v)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_training_matches_the_out_of_place_update_bitwise(self, tiny_corpus, monkeypatch,
