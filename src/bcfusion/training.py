@@ -75,25 +75,22 @@ ADAM_BUCKET_ELEMENTS = 1 << 16
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, the parameter arrays last bound, and the
-    shared step counter.
+    """First/second moment buffers and the shared step counter.
 
     A parameter's moments are ``None`` until its first :func:`adam_step`, so
     they take no memory under the first step's tape.  From then on ``m[i]``
     and ``v[i]`` are views, shaped like parameter ``i``, of one flat buffer
     per bucket (see ``ADAM_BUCKET_ELEMENTS``), which every step updates in
-    place.  ``bound[i]`` is the array the last step bound parameter ``i`` to
-    (``None`` before the first), a view of that step's bucket array.
+    place.
     """
 
     m: list[Optional[np.ndarray]]
     v: list[Optional[np.ndarray]]
-    bound: list[Optional[np.ndarray]]
     step: int = 0
 
     @classmethod
     def for_params(cls, params: Sequence[Tensor]) -> "AdamState":
-        return cls(m=[None] * len(params), v=[None] * len(params), bound=[None] * len(params))
+        return cls(m=[None] * len(params), v=[None] * len(params))
 
 
 def _buckets(params: Sequence[Tensor], grads: Sequence[np.ndarray],
@@ -146,25 +143,6 @@ def _moment_buffer(moments: list[Optional[np.ndarray]], first: int, group: Seque
     return buf
 
 
-def _flat_params(group: Sequence[Tensor], bound: Sequence[Optional[np.ndarray]],
-                 offsets: list[int]) -> np.ndarray:
-    """The parameters of one bucket as a flat array, to be read only.
-
-    From the second step on they are usually still the views of one bucket
-    array that the last step bound (``bound``, in order), and that array is
-    returned as it is.  Identity with those views proves that each sits at
-    its offset; reading data pointers would cost more than the gather.
-    Otherwise the parameters are gathered into a copy.
-    """
-    if len(group) == 1:
-        return group[0].data.reshape(-1)
-    base = getattr(bound[0], "base", None)
-    if base is not None and base.shape == (offsets[-1],) and \
-            all(p.data is b and b.base is base for p, b in zip(group, bound)):
-        return base
-    return np.concatenate([p.data.reshape(-1) for p in group])
-
-
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
               lr: float, weight_decay: float = 0.0) -> None:
     """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
@@ -179,10 +157,9 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     were.  The moments are allocated at a bucket's first update and then
     updated in place.  Each bucket gets a new array, and each parameter is
     rebound to its view of it: the old ``p.data`` is never written into, so
-    a caller may keep it as a snapshot.  Parameters still bound to the
-    previous step's views are read from that bucket array without a gather.
+    a caller may keep it as a snapshot.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v) == len(state.bound):
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params, grads, and optimizer state are misaligned")
     buckets = _buckets(params, grads, state)
     flat_grads = []
@@ -199,7 +176,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     bc2 = 1.0 - ADAM_BETA2 ** state.step
     for (first, offsets), g in zip(buckets, flat_grads):
         group = params[first:first + len(offsets) - 1]
-        old = _flat_params(group, state.bound[first:first + len(group)], offsets)
+        old = group[0].data.reshape(-1) if len(group) == 1 else \
+            np.concatenate([p.data.reshape(-1) for p in group])
         m = _moment_buffer(state.m, first, group, offsets)
         v = _moment_buffer(state.v, first, group, offsets)
         # The operations, in order, of g + wd·p, m = b1·m + (1−b1)·g,
@@ -222,8 +200,8 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
         np.add(scratch, ADAM_EPS, out=scratch)
         np.divide(step, scratch, out=step)
         new = np.subtract(old, step, out=scratch)
-        for i, p, lo, hi in zip(range(first, first + len(group)), group, offsets, offsets[1:]):
-            p.data = state.bound[i] = new[lo:hi].reshape(p.data.shape)
+        for p, lo, hi in zip(group, offsets, offsets[1:]):
+            p.data = new[lo:hi].reshape(p.data.shape)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -233,7 +211,9 @@ METRIC_NAMES = {"detection": "accuracy", "agreement": "mse"}
 # Most activation elements (rows x widest stage width) one forward holds.  Evaluation
 # keeps 4 MiB per widest float64 activation, several hundred GEMM rows at paper widths.
 # Training keeps a batch of 32 windows of 89 frames as one chunk at every paper width
-# (widest stage 752), so a default run keeps its bits; a batch of 128 runs as four.
+# (widest stage 752), so a default run keeps its bits.  A batch of 128 runs as four
+# chunks of 32 where the widest stage is 608-752, as two of 64 at 304 (cross_attention)
+# and as one at 76 (pose_only).
 EVAL_CHUNK_ELEMENTS = 1 << 19
 TRAIN_CHUNK_ELEMENTS = 32 * 89 * 752
 

@@ -73,7 +73,7 @@ class TestSettableSurface:
 
     def test_adam_takes_only_parameters(self):
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]
-        assert [f.name for f in fields(AdamState)] == ["m", "v", "bound", "step"]
+        assert [f.name for f in fields(AdamState)] == ["m", "v", "step"]
         assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_training_and_eval_call_every_op(self, monkeypatch):
