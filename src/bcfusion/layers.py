@@ -85,15 +85,29 @@ def _position_table(n_positions: int, d_model: int, dtype: np.dtype) -> np.ndarr
 
 
 def add_positional_encoding(x: Tensor, batch: int = 1) -> Tensor:
-    """Add the position signal to each of ``batch`` stacked sequences.
+    """Add the position signal in place to each of ``batch`` stacked sequences;
+    returns ``x``.
 
     The (T, width) table is computed once per shape and dtype and memoised
     read-only, in a cache of a few entries (about half a MiB each at paper
-    widths).  Each call tiles it afresh: the tiled (B·T, width) rows are not
-    kept, so they die with the forward as other unread activations do.
+    widths), and added through a (B, T, width) view of ``x``'s rows: nothing
+    is tiled or recorded.  That is exact for an op output that no op has read
+    and whose own rule does not read it (a projection without ReLU, a concat):
+    a constant shift passes the gradient through unchanged.
     """
-    pe = _position_table(x.shape[0] // batch, x.shape[1], x.data.dtype)
-    return T.add(x, Tensor(np.tile(pe, (batch, 1))))
+    if x.data.ndim != 2 or batch < 1 or x.shape[0] < batch or x.shape[0] % batch:
+        raise ShapeError(f"add_positional_encoding: {x.shape} is not {batch} nonempty "
+                         f"equal row blocks")
+    if not x.data.flags.c_contiguous:
+        raise ValueError("add_positional_encoding: x must be C-contiguous, so that the "
+                         "signal lands in its data")
+    if x.requires_grad and x.slot is None:
+        raise ValueError("add_positional_encoding: x is a leaf that takes a gradient; "
+                         "the signal would shift it")
+    steps, width = x.shape[0] // batch, x.shape[1]
+    rows = x.data.reshape(batch, steps, width)
+    rows += _position_table(steps, width, x.data.dtype)
+    return x
 
 
 class TransformerLayer:

@@ -6,9 +6,9 @@ executed while it is active.  ``backward`` replays the tape in reverse and
 consumes it, accumulating gradients additively, so fan-out works without any
 graph bookkeeping beyond execution order.
 
-The op set is what the batched engine records: one affine op (product,
-bias row and optional ReLU), one multi-head attention op, elementwise sum,
-layer norm of a residual sum (the residual optionally inverted-dropped by a
+The op set is what the batched engine records, seven ops: one affine op
+(product, bias row and optional ReLU), one multi-head attention op, layer
+norm of a residual sum (the residual optionally inverted-dropped by a
 boolean keep-mask, so training-mode dropout adds no record), feature-axis
 concat and slicing, per-sequence row means, and one training objective: the
 weighted sum of per-head mean losses (cross entropy on logits or squared
@@ -26,8 +26,8 @@ forward's locals (after Chen et al. 2016).  The affine op saves its input
 when the weight takes a gradient, and its output only with the ReLU, whose
 mask it reads back from it; layer norm saves the normalised rows, their
 inverse deviations and the keep-mask, one byte per element, but neither
-summand; slicing saves its input's shape and dtype; sum, concat and row
-means save nothing.  Attention is one record from the layer inputs to the
+summand; slicing saves its input's shape and dtype; concat and row means
+save nothing.  Attention is one record from the layer inputs to the
 output projection: the four weights stay separate tensors, and the
 projections run the GEMMs, and accumulate their gradients in the order,
 that separate products would.  It picks its head kernel from the operand
@@ -37,9 +37,10 @@ D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), saving the attention weights
 and, as the gradients asked for need them, q, k, v, the head outputs and
 the layer inputs.
 
-A gradient has one owner: no two slots ever hold one array.  The first
-write of a fresh result into an empty slot keeps it; an array handed to
-two inputs is copied.  A rule may therefore work in place on its spent
+A gradient has one owner: no two slots ever hold one array.  A rule hands a
+slot only an array that nothing else references (a fresh result, or a copy
+of a view or of an array handed to two inputs), and a first write into an
+empty slot keeps it.  A rule may therefore work in place on its spent
 output gradient, as the affine op does with its ReLU mask.  Broadcasting
 is restricted to the affine op's bias row; anything else raises a
 ``ShapeError`` up front rather than silently broadcasting.
@@ -65,7 +66,6 @@ __all__ = [
     "as_tensor",
     "backward",
     "linear",
-    "add",
     "layer_norm",
     "concat",
     "slice_cols",
@@ -231,19 +231,9 @@ def _emit(tape: Tape, slots: Sequence, out_data: np.ndarray,
     return out
 
 
-def _accum(s, g: np.ndarray) -> None:
-    """Add ``g`` to slot ``s``; a first write is a copy in ``s``'s dtype, never ``g`` itself."""
-    if s.grad is None:
-        s.grad = np.array(g, dtype=s.dtype)
-    else:
-        s.grad += g
-
-
 def _take(s, g: np.ndarray) -> None:
-    """:func:`_accum` for a ``g`` that nothing else references, such as a fresh
-    GEMM result: a first write in ``s``'s dtype keeps ``g`` itself.  No two
-    slots ever hold one array, so a rule may work in place on its spent
-    output gradient."""
+    """Add ``g``, an array that nothing else references, to slot ``s``: a first
+    write in ``s``'s dtype keeps ``g`` itself, so no two slots hold one array."""
     if s.grad is None:
         s.grad = g if g.dtype == s.dtype else g.astype(s.dtype)
     else:
@@ -294,31 +284,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
             np.multiply(g, activated > 0, out=g)
         _project(g, sx, w, x_data, sw)
         if sb is not None:
-            _take(sb, g.sum(axis=0))
+            _take(sb, np.add.reduce(g, axis=0))
 
     return _emit(tape, (sx, sw, sb), out_data, bw)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of identically shaped tensors; a bias row enters through
-    :func:`linear`."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: unsupported operand shapes {a.shape} and {b.shape}")
-
-    out_data = a.data + b.data
-    tape = _recording(a, b)
-    if tape is None:
-        return Tensor(out_data)
-    sa, sb = _slot(a), _slot(b)
-
-    def bw(g: np.ndarray) -> None:
-        if sa is not None:
-            _accum(sa, g)
-        if sb is not None:
-            _accum(sb, g)
-
-    return _emit(tape, (sa, sb), out_data, bw)
 
 
 # Added to the variance before its square root in layer_norm.
@@ -360,12 +328,13 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         xhat = r.data * keep
         xhat *= scale
         xhat += x.data
-    # np.add.reduce then an in-place divide is what np.mean computes, bit for
-    # bit, without its Python wrapper; so are the two means of the backward
+    # np.add.reduce, then an in-place divide for a mean, is what .sum and np.mean
+    # compute, bit for bit, without their Python wrappers; so for every reduction here
     mean = np.add.reduce(xhat, axis=-1, keepdims=True)
     mean /= d
     xhat -= mean
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True)
+    var /= d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gain.data
@@ -381,9 +350,9 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
 
     def bw(g: np.ndarray) -> None:
         if s_gain is not None:
-            _take(s_gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _take(s_gain, np.add.reduce((g * xhat).reshape(-1, d), axis=0))
         if s_bias is not None:
-            _take(s_bias, g.reshape(-1, d).sum(axis=0))
+            _take(s_bias, np.add.reduce(g.reshape(-1, d), axis=0))
         if not through:
             return
         gx = g * gain.data
@@ -398,7 +367,7 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
             _take(sx, gx)
         elif keep is None:  # one array for both summands: x takes a copy
             if sx is not None:
-                _accum(sx, gx)
+                _take(sx, gx.copy())
             _take(sr, gx)
         else:
             gr = gx * keep
@@ -428,7 +397,7 @@ def concat(parts: Iterable[Tensor]) -> Tensor:
     def bw(g: np.ndarray) -> None:
         for s, lo, hi in zip(slots, [0] + stops, stops):
             if s is not None:
-                _accum(s, g[:, lo:hi])
+                _take(s, g[:, lo:hi].copy())
 
     return _emit(tape, slots, out_data, bw)
 
@@ -598,7 +567,8 @@ def row_mean(x: Tensor, batch: int) -> Tensor:
     if x.data.ndim != 2 or batch < 1 or x.shape[0] < batch or x.shape[0] % batch:
         raise ShapeError(f"row_mean: {x.shape} is not {batch} nonempty equal row blocks")
     t = x.shape[0] // batch
-    out_data = x.data.reshape(batch, t, -1).mean(axis=1)
+    out_data = np.add.reduce(x.data.reshape(batch, t, -1), axis=1)
+    out_data /= t
     tape = _recording(x)
     if tape is None:
         return Tensor(out_data)
@@ -639,12 +609,12 @@ def weighted_loss(preds: Sequence[Tensor], y, weights: Sequence[float], kind: st
         z = p.data
         if kind == "bce":
             e = np.exp(-np.abs(z))
-            term = (np.maximum(z, 0.0) - z * y + np.log1p(e)).mean() * w
+            term = np.add.reduce(np.maximum(z, 0.0) - z * y + np.log1p(e), axis=None) / n * w
             if tape is not None:
                 residuals.append(np.where(z >= 0, 1.0, e) / (1.0 + e) - y)
         else:
             d = z - y
-            term = (d * d).mean() * w
+            term = np.add.reduce(d * d, axis=None) / n * w
             if tape is not None:
                 residuals.append(2.0 * d)
         total = term if total is None else total + term

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from bcfusion import tensor as T
+from bcfusion.layers import sinusoidal_positional_encoding
 from bcfusion.tensor import Tensor
 
 
@@ -83,3 +84,23 @@ def unit_gradient_loss(x: Tensor) -> Tensor:
     x − 2 with weight n/4, which hands each element 0.25·2 twice.  Exact where
     x − 2 is, as for the small dyadic values the tests use."""
     return T.weighted_loss([x], x.data - 2.0, [x.size / 4], "mse")
+
+
+def tiled_positional_encoding(x: Tensor, batch: int = 1) -> Tensor:
+    """The position signal added out of place, as a separate op: a new tensor
+    ``x`` + the (T, width) table tiled over the ``batch`` sequences, recorded
+    on the active tape with a rule that hands ``x``'s slot a copy of its
+    gradient (what an elementwise sum with a constant operand records)."""
+    steps, width = x.shape[0] // batch, x.shape[1]
+    table = sinusoidal_positional_encoding(steps, width).data.astype(x.dtype)
+    out = Tensor(x.data + np.tile(table, (batch, 1)))
+    tape, slot = T.active_tape(), x.slot
+    if tape is None or slot is None:
+        return out
+    out.requires_grad, out.slot = True, T.Slot(out.dtype)
+
+    def bw(g: np.ndarray) -> None:
+        slot.grad = g.copy() if slot.grad is None else slot.grad + g
+
+    tape.record((slot,), out.slot, bw)
+    return out

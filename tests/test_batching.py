@@ -4,9 +4,11 @@ A mini-batch runs as stacked (B·T, d) rows through forward and backward
 passes, one per chunk of equally long samples.  The references here are the
 loop the engine replaced (one forward per sample, its dropout masks drawn in
 batch order, the combined losses summed and divided by the batch size) and
-the one-tape step (one forward per length, all on one tape).  Batching and
-chunking change only the order of floating-point sums, so they agree to
-float64 rounding noise.
+the one-tape step (one forward per length).  They yield one loss at a time,
+each taped and backed on its own, so that the gradients add up on the
+parameters as those of one summed loss would.  Batching and chunking change
+only the order of floating-point sums, so they agree to float64 rounding
+noise.
 """
 
 import tracemalloc
@@ -42,40 +44,43 @@ def make_samples(lengths, task, seed=0, cfg=CFG):
 
 def loop_loss(model, batch, weights, task, rng):
     """The per-sample loop: one forward and one combined loss per sample, each
-    weighted by 1 / batch size."""
-    total = None
+    weighted by 1 / batch size.  Yields the losses one at a time, each built
+    on whatever tape is active when it is asked for."""
     for s in batch:
         out = model.forward(Tensor(s.face_seq), Tensor(s.pose_seq),
                             keep=model.dropout_masks(len(s.face_seq), rng))
-        loss = combined_loss(out, s.label, [w / len(batch) for w in weights], task)
-        total = loss if total is None else T.add(total, loss)
-    return total
+        yield combined_loss(out, s.label, [w / len(batch) for w in weights], task)
 
 
 def one_tape_loss(model, batch, weights, task, rng):
     """The one-tape step: masks drawn sample by sample in batch order, one forward
-    per length on one tape, each length's loss weights scaled by its share."""
+    per length, each length's loss weights scaled by its share.  Yields the
+    lengths' losses one at a time, as :func:`loop_loss` does."""
     masks = [model.dropout_masks(len(s.face_seq), rng) for s in batch]
-    total = None
     for steps in dict.fromkeys(len(s.face_seq) for s in batch):
         group = [i for i, s in enumerate(batch) if len(s.face_seq) == steps]
         keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks[i] for i in group))]
         out = model.forward(Tensor(np.stack([batch[i].face_seq for i in group])),
                             Tensor(np.stack([batch[i].pose_seq for i in group])), keep=keep)
         share = len(group) / len(batch)
-        loss = combined_loss(out, np.array([[batch[i].label] for i in group]),
-                             [w * share for w in weights], task)
-        total = loss if total is None else T.add(total, loss)
-    return total
+        yield combined_loss(out, np.array([[batch[i].label] for i in group]),
+                            [w * share for w in weights], task)
 
 
-def loss_and_grads(model, make_loss):
+def loss_and_grads(model, make_losses):
+    """The sum of the losses ``make_losses()`` yields and its gradient on the
+    parameters: each loss is built on a tape of its own and backward adds its
+    gradient to the parameters' before the next one is built."""
     for p in model.parameters():
         p.zero_grad()
-    with Tape() as tape:
-        loss = make_loss()
-    backward(loss, tape)
-    return loss.data.item(), {name: p.grad.copy() for name, p in model.named_parameters()}
+    losses, total = make_losses(), 0.0
+    while True:
+        with Tape() as tape:
+            loss = next(losses, None)
+        if loss is None:
+            return total, {name: p.grad.copy() for name, p in model.named_parameters()}
+        backward(loss, tape)
+        total += loss.data.item()
 
 
 def step_loss_and_grads(model, batch, weights, task, rng):
@@ -319,7 +324,8 @@ class TestTrainingLossGradients:
             lambda: Tensor(minibatch_backward(model, batch, weights, task,
                                               np.random.default_rng(8))),
             list(model.named_parameters()),
-            reference=lambda: loop_loss(model, batch, weights, task, np.random.default_rng(8)),
+            reference=lambda: Tensor(sum(loss.data.item() for loss in loop_loss(
+                model, batch, weights, task, np.random.default_rng(8)))),
             max_elements=8)
         assert report.passed, (report.per_param, report.failures)
         assert sizes[:3] == [(2, 3), (1, 3), (1, 5)]
@@ -365,3 +371,16 @@ class TestBatchedEval:
             np.testing.assert_allclose(metrics["value"], np.mean((preds - labels) ** 2),
                                        rtol=0, atol=ATOL)
         assert metrics["n"] == len(samples)
+
+    @pytest.mark.parametrize("task", ["detection", "agreement"])
+    def test_metric_is_np_mean_of_the_scored_predictions_bitwise(self, task):
+        model = build_model("one_to_two", task, CFG, rng_seed=3)
+        samples = make_samples([5, 8, 5, 8, 8, 3, 8, 8, 5], task, seed=4)
+        preds = np.empty(len(samples))
+        for run, face, pose in training._chunks(model, samples, training.EVAL_CHUNK_ELEMENTS):
+            preds[run] = model.forward(face, pose).final.data[:, 0]
+        labels = np.array([s.label for s in samples])
+        expected = np.mean((preds >= 0.0) == (labels == 1.0)) if task == "detection" else \
+            np.mean((preds - labels) ** 2)
+        value = evaluate_metrics(model, samples, task)["value"]
+        assert type(value) is float and value == float(expected)

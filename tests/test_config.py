@@ -49,8 +49,8 @@ class TestSettableSurface:
 
     def test_tensor_ops_take_the_batched_forms_only(self):
         assert T.__all__ == [
-            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "add",
-            "layer_norm", "concat", "slice_cols", "attention", "row_mean", "weighted_loss"]
+            "Tensor", "Tape", "ShapeError", "as_tensor", "backward", "linear", "layer_norm",
+            "concat", "slice_cols", "attention", "row_mean", "weighted_loss"]
         assert all(hasattr(T, name) for name in T.__all__)
         # one form each: one affine op (with the ReLU), one op for multi-head attention
         # from the layer inputs to the output projection (its softmax included), layer

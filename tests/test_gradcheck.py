@@ -58,11 +58,12 @@ class TestOpGradients:
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        proj = random_projection(rng, (2, 3))
+        gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
+        proj = random_projection(rng, (2, 6))
 
         def f():
-            # x reaches the output by two paths
-            return proj(T.add(T.add(x, y), T.add(x, b)))
+            # x reaches the output by two paths, [x | y] + [x | b] inside one layer norm
+            return proj(T.layer_norm(T.concat([x, y]), T.concat([x, b]), gain, bias))
 
         check(f, [("x", x), ("y", y), ("b", b)])
 

@@ -1,5 +1,7 @@
 """Attention, positional encoding, transformer layer, and pooling contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,14 +117,17 @@ class TestPositionalEncoding:
 
 
 class TestPositionTableMemo:
-    """``add_positional_encoding`` memoises the untiled (T, width) table per dtype."""
+    """``add_positional_encoding`` memoises the untiled (T, width) table per dtype
+    and adds it in place."""
 
     def test_memo_holds_read_only_untiled_tables(self):
         layers._position_table.cache_clear()
         x = Tensor(np.random.default_rng(0).normal(size=(3 * 5, 8)).astype(np.float32))
-        out = add_positional_encoding(x, batch=3)
+        data = x.data
         pe = sinusoidal_positional_encoding(5, 8).data.astype(np.float32)
-        assert out.data.tobytes() == (x.data + np.tile(pe, (3, 1))).tobytes()
+        expected = (data + np.tile(pe, (3, 1))).tobytes()
+        out = add_positional_encoding(x, batch=3)
+        assert out is x and x.data is data and data.tobytes() == expected
         info = layers._position_table.cache_info()
         assert info.currsize == 1
         table = layers._position_table(5, 8, np.dtype(np.float32))
@@ -152,6 +157,37 @@ class TestPositionTableMemo:
         assert layers._position_table.cache_info().misses > 0
         warm = model.forward(face, pose).final.data
         assert cold.dtype == warm.dtype == dtype and cold.tobytes() == warm.tobytes()
+
+
+class TestPositionalEncodingChecks:
+    """``add_positional_encoding`` writes into ``x``, so it checks what it writes into."""
+
+    @pytest.mark.parametrize("shape, batch", [((7, 4), 2), ((1, 4), 2), ((6, 4), 0),
+                                              ((6,), 1), ((2, 3, 4), 1)],
+                             ids=["uneven_blocks", "empty_blocks", "no_sequences",
+                                  "vector", "3d"])
+    def test_rows_must_be_equal_nonempty_blocks(self, shape, batch):
+        with pytest.raises(ShapeError, match=re.escape(f"{shape} is not {batch} nonempty "
+                                                       f"equal row blocks")):
+            add_positional_encoding(Tensor(np.zeros(shape)), batch)
+
+    def test_refuses_data_that_is_not_c_contiguous(self):
+        # a (B, T, width) reshape of such data is a copy, and the signal would be lost
+        x = Tensor(np.zeros((4, 6)).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_positional_encoding(x, 2)
+        assert not x.data.any()
+
+    def test_refuses_a_leaf_that_takes_a_gradient(self):
+        # the signal would shift a parameter; an op output's slot takes its gradient
+        w = Tensor(np.zeros((6, 4)), requires_grad=True)
+        with pytest.raises(ValueError, match="leaf that takes a gradient"):
+            add_positional_encoding(w, 2)
+        assert not w.data.any()
+        with Tape():
+            out = T.concat([w])
+            assert add_positional_encoding(out, 2) is out
+        assert out.data.any() and not w.data.any()
 
 
 class TestTransformerLayer:

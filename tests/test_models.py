@@ -19,10 +19,12 @@ import pytest
 from bcfusion import models
 from bcfusion import tensor as T
 from bcfusion.config import ConfigError, ModelConfig, toy_model_config
+from bcfusion.data import ProcessedSample
 from bcfusion.models import (ALL_TOPOLOGIES, FusionTopology, build_model, load_checkpoint,
                              parameter_breakdown, parameter_count, save_checkpoint)
 from bcfusion.tensor import ShapeError, Tape, Tensor, backward
-from bcfusion.training import combined_loss, loss_weights_for
+from bcfusion.training import combined_loss, loss_weights_for, minibatch_backward
+from oracles import tiled_positional_encoding
 
 TOY = toy_model_config()
 
@@ -212,6 +214,39 @@ class TestForward:
         assert abs(a - b) > 1e-12
 
 
+class TestPositionalEncodingInPlace:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_forwards_and_gradients_match_out_of_place_oracle_bitwise(self, topology, dtype,
+                                                                      monkeypatch):
+        # the signal added in place to a fresh stream tensor, and the same signal
+        # tiled and added out of place as an op of its own: every forward value, the
+        # loss and every gradient of a mixed-length dropout step are the same bytes
+        rng = np.random.default_rng(2)
+        samples = [ProcessedSample(f"s{i}", rng.normal(size=(t, TOY.face_dim)),
+                                   rng.normal(size=(t, TOY.pose_dim)), float(i % 2), "train")
+                   for i, t in enumerate([5, 8, 5, 3, 8, 8])]
+
+        def run():
+            model = build_model(topology, "detection", TOY, rng_seed=0)
+            for p in model.parameters():
+                p.data = p.data.astype(dtype)
+            seen = []
+            for steps in (3, 5, 8):
+                group = [s for s in samples if len(s.face_seq) == steps]
+                out = model.forward(np.stack([s.face_seq for s in group]),
+                                    np.stack([s.pose_seq for s in group]))
+                seen += [p.data.tobytes() for _, p in [*out.intermediates, ("final", out.final)]]
+            loss = minibatch_backward(model, samples, loss_weights_for(topology), "detection",
+                                      np.random.default_rng(3))
+            return seen, loss, [(p.grad.dtype, p.grad.tobytes()) for p in model.parameters()]
+
+        in_place = run()
+        monkeypatch.setattr(models, "add_positional_encoding", tiled_positional_encoding)
+        assert run() == in_place
+        assert in_place[2][0][0] == dtype
+
+
 class TestTapeLiveness:
     """A training forward's tape keeps what its backward rules read and nothing
     else: an activation that no rule reads dies with the forward's locals."""
@@ -242,10 +277,9 @@ class TestTapeLiveness:
                 out = fn(*args, **kwargs)
                 if name == "linear" and args[1] in ffn2 | proj:
                     watch("ffn2" if args[1] in ffn2 else "projection", out.data)
-                elif name == "add":  # positional encoding: the tile is the constant operand
-                    watch("positional tile", args[1].data)
-                    read.append(weakref.ref(out.data))
-                elif name in ("attention", "concat"):
+                elif name == "concat":  # the fused projections, then the position signal
+                    read.append(weakref.ref(out.data))  # in place: the first layer's input
+                elif name == "attention":
                     watch(name, out.data)
                 elif name == "layer_norm":
                     watched["last layer_norm"] = []
@@ -259,7 +293,7 @@ class TestTapeLiveness:
         pose = rng.normal(size=(batch, steps, TOY.pose_dim))
         keep = model.dropout_masks(batch * steps, rng)
         with pytest.MonkeyPatch.context() as mp, Tape() as tape:
-            for name in ("linear", "add", "attention", "concat", "layer_norm"):
+            for name in ("linear", "attention", "concat", "layer_norm"):
                 mp.setattr(T, name, spy(name, getattr(T, name)))
             out = model.forward(face, pose, keep=keep)
             loss = combined_loss(out, np.array([[1.0], [0.0]]), loss_weights_for(self.TOPOLOGY),
@@ -273,8 +307,7 @@ class TestTapeLiveness:
     def test_unread_activations_die_with_the_forward(self):
         alive, _ = self.step(pin=False)
         assert {label: len(flags) for label, flags in alive.items()} == {
-            "projection": 2, "concat": 1, "positional tile": 1, "read": 1, "attention": 2,
-            "ffn2": 2, "last layer_norm": 1}
+            "projection": 2, "read": 1, "attention": 2, "ffn2": 2, "last layer_norm": 1}
         assert alive.pop("read") == [True]  # the first layer's input, which attention reads
         assert not any(any(flags) for flags in alive.values()), alive
 

@@ -248,10 +248,12 @@ class TestLinear:
 
 
 class TestElementwise:
-    def test_add_rejects_mismatched_shapes(self):
-        for b_shape in ((3, 2), (3,)):  # a bias row enters through linear, not add
-            with pytest.raises(ShapeError):
-                T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(b_shape)))
+    def test_layer_norm_rejects_mismatched_residual(self):
+        # the residual sum is the engine's one elementwise sum: no broadcasting
+        for r_shape in ((3, 2), (3,)):  # a bias row enters through linear
+            with pytest.raises(ShapeError, match="residual shapes differ"):
+                T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(r_shape)),
+                             Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     @pytest.mark.parametrize("case", ["widths_3_5", "random_cuts"])
     def test_concat_slice_round_trip(self, case):
@@ -415,26 +417,29 @@ class TestBackward:
         np.testing.assert_allclose(weights[1].grad, 0.0, atol=1e-12)
 
     def test_requires_scalar_output(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            y = T.add(x, x)
+            y = T.concat([x, x])
         with pytest.raises(ValueError, match="scalar"):
             backward(y, tape)
 
     def test_fanout_gradients_accumulate_additively(self):
-        # gradient of f(x) + g(x) equals grad f + grad g computed separately
+        # gradient of f(x) + g(x) equals grad f + grad g computed separately: x
+        # feeds a ReLU affine map and a layer norm, whose losses one loss record sums
         rng = np.random.default_rng(4)
-        x0 = rng.normal(size=5)
+        x0, target = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        w, zeros = Tensor(rng.normal(size=(3, 3))), Tensor(np.zeros(3))
+        gain, bias = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
 
         def path_a(x):
-            return sum_of_squares(x)
+            return T.linear(x, w, zeros, relu=True)
 
         def path_b(x):
-            return T.weighted_loss([x], x0 > 0, [1.0], "bce")
+            return T.layer_norm(x, x, gain, bias)
 
         x = Tensor(x0.copy(), requires_grad=True)
         with Tape() as tape:
-            y = T.add(path_a(x), path_b(x))
+            y = T.weighted_loss([path_a(x), path_b(x)], target, [1.0, 1.0], "mse")
         backward(y, tape)
         combined = x.grad.copy()
 
@@ -442,37 +447,44 @@ class TestBackward:
         for path in (path_a, path_b):
             xi = Tensor(x0.copy(), requires_grad=True)
             with Tape() as tape:
-                y = path(xi)
+                y = T.weighted_loss([path(xi)], target, [1.0], "mse")
             backward(y, tape)
             grads.append(xi.grad)
         np.testing.assert_allclose(combined, grads[0] + grads[1], atol=1e-12)
 
     def test_untouched_branch_is_skipped(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        z = Tensor([5.0], requires_grad=True)
+        z = Tensor([[5.0]], requires_grad=True)
         with Tape() as tape:
-            T.add(z, z)  # dead op: never reaches the output
+            T.concat([z, z])  # dead op: never reaches the output
             y = unit_gradient_loss(x)
         backward(y, tape)
         assert z.grad is None
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
-    def test_first_write_does_not_alias_another_gradient(self):
-        # add hands one output gradient to both operands; each must get its own array
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
+    @pytest.mark.parametrize("op", ["concat", "layer_norm"])
+    def test_first_write_does_not_alias_another_gradient(self, op):
+        # concat hands its operands views of one output gradient, and layer norm
+        # without a keep-mask hands one array to both summands; each operand must
+        # get an array of its own
+        a = Tensor(np.ones((1, 3)), requires_grad=True)
+        b = Tensor(np.arange(3.0).reshape(1, 3), requires_grad=True)
         with Tape() as tape:
-            y = unit_gradient_loss(T.add(a, b))
+            out = T.concat([a, b]) if op == "concat" else \
+                T.layer_norm(a, b, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+            y = unit_gradient_loss(out)
         backward(y, tape)
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
-        a.grad[0] = 7.0
-        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+        assert a.grad.base is None and b.grad.base is None
+        expected = b.grad.copy()
+        a.grad[0, 0] = 7.0
+        np.testing.assert_array_equal(b.grad, expected)
 
     def test_operand_used_twice_accumulates_both_paths(self):
-        # x + x, and x @ x + 0 (x as the input and the weight of one product)
+        # [x | x], and x @ x + 0 (x as the input and the weight of one product)
         x0 = np.array([[0.5, -2.0], [3.0, 1.0]])
         ones = np.ones((2, 2))
-        for op, expected in ((T.add, np.full((2, 2), 2.0)),
+        for op, expected in ((lambda a, b: T.concat([a, b]), np.full((2, 2), 2.0)),
                              (lambda a, b: T.linear(a, b, Tensor(np.zeros(2))),
                               ones @ x0.T + x0.T @ ones)):
             x = Tensor(x0.copy(), requires_grad=True)
@@ -525,9 +537,9 @@ def fanout_case(name: str, split: bool):
         a = params["t"]
         b = params["t2"] if split else a
         p = params
-        if name == "add":
-            out = T.add(a, b)
-        elif name == "layer_norm":
+        if name == "weighted_loss":  # t as two heads of the loss, routed in order
+            return T.weighted_loss([a, b], target, [0.3, 0.7], "mse")
+        if name == "layer_norm":
             out = T.layer_norm(a, b, p["gain"], p["bias"])
         elif name == "layer_norm_keep":
             out = T.layer_norm(a, b, p["gain"], p["bias"], keep, 0.3)
@@ -543,7 +555,8 @@ def fanout_case(name: str, split: bool):
     return forward, params, fanned
 
 
-FANOUT_PATHS = ["add", "layer_norm", "layer_norm_keep", "concat", "self_attention", "linear"]
+FANOUT_PATHS = ["weighted_loss", "layer_norm", "layer_norm_keep", "concat", "self_attention",
+                "linear"]
 
 
 class TestGradientOwnership:
@@ -590,10 +603,10 @@ class TestGradientOwnership:
 
 class TestTape:
     def test_records_in_topological_order(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            a = T.add(x, x)
-            b = T.add(a, x)
+            a = T.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)))
+            b = T.layer_norm(a, x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
             unit_gradient_loss(b)
         produced_at = {}
         for idx, (inputs, out, _) in enumerate(tape.records):
@@ -603,9 +616,9 @@ class TestTape:
             produced_at[id(out)] = idx
 
     def test_backward_visits_each_op_once_in_reverse(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            y = sum_of_squares(T.add(T.add(x, x), x))
+            y = sum_of_squares(T.concat([T.concat([x, x]), x]))
         visited = []
         original = list(tape.records)
 
@@ -624,11 +637,11 @@ class TestTape:
     def test_backward_consumes_the_tape(self):
         # each record is dropped once replayed, so an op output that only a rule
         # reads (the ReLU output, for its mask) dies during backward; one that no
-        # rule reads (the sum) dies with its tensor
+        # rule reads (the concat) dies with its tensor
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            s = T.add(x, x)
-            h = T.linear(s, Tensor(np.eye(3)), Tensor(np.zeros(3)), relu=True)
+            s = T.concat([x, x])
+            h = T.linear(s, Tensor(np.vstack([np.eye(3)] * 2)), Tensor(np.zeros(3)), relu=True)
             y = unit_gradient_loss(h)
         s_data, h_data = weakref.ref(s.data), weakref.ref(h.data)
         del s, h
@@ -639,8 +652,8 @@ class TestTape:
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_no_tape_means_no_gradients(self):
-        x = Tensor([1.0], requires_grad=True)
-        out = T.add(x, x)
+        x = Tensor([[1.0]], requires_grad=True)
+        out = T.concat([x, x])
         assert out.requires_grad is False
 
     def test_independent_tapes_nest(self):
@@ -663,7 +676,7 @@ class TestDtype:
         gain = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         bias = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
         with Tape() as tape:
-            h = T.layer_norm(T.add(T.linear(x, x, bias), x), x, gain, bias)
+            h = T.layer_norm(T.linear(x, x, bias), x, gain, bias)
             s = T.linear(h, x, bias, relu=True)
             weights = T.attention(s, s, x, x, x, x, 1, 1)
             out = T.weighted_loss([weights], np.eye(2), [0.5], "bce")

@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcfusion import tensor as T
 from bcfusion import training
 from bcfusion.config import ConfigError, ModelConfig, TrainConfig, toy_model_config
 from bcfusion.data import SynthSpec, load_corpus, synth_generate
@@ -631,9 +630,11 @@ class TestRunTraining:
             batches.append([s.id for s in batch])
             return minibatch_backward(model, batch, *args)
 
-        def poisoned_loss(*args):
-            losses.append(combined_loss(*args))
-            return T.add(losses[-1], Tensor(np.nan)) if len(losses) == 2 else losses[-1]
+        def poisoned_loss(out, y, weights, task):
+            # the second chunk's loss record weights its heads by NaN
+            weights = [np.nan] * len(weights) if len(losses) == 1 else weights
+            losses.append(combined_loss(out, y, weights, task))
+            return losses[-1]
 
         monkeypatch.setattr(training, "build_model", keep_model)
         monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
