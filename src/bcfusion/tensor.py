@@ -22,9 +22,10 @@ holds a gradient but no data.  A leaf that takes a gradient is its own
 slot.  Each rule closes over exactly the arrays it reads and over those
 slots; weight operands are read through their tensors.  No record holds an
 op output's tensor, so an activation that no rule reads dies with the
-forward's locals (after Chen et al. 2016).  The affine op saves its input
-when the weight takes a gradient, and its output only with the ReLU, whose
-mask it reads back from it; layer norm saves the normalised rows, their
+forward's locals (after Chen et al. 2016).  What a rule saves is fixed
+by the op and its options, not by which inputs take a gradient: the
+affine op saves its input, and its output only with the ReLU, whose mask
+it reads back from it; layer norm saves the normalised rows, their
 inverse deviations and the keep-mask, one byte per element, but neither
 summand; slicing saves its input's shape and dtype; concat and row means
 save nothing.  Attention is one record from the layer inputs to the
@@ -33,9 +34,10 @@ projections run the GEMMs, and accumulate their gradients in the order,
 that separate products would.  It picks its head kernel from the operand
 shapes alone (the key count and the head width), and its backward rule
 takes the softmax gradient through the FlashAttention term
-D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), saving the attention weights
-and, as the gradients asked for need them, q, k, v, the head outputs and
-the layer inputs.
+D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), saving the layer inputs, q,
+k, v, the attention weights and the head outputs.  A rule writes only
+into the slots that exist, so a constant operand costs at most a saved
+array or a discarded product, never a wrong gradient.
 
 A gradient has one owner: no two slots ever hold one array.  A rule hands a
 slot only an array that nothing else references (a fresh result, or a copy
@@ -240,7 +242,7 @@ def _take(s, g: np.ndarray) -> None:
         s.grad += g
 
 
-def _project(gp: np.ndarray, sx, w: Tensor, x_data: Optional[np.ndarray], sw) -> None:
+def _project(gp: np.ndarray, sx, w: Tensor, x_data: np.ndarray, sw) -> None:
     """Route the gradient ``gp`` of a product ``x @ w`` to the slots of x and of w."""
     if sx is not None:
         _take(sx, gp @ w.data.T)
@@ -257,10 +259,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     ``max(·, 0)`` when ``relu`` is set, as one tape op.
 
     The bias and the ReLU work in place on the product.  The rule saves x
-    when w takes a gradient and, with the ReLU, the output, from which it
-    reads the mask back (``out > 0`` exactly where ``x @ w + b > 0``) and
-    applies it in place to the spent output gradient; w is read through its
-    tensor.
+    and, with the ReLU, the output, from which it reads the mask back
+    (``out > 0`` exactly where ``x @ w + b > 0``) and applies it in place to
+    the spent output gradient; w is read through its tensor.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
@@ -275,8 +276,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     if tape is None:
         return Tensor(out_data)
     sx, sw, sb = _slot(x), _slot(w), _slot(b)
-    x_data = x.data if sw is not None else None
-    w = w if sx is not None else None
+    x_data = x.data
     activated = out_data if relu else None
 
     def bw(g: np.ndarray) -> None:
@@ -305,9 +305,9 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
     and the variance taken from the centred rows, as ``np.var`` does; both
     passes then work in place on their own arrays, and one input gradient
     goes to both summands, masked and scaled the same way for ``r``.  The
-    rule saves the normalised rows and their inverse deviations, and the
-    keep-mask, one byte per element, when ``r`` takes a gradient; it reads
-    neither summand, and gain through its tensor.
+    rule saves the normalised rows, their inverse deviations and the
+    keep-mask, one byte per element; it reads neither summand, and gain
+    through its tensor.
     """
     x, r, gain, bias = as_tensor(x), as_tensor(r), as_tensor(gain), as_tensor(bias)
     if r.shape != x.shape:
@@ -344,9 +344,6 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         return Tensor(out_data)
     sx, sr, s_gain, s_bias = _slot(x), _slot(r), _slot(gain), _slot(bias)
     through = sx is not None or sr is not None
-    xhat = xhat if through or s_gain is not None else None
-    inv, gain = (inv, gain) if through else (None, None)
-    keep = keep if sr is not None else None
 
     def bw(g: np.ndarray) -> None:
         if s_gain is not None:
@@ -489,9 +486,9 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
     ``SHORT_ROWS`` keys take their max as a running maximum over the key
     columns.  Row sums are one GEMV.
 
-    The rule saves the attention weights p and, as the gradients asked for
-    need them, q, k, v, the head outputs ``ctx`` and the layer inputs; the
-    four weights are read through their tensors.  It takes the softmax
+    The rule saves the layer inputs, q, k, v, the attention weights p and
+    the head outputs ``ctx``, whichever operands take a gradient; the four
+    weights are read through their tensors.  It takes the softmax
     gradient through D = rowsum(g_ctx ∘ ctx) over d_v, which equals
     rowsum(g_p ∘ p) over T_k (Dao et al., "FlashAttention", 2022), and runs
     the projection GEMMs, and accumulates their gradients, in the order
@@ -519,32 +516,14 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
     if tape is None:
         return Tensor(out_data)
     s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo = (_slot(t) for t in (x_q, x_kv, wq, wk, wv, wo))
-    need_v = s_xkv is not None or s_wv is not None
-    need_s = s_xq is not None or s_wq is not None or s_xkv is not None or s_wk is not None
-    d_v = wv.shape[1] // n_heads
-    # what the rule reads: only the arrays and weights the gradients asked for need
-    q = q if s_xkv is not None or s_wk is not None else None
-    k = k if s_xq is not None or s_wq is not None else None
-    v = v if need_s else None
-    ctx = ctx if need_s or s_wo is not None else None
-    p = p if need_v or need_s else None
-    xq_data = x_q.data if s_wq is not None else None
-    xkv_data = x_kv.data if s_wk is not None or s_wv is not None else None
-    wo = wo if need_v or need_s else None
-    wq = wq if s_xq is not None else None
-    wk, wv = (wk, wv) if s_xkv is not None else (None, None)
+    xq_data, xkv_data, d_v = x_q.data, x_kv.data, wv.shape[1] // n_heads
 
     def bw(g: np.ndarray) -> None:
         if s_wo is not None:
             _take(s_wo, ctx.T @ g)
-        if not (need_v or need_s):
-            return
         g_ctx = g @ wo.data.T
         gh = _heads(g_ctx, n_heads, batch)
-        if need_v:
-            _project(_rows(p.swapaxes(-1, -2) @ gh), s_xkv, wv, xkv_data, s_wv)
-        if not need_s:
-            return
+        _project(_rows(p.swapaxes(-1, -2) @ gh), s_xkv, wv, xkv_data, s_wv)
         dterm = _row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
         gs = _head_product(gh, _heads(v, n_heads, batch))
         del g_ctx, gh
@@ -552,11 +531,9 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
         gs *= p
         if scale != 1.0:
             gs *= scale
-        if q is not None:
-            _project(_rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch)),
-                     s_xkv, wk, xkv_data, s_wk)
-        if k is not None:
-            _project(_rows(gs @ _heads(k, n_heads, batch)), s_xq, wq, xq_data, s_wq)
+        _project(_rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch)),
+                 s_xkv, wk, xkv_data, s_wk)
+        _project(_rows(gs @ _heads(k, n_heads, batch)), s_xq, wq, xq_data, s_wq)
 
     return _emit(tape, (s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo), out_data, bw)
 

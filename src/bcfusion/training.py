@@ -225,16 +225,23 @@ def _chunks(model: FusionModel, samples: Sequence[ProcessedSample],
     Samples are grouped by sequence length, in order of first appearance,
     each group in sample order.  A group is cut into the fewest runs whose
     rows x ``model.max_width`` stay within ``budget`` elements, or one sample
-    each; run sizes differ by at most one, the larger first.  An empty
-    sequence counts as one step, so that the forward rejects it.  ``face``
-    and ``pose`` are the run's stacked (B, T, features) inputs, built only
-    as the run is reached.
+    each; run sizes differ by at most one, the larger first.  ``face`` and
+    ``pose`` are the run's stacked (B, T, features) inputs, built only as
+    the run is reached.  Every sample is checked before the first run: its
+    face and pose must be (T, features) arrays of one T of at least 1 and of
+    the model config's widths, or ValueError names the sample and its shapes.
     """
+    c = model.config
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
-        groups.setdefault(len(s.face_seq), []).append(i)
+        face, pose = s.face_seq.shape, s.pose_seq.shape
+        if len(face) != 2 or len(pose) != 2 or face[0] != pose[0] or face[0] < 1 \
+                or (face[1], pose[1]) != (c.face_dim, c.pose_dim):
+            raise ValueError(f"sample {s.id} cannot be batched: face {face} and pose {pose} "
+                             f"are not (T, {c.face_dim}) and (T, {c.pose_dim}) with T >= 1")
+        groups.setdefault(face[0], []).append(i)
     for steps, group in groups.items():
-        n = -(-len(group) // max(1, budget // (max(steps, 1) * model.max_width)))
+        n = -(-len(group) // max(1, budget // (steps * model.max_width)))
         size, extra = divmod(len(group), n)
         lo = 0
         for k in range(n):
@@ -254,7 +261,8 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     sigmoid rounds to exactly 0.5.
 
     The samples are scored in the chunks of :func:`_chunks` under
-    ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths.  A
+    ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths, and a
+    sample that cannot be batched is a ValueError naming it.  A
     non-finite prediction raises FloatingPointError naming the first sample
     that has one; so does a non-finite metric, such as finite predictions
     whose squared error overflows.

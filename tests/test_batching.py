@@ -11,6 +11,7 @@ only the order of floating-point sums, so they agree to float64 rounding
 noise.
 """
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -253,15 +254,33 @@ class TestBatchedStep:
                                              f"dropout_masks draws {2 if dropout else 0}"):
             model.forward(Tensor(s.face_seq), Tensor(s.pose_seq), keep=keep)
 
-    def test_empty_sequence_is_the_forwards_error(self):
-        # not a division by zero in the chunk arithmetic
+
+class TestUnbatchableSample:
+    """A sample that cannot be stacked with its length group fails on the one
+    batching path, naming the sample and its shapes, before any forward runs;
+    not in ``np.stack``, nor as the forward's empty-sequence error."""
+
+    SHAPES = {"wider_face": ((4, 8), (4, 5)), "fewer_pose_frames": ((4, 7), (3, 5)),
+              "empty": ((0, 7), (0, 5)), "not_2d": ((4, 7, 1), (4, 5)),
+              "narrower_pose": ((4, 7), (4, 4))}
+
+    @pytest.mark.parametrize("path", ["training", "scoring"])
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_names_the_sample_and_its_shapes(self, case, path, monkeypatch):
         model = build_model("one_to_one", "agreement", CFG, rng_seed=1)
-        [s] = make_samples([0], "agreement")
-        with pytest.raises(ValueError, match="^empty sequence"):
-            evaluate_metrics(model, [s], "agreement")
-        with pytest.raises(ValueError, match="^empty sequence"):
-            minibatch_backward(model, [s], loss_weights_for("one_to_one"), "agreement",
-                               np.random.default_rng(0))
+        face, pose = self.SHAPES[case]
+        bad = ProcessedSample("bad", np.zeros(face), np.zeros(pose), 0.5, "train")
+        samples = make_samples([4], "agreement") + [bad]
+        sizes = counted_forwards(model, monkeypatch)
+        message = (f"sample bad cannot be batched: face {face} and pose {pose} are not "
+                   f"(T, 7) and (T, 5) with T >= 1")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if path == "training":
+                minibatch_backward(model, samples, loss_weights_for("one_to_one"),
+                                   "agreement", np.random.default_rng(0))
+            else:
+                evaluate_metrics(model, samples, "agreement")
+        assert sizes == []
 
 
 class TestChunkMemory:

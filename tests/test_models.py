@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcfusion import models
+from bcfusion import models, training
 from bcfusion import tensor as T
 from bcfusion.config import ConfigError, ModelConfig, toy_model_config
 from bcfusion.data import ProcessedSample
@@ -317,6 +317,40 @@ class TestTapeLiveness:
         assert all(all(flags) for flags in alive.values())
         for name, g in pinned.items():
             assert freed[name].tobytes() == g.tobytes(), name
+
+
+class TestRecordSlots:
+    """The gradient traffic of a training step: every attention and layer_norm
+    record takes a gradient into each of its inputs, and every linear record
+    into each, but the stream projections' raw inputs.  Those ops save one
+    fixed set of arrays, which is only what their rules read while this holds."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_dropout_step_records_carry_all_slots(self, topology, dtype, monkeypatch):
+        model = build_model(topology, "detection", TOY, rng_seed=0)
+        assert model.config.dropout > 0
+        for p in model.parameters():
+            p.data = p.data.astype(dtype)
+        rng = np.random.default_rng(3)
+        batch = [ProcessedSample(f"s{i}", rng.normal(size=(5, TOY.face_dim)),
+                                 rng.normal(size=(5, TOY.pose_dim)), float(i), "train")
+                 for i in range(2)]
+        slots: dict[str, list[tuple]] = {}
+
+        def spy(loss, tape):
+            for inputs, _, rule in tape.records:
+                slots.setdefault(rule.__qualname__.partition(".")[0], []).append(inputs)
+            backward(loss, tape)
+
+        monkeypatch.setattr(training, "backward", spy)
+        minibatch_backward(model, batch, loss_weights_for(topology), "detection", rng)
+        assert len(slots["attention"]) == len(slots["layer_norm"]) // 2 == len(model.spec.stages)
+        assert {len(inputs) for inputs in slots["attention"]} == {6}
+        assert {len(inputs) for inputs in slots["layer_norm"]} == {4}
+        comp = model._components
+        assert [inputs for inputs in slots["linear"] if len(inputs) != 3] == \
+            [(comp[f"{s}_proj"].w, comp[f"{s}_proj"].b) for s in model.spec.streams]
 
 
 class TestParameterCount:

@@ -493,6 +493,30 @@ class TestBackward:
             backward(y, tape)
             np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("op", ["linear", "layer_norm", "attention"])
+    def test_gradient_does_not_depend_on_which_other_operands_take_one(self, op):
+        # a rule saves one fixed set of arrays and writes only into the slots that
+        # exist, so an operand alone taking a gradient gets the same bits as with all
+        rng = np.random.default_rng(21)
+        shapes = {"linear": [(6, 4), (4, 3), (3,)],
+                  "layer_norm": [(6, 4), (6, 4), (4,), (4,)],
+                  "attention": [(6, 4), (6, 4), (4, 4), (4, 4), (4, 4), (4, 3)]}[op]
+        values = [rng.normal(size=shape) for shape in shapes]
+        keep = rng.random((6, 4)) >= 0.3
+
+        def grads(taking):
+            ts = [Tensor(v, requires_grad=i in taking) for i, v in enumerate(values)]
+            with Tape() as tape:
+                out = T.linear(*ts, relu=True) if op == "linear" else \
+                    T.layer_norm(*ts, keep, 0.3) if op == "layer_norm" else T.attention(*ts, 2, 2)
+                y = squared_error(out, np.ones(out.shape))
+            backward(y, tape)
+            return [t.grad for t in ts]
+
+        every = grads(range(len(values)))
+        for i in range(len(values)):
+            assert grads({i})[i].tobytes() == every[i].tobytes(), i
+
     def test_only_leaves_keep_gradients(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
@@ -635,21 +659,24 @@ class TestTape:
         assert len(visited) == len(set(visited)) == len(original)
 
     def test_backward_consumes_the_tape(self):
-        # each record is dropped once replayed, so an op output that only a rule
-        # reads (the ReLU output, for its mask) dies during backward; one that no
-        # rule reads (the concat) dies with its tensor
+        # each record is dropped once replayed, so the op outputs that only a rule
+        # reads (the concat output, the affine op's input, and the ReLU output,
+        # for its mask) die during backward
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.vstack([np.eye(3)] * 2), requires_grad=True)
         with Tape() as tape:
             s = T.concat([x, x])
-            h = T.linear(s, Tensor(np.vstack([np.eye(3)] * 2)), Tensor(np.zeros(3)), relu=True)
+            h = T.linear(s, w, Tensor(np.zeros(3)), relu=True)
             y = unit_gradient_loss(h)
         s_data, h_data = weakref.ref(s.data), weakref.ref(h.data)
         del s, h
-        assert s_data() is None and h_data() is not None
+        assert s_data() is not None and h_data() is not None
         backward(y, tape)
         assert tape.records == []
-        assert h_data() is None
+        assert s_data() is None and h_data() is None
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        # sᵀ·1: row j of w takes the column sum of s, (5, 7, 9) for each copy of x
+        np.testing.assert_array_equal(w.grad, np.repeat([[5.0], [7.0], [9.0]] * 2, 3, axis=1))
 
     def test_no_tape_means_no_gradients(self):
         x = Tensor([[1.0]], requires_grad=True)

@@ -363,6 +363,7 @@ class _StubModel:
     (B, 1) row per sample of a (B, T, features) batch."""
 
     max_width = 1
+    config = toy_model_config(face_dim=2, pose_dim=2)
 
     def __init__(self, predictions):
         self.predictions = predictions
