@@ -125,6 +125,13 @@ class ModelConfig:
                     raise ConfigError(located(origin, read[0], f"{' + '.join(fields)} ({width}) "
                                               f"must be a positive multiple of {heads} heads"))
 
+    def frames_fit(self, face: tuple[int, ...], pose: tuple[int, ...], ndim: int) -> bool:
+        """The frame rule, on the shapes of a face and a pose array of ``ndim``
+        axes: they share their leading axes, every axis is at least 1, and the
+        last axes are this config's face and pose widths."""
+        return (len(face) == len(pose) == ndim and face[:-1] == pose[:-1] and min(face) >= 1
+                and face[-1] == self.face_dim and pose[-1] == self.pose_dim)
+
 
 MODEL_RULES = {"face_dim": at_least(1), "pose_dim": at_least(1), "d_face": at_least(1),
                "d_pose": at_least(1), "d_fused_face": at_least(1), "d_fused_pose": at_least(1),
@@ -141,7 +148,10 @@ def toy_model_config(face_dim: int = 12, pose_dim: int = 6, **overrides) -> Mode
     return cfg
 
 
-TASKS = ("detection", "agreement")
+# The label rule: each task's label domain (nan is in neither)
+LABEL_RULES = {"detection": Rule(numbers.Real, "0 or 1", lambda value: value in (0, 1)),
+               "agreement": Rule(numbers.Real, "in [-1, 1]", lambda value: -1 <= value <= 1)}
+TASKS = tuple(LABEL_RULES)
 
 
 @dataclass

@@ -29,7 +29,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .config import FRACTION, NON_NEGATIVE, POSITIVE, TASKS, at_least, check, located, one_of
+from .config import (FRACTION, LABEL_RULES, NON_NEGATIVE, POSITIVE, TASKS, at_least, check,
+                     located, one_of)
 
 FACE_RAW_DIM = 674
 POSE_RAW_DIM = 76
@@ -133,18 +134,17 @@ def _parse_label(raw: str, task: str | None, row: int, path: Path) -> float:
         label = float(raw)
     except ValueError as exc:
         raise CorpusError(f"{path}: row {row}: bad label {raw!r}") from exc
-    if task == "detection" and label not in (0.0, 1.0):
-        raise CorpusError(f"{path}: row {row}: detection label must be 0 or 1, got {raw}")
-    if task == "agreement" and not -1.0 <= label <= 1.0:
-        raise CorpusError(f"{path}: row {row}: agreement label must lie in [-1, 1], got {raw}")
+    rule = LABEL_RULES.get(task)
+    if rule is not None and not rule.admits(label):
+        raise CorpusError(f"{path}: row {row}: {task} label must be {rule.text}, got {raw}")
     return label
 
 
 def load_manifest(path: str | Path, task: str | None = None) -> list[SampleDescriptor]:
     """Parse a manifest into descriptors, in file order.
 
-    When ``task`` is given, labels are validated against its domain
-    (detection: {0, 1}; agreement: [-1, 1]).
+    When ``task`` is given, labels are validated against its domain in
+    :data:`bcfusion.config.LABEL_RULES`.
     """
     path = Path(path)
     if not path.exists():

@@ -210,21 +210,6 @@ class FusionModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _check_inputs(self, face: np.ndarray, pose: np.ndarray) -> None:
-        c = self.config
-        if face.ndim != 3 or pose.ndim != 3:
-            raise ShapeError("inputs must be (T, features) sequences or (B, T, features) stacks")
-        if face.shape[:2] != pose.shape[:2]:
-            raise ShapeError(
-                f"modalities are not frame-aligned: (batch, steps) face {face.shape[:2]}, "
-                f"pose {pose.shape[:2]}")
-        if face.shape[0] < 1 or face.shape[1] < 1:
-            raise ValueError("empty sequence: at least one time step required")
-        if "face" in self.spec.streams and face.shape[2] != c.face_dim:
-            raise ShapeError(f"face width {face.shape[2]} != configured {c.face_dim}")
-        if "pose" in self.spec.streams and pose.shape[2] != c.pose_dim:
-            raise ShapeError(f"pose width {pose.shape[2]} != configured {c.pose_dim}")
-
     def dropout_masks(self, length: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Draw one sample's training-mode dropout keep-masks.
 
@@ -251,7 +236,9 @@ class FusionModel:
         """Walk the topology's table over a batch of equally long sequences.
 
         ``face_seq`` and ``pose_seq`` are (B, T, features) stacks, or one
-        (T, features) sequence each, a batch of one.  The B·T frames run as
+        (T, features) sequence each, a batch of one.  Both keep the frame
+        rule (:meth:`ModelConfig.frames_fit`), even the stream a topology does
+        not read, or ShapeError names both shapes.  The B·T frames run as
         stacked rows; positional encoding enters first-layer inputs only.  A
         training forward with dropout passes ``keep``: per stage, the
         (2, B·T, stage width) masks of :meth:`dropout_masks`, the samples'
@@ -261,7 +248,10 @@ class FusionModel:
         face, pose = (np.asarray(T.as_tensor(x).data, dtype=dtype) for x in (face_seq, pose_seq))
         if face.ndim == 2 and pose.ndim == 2:
             face, pose = face[None], pose[None]
-        self._check_inputs(face, pose)
+        c = self.config
+        if not c.frames_fit(face.shape, pose.shape, 3):
+            raise ShapeError(f"face {face.shape} and pose {pose.shape} are not (B, T, "
+                             f"{c.face_dim}) and (B, T, {c.pose_dim}) stacks with B, T >= 1")
         batch, steps = face.shape[:2]
         spec, comp = self.spec, self._components
         n_masks = len(spec.stages) if self.config.dropout > 0.0 else 0

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .config import ConfigError, TrainConfig
+from .config import LABEL_RULES, ConfigError, ModelConfig, TrainConfig
 from .data import ProcessedSample
 from .models import TOPOLOGIES, ForwardOutput, FusionModel, FusionTopology, build_model
 from .tensor import Tape, Tensor, backward
@@ -47,10 +47,6 @@ def combined_loss(output: ForwardOutput, y, weights: Sequence[float], task: str)
     mix is one :func:`tensor.weighted_loss` record: binary cross entropy on
     the logits for detection, squared error for agreement.
     """
-    if len(weights) != len(output.intermediates) + 1:
-        raise ConfigError(
-            f"expected {len(output.intermediates) + 1} loss weights "
-            f"({len(output.intermediates)} intermediates + final), got {len(weights)}")
     y = np.asarray(y, dtype=output.final.data.dtype)
     if y.shape == ():
         y = np.full(output.final.shape, y)
@@ -218,29 +214,41 @@ EVAL_CHUNK_ELEMENTS = 1 << 19
 TRAIN_CHUNK_ELEMENTS = 32 * 89 * 752
 
 
-def _chunks(model: FusionModel, samples: Sequence[ProcessedSample],
-            budget: int) -> Iterator[tuple[list[int], Tensor, Tensor]]:
-    """The forward passes a set of samples runs as: (indices, face, pose) per chunk.
+def check_samples(config: ModelConfig, task: str,
+                  samples: Sequence[ProcessedSample]) -> dict[int, list[int]]:
+    """Hold every sample to the sample contract; returns them grouped by length.
 
-    Samples are grouped by sequence length, in order of first appearance,
-    each group in sample order.  A group is cut into the fewest runs whose
-    rows x ``model.max_width`` stay within ``budget`` elements, or one sample
-    each; run sizes differ by at most one, the larger first.  ``face`` and
-    ``pose`` are the run's stacked (B, T, features) inputs, built only as
-    the run is reached.  Every sample is checked before the first run: its
-    face and pose must be (T, features) arrays of one T of at least 1 and of
-    the model config's widths, or ValueError names the sample and its shapes.
+    The contract: face and pose keep ``config``'s frame rule as (T, features)
+    arrays (:meth:`ModelConfig.frames_fit`), and the label lies in ``task``'s
+    domain (``LABEL_RULES``), or ValueError names the first sample that
+    breaks it.  The groups map each length, in order of first appearance,
+    to its samples' indices in sample order.
     """
-    c = model.config
+    label = LABEL_RULES[task]
     groups: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         face, pose = s.face_seq.shape, s.pose_seq.shape
-        if len(face) != 2 or len(pose) != 2 or face[0] != pose[0] or face[0] < 1 \
-                or (face[1], pose[1]) != (c.face_dim, c.pose_dim):
-            raise ValueError(f"sample {s.id} cannot be batched: face {face} and pose {pose} "
-                             f"are not (T, {c.face_dim}) and (T, {c.pose_dim}) with T >= 1")
+        if not config.frames_fit(face, pose, 2):
+            raise ValueError(f"sample {s.id} cannot be batched: face {face} and pose {pose} are "
+                             f"not (T, {config.face_dim}) and (T, {config.pose_dim}) with T >= 1")
+        if not label.admits(s.label):
+            raise ValueError(f"sample {s.id}: {task} label must be {label.text}, got {s.label}")
         groups.setdefault(face[0], []).append(i)
-    for steps, group in groups.items():
+    return groups
+
+
+def _chunks(model: FusionModel, samples: Sequence[ProcessedSample], task: str,
+            budget: int) -> Iterator[tuple[list[int], Tensor, Tensor]]:
+    """The forward passes a set of samples runs as: (indices, face, pose) per chunk.
+
+    The samples are checked and grouped by :func:`check_samples` before the
+    first run.  Each group is cut into the fewest runs whose rows x
+    ``model.max_width`` stay within ``budget`` elements, or one sample each;
+    run sizes differ by at most one, the larger first.  ``face`` and
+    ``pose`` are the run's stacked (B, T, features) inputs, built only as
+    the run is reached.
+    """
+    for steps, group in check_samples(model.config, task, samples).items():
         n = -(-len(group) // max(1, budget // (steps * model.max_width)))
         size, extra = divmod(len(group), n)
         lo = 0
@@ -262,7 +270,8 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
 
     The samples are scored in the chunks of :func:`_chunks` under
     ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths, and a
-    sample that cannot be batched is a ValueError naming it.  A
+    sample that breaks the sample contract, such as a detection label of
+    0.5, is a ValueError naming it before any forward.  A
     non-finite prediction raises FloatingPointError naming the first sample
     that has one; so does a non-finite metric, such as finite predictions
     whose squared error overflows.
@@ -270,7 +279,7 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     if not samples:
         raise ValueError("cannot evaluate an empty split")
     preds = np.empty(len(samples))
-    for run, face, pose in _chunks(model, samples, EVAL_CHUNK_ELEMENTS):
+    for run, face, pose in _chunks(model, samples, task, EVAL_CHUNK_ELEMENTS):
         preds[run] = model.forward(face, pose).final.data[:, 0]
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
@@ -296,9 +305,10 @@ def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
 
     The dropout keep-masks are drawn first, sample by sample in batch order,
     so a sample's masks do not depend on how the batch is cut.  The batch
-    then runs in the chunks of :func:`_chunks` under ``TRAIN_CHUNK_ELEMENTS``,
-    each on a tape of its own: the forward with its samples' masks stacked
-    per stage, :func:`combined_loss` with the loss weights scaled by the
+    then runs in the chunks of :func:`_chunks` under ``TRAIN_CHUNK_ELEMENTS``
+    (a sample that breaks the sample contract is a ValueError naming it
+    before any forward), each on a tape of its own: the forward with its
+    samples' masks stacked per stage, :func:`combined_loss` with the loss weights scaled by the
     chunk's share of the batch, a finite-loss check, then backward.  The
     gradients add up on the parameters, and only one chunk's activations
     live at a time.  Returns the batch loss, the sum of the chunk losses; a
@@ -306,7 +316,7 @@ def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
     """
     masks = {i: model.dropout_masks(len(s.face_seq), rng) for i, s in enumerate(batch)}
     total = 0.0
-    for run, face, pose in _chunks(model, batch, TRAIN_CHUNK_ELEMENTS):
+    for run, face, pose in _chunks(model, batch, task, TRAIN_CHUNK_ELEMENTS):
         keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks.pop(i) for i in run))]
         share = len(run) / len(batch)
         with Tape() as tape:
@@ -338,11 +348,14 @@ class TrainResult:
 def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) -> TrainResult:
     """Train one topology; returns the model restored to its best-validation epoch.
 
-    Mini-batches are reshuffled every epoch from a seeded generator.  Each runs
-    forward and backward chunk by chunk, one tape per chunk, the gradients
-    adding up on the parameters, and then takes one Adam step (see
-    :func:`minibatch_backward`).  A default batch at paper widths is one
-    chunk, and the chunk budget, not ``batch_size``, bounds a step's memory.
+    Every train and validation sample is held to the sample contract
+    (:func:`check_samples`) before the model is built, so a bad one raises
+    ValueError naming it before any work.  Mini-batches are reshuffled every
+    epoch from a seeded generator.  Each runs forward and backward chunk by
+    chunk, one tape per chunk, the gradients adding up on the parameters,
+    and then takes one Adam step (see :func:`minibatch_backward`).  A
+    default batch at paper widths is one chunk, and the chunk budget, not
+    ``batch_size``, bounds a step's memory.
     After every epoch the validation metric decides whether to keep the
     parameters (higher accuracy / lower MSE wins; ties keep the earlier epoch);
     the metric is always finite, so the first epoch is always kept.  The history
@@ -369,12 +382,7 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     val = corpus.get("validation") or []
     if not train or not val:
         raise ConfigError("training needs nonempty 'train' and 'validation' splits")
-    sample = train[0]
-    if sample.face_seq.shape[1] != config.model.face_dim or \
-            sample.pose_seq.shape[1] != config.model.pose_dim:
-        raise ConfigError(
-            f"corpus widths (face {sample.face_seq.shape[1]}, pose {sample.pose_seq.shape[1]}) "
-            f"do not match model config ({config.model.face_dim}, {config.model.pose_dim})")
+    check_samples(config.model, config.task, [*train, *val])
 
     model = build_model(config.topology, config.task, config.model, rng_seed=config.seed)
     weights = loss_weights_for(config.topology)

@@ -25,7 +25,7 @@ from bcfusion.data import ProcessedSample
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.layers import add_positional_encoding
 from bcfusion.models import ALL_TOPOLOGIES, FusionModel, FusionTopology, build_model
-from bcfusion.tensor import Tape, Tensor, backward
+from bcfusion.tensor import ShapeError, Tape, Tensor, backward
 from bcfusion.training import (combined_loss, evaluate_metrics, loss_weights_for,
                                minibatch_backward)
 
@@ -256,9 +256,11 @@ class TestBatchedStep:
 
 
 class TestUnbatchableSample:
-    """A sample that cannot be stacked with its length group fails on the one
-    batching path, naming the sample and its shapes, before any forward runs;
-    not in ``np.stack``, nor as the forward's empty-sequence error."""
+    """A sample that breaks the frame rule fails for every topology, also in
+    the stream a topology does not read (``face_only`` x ``narrower_pose``,
+    ``pose_only`` x ``wider_face``): on the one batching path, naming the
+    sample and its shapes before any forward runs, and as a stacked forward,
+    naming both shapes."""
 
     SHAPES = {"wider_face": ((4, 8), (4, 5)), "fewer_pose_frames": ((4, 7), (3, 5)),
               "empty": ((0, 7), (0, 5)), "not_2d": ((4, 7, 1), (4, 5)),
@@ -266,8 +268,9 @@ class TestUnbatchableSample:
 
     @pytest.mark.parametrize("path", ["training", "scoring"])
     @pytest.mark.parametrize("case", SHAPES)
-    def test_names_the_sample_and_its_shapes(self, case, path, monkeypatch):
-        model = build_model("one_to_one", "agreement", CFG, rng_seed=1)
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_names_the_sample_and_its_shapes(self, topology, case, path, monkeypatch):
+        model = build_model(topology, "agreement", CFG, rng_seed=1)
         face, pose = self.SHAPES[case]
         bad = ProcessedSample("bad", np.zeros(face), np.zeros(pose), 0.5, "train")
         samples = make_samples([4], "agreement") + [bad]
@@ -276,10 +279,44 @@ class TestUnbatchableSample:
                    f"(T, 7) and (T, 5) with T >= 1")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if path == "training":
-                minibatch_backward(model, samples, loss_weights_for("one_to_one"),
+                minibatch_backward(model, samples, loss_weights_for(topology),
                                    "agreement", np.random.default_rng(0))
             else:
                 evaluate_metrics(model, samples, "agreement")
+        assert sizes == []
+
+    @pytest.mark.parametrize("case", SHAPES)
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_stacked_forward_names_both_shapes(self, topology, case):
+        model = build_model(topology, "agreement", CFG, rng_seed=1)
+        face, pose = ((1, *shape) for shape in self.SHAPES[case])
+        message = (f"face {face} and pose {pose} are not (B, T, 7) and (B, T, 5) stacks "
+                   f"with B, T >= 1")
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            model.forward(Tensor(np.zeros(face)), Tensor(np.zeros(pose)))
+
+
+class TestOutOfDomainLabel:
+    """Training and scoring check every label against its task's domain, naming
+    the sample before any forward runs: unchecked, detection labels of 0.5
+    and 2.0 scored as accuracy 1.0."""
+
+    @pytest.mark.parametrize("path", ["training", "scoring"])
+    @pytest.mark.parametrize("task, label", [("detection", 0.5), ("detection", 2.0),
+                                             ("agreement", 5.0), ("agreement", np.nan)])
+    def test_names_the_sample_before_any_forward(self, task, label, path, monkeypatch):
+        model = build_model("one_to_one", task, CFG, rng_seed=1)
+        samples = make_samples([4, 4, 4], task)
+        samples[1] = replace(samples[1], id="bad", label=label)
+        sizes = counted_forwards(model, monkeypatch)
+        domain = "0 or 1" if task == "detection" else "in [-1, 1]"
+        message = f"sample bad: {task} label must be {domain}, got {label}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if path == "training":
+                minibatch_backward(model, samples, loss_weights_for("one_to_one"), task,
+                                   np.random.default_rng(0))
+            else:
+                evaluate_metrics(model, samples, task)
         assert sizes == []
 
 
@@ -396,7 +433,8 @@ class TestBatchedEval:
         model = build_model("one_to_two", task, CFG, rng_seed=3)
         samples = make_samples([5, 8, 5, 8, 8, 3, 8, 8, 5], task, seed=4)
         preds = np.empty(len(samples))
-        for run, face, pose in training._chunks(model, samples, training.EVAL_CHUNK_ELEMENTS):
+        chunks = training._chunks(model, samples, task, training.EVAL_CHUNK_ELEMENTS)
+        for run, face, pose in chunks:
             preds[run] = model.forward(face, pose).final.data[:, 0]
         labels = np.array([s.label for s in samples])
         expected = np.mean((preds >= 0.0) == (labels == 1.0)) if task == "detection" else \

@@ -128,6 +128,14 @@ class TestLoadManifest:
             load_manifest(manifest, task="agreement")
         assert load_manifest(manifest)[0].label == 1.5
 
+    @pytest.mark.parametrize("task, domain", [("detection", "0 or 1"),
+                                              ("agreement", "in [-1, 1]")])
+    def test_label_message_names_file_row_and_the_tasks_domain(self, tmp_path, task, domain):
+        manifest = write_corpus(tmp_path, [("a", 30, 1, "train"), ("b", 30, "nan", "train")])
+        with pytest.raises(CorpusError, match=f"^{re.escape(str(manifest))}: row 3: {task} "
+                                              f"label must be {re.escape(domain)}, got nan$"):
+            load_manifest(manifest, task=task)
+
     def test_duplicate_id_rejected(self, tmp_path):
         manifest = write_corpus(tmp_path, [("a", 30, 1, "train")])
         lines = manifest.read_text().splitlines()

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -163,15 +164,20 @@ class TestForward:
         assert np.isfinite(out.final.data.item())
 
     def test_misaligned_modalities_rejected(self):
+        # one (T, features) sequence each is a batch of one, and is named as such
         model = build_model("one_stream", "detection", TOY, 0)
         rng = np.random.default_rng(0)
-        with pytest.raises(ShapeError, match="frame-aligned"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "face (1, 8, 12) and pose (1, 7, 6) are not (B, T, 12) and (B, T, 6) "
+                "stacks with B, T >= 1")):
             model.forward(Tensor(rng.normal(size=(8, TOY.face_dim))),
                           Tensor(rng.normal(size=(7, TOY.pose_dim))))
 
     def test_empty_sequence_rejected(self):
         model = build_model("one_stream", "detection", TOY, 0)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ShapeError, match=re.escape(
+                "face (1, 0, 12) and pose (1, 0, 6) are not (B, T, 12) and (B, T, 6) "
+                "stacks with B, T >= 1")):
             model.forward(Tensor(np.zeros((0, TOY.face_dim))),
                           Tensor(np.zeros((0, TOY.pose_dim))))
 

@@ -1,6 +1,7 @@
 """Losses, weight tables, Adam, and the training loop."""
 
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -149,8 +150,9 @@ class TestCombinedLoss:
         np.testing.assert_allclose(x2.grad, 0.7 * 2 * -0.2, atol=1e-15)
 
     def test_weight_length_mismatch_rejected(self):
+        # one weight per prediction: the intermediates plus the final head
         out = ForwardOutput(final=Tensor([0.0]), intermediates=[])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^weighted_loss: 2 weights for 1 predictions$"):
             combined_loss(out, 0.0, [0.5, 0.5], "agreement")
 
 
@@ -449,6 +451,48 @@ def tiny_config(**overrides):
     return TrainConfig(**defaults)
 
 
+def spy_on_work(monkeypatch) -> list[str]:
+    """Record every model build, forward pass and Adam step ``run_training`` makes."""
+    calls = []
+    for owner, name in [(training, "build_model"), (FusionModel, "forward"),
+                        (training, "adam_step")]:
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestFailFast:
+    """A sample that breaks the sample contract anywhere in either split stops
+    ``run_training`` before the model is built: no forward, no Adam step."""
+
+    def test_spies_see_a_clean_run(self, tiny_corpus, monkeypatch):
+        calls = spy_on_work(monkeypatch)
+        run_training(tiny_corpus, tiny_config())
+        assert set(calls) == {"build_model", "forward", "adam_step"}
+
+    @pytest.mark.parametrize("fault", ["pose_width", "label"])
+    @pytest.mark.parametrize("split, position", [("train", 0), ("train", 3), ("train", -1),
+                                                 ("validation", 0), ("validation", -1)])
+    def test_bad_sample_raises_before_any_work(self, tiny_corpus, split, position, fault,
+                                               monkeypatch):
+        corpus = {name: list(samples) for name, samples in tiny_corpus.items()}
+        s = corpus[split][position]
+        t = len(s.face_seq)
+        if fault == "pose_width":
+            corpus[split][position] = replace(s, pose_seq=s.pose_seq[:, :-1])
+            message = (f"sample {s.id} cannot be batched: face ({t}, 7) and pose ({t}, 4) "
+                       f"are not (T, 7) and (T, 5) with T >= 1")
+        else:
+            corpus[split][position] = replace(s, label=0.5)
+            message = f"sample {s.id}: detection label must be 0 or 1, got 0.5"
+        calls = spy_on_work(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_training(corpus, tiny_config())
+        assert calls == []
+
+
 class TestRunTraining:
     def test_single_epoch_contract(self, tiny_corpus):
         result = run_training(tiny_corpus, tiny_config())
@@ -475,9 +519,22 @@ class TestRunTraining:
             run_training(corpus, tiny_config())
 
     def test_corpus_width_mismatch_rejected(self, tiny_corpus):
+        # every sample is checked against the model config, and the first is named
         cfg = tiny_config(model=toy_model_config(face_dim=9, pose_dim=5))
-        with pytest.raises(ConfigError, match="width"):
+        first = tiny_corpus["train"][0]
+        t = len(first.face_seq)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample {first.id} cannot be batched: face ({t}, 7) and pose ({t}, 5) are not "
+                f"(T, 9) and (T, 5) with T >= 1")):
             run_training(tiny_corpus, cfg)
+
+    def test_nan_validation_label_is_the_samples_error_not_a_divergence(self, tiny_corpus):
+        val = list(tiny_corpus["validation"])
+        val[1] = replace(val[1], label=math.nan)
+        corpus = {"train": tiny_corpus["train"], "validation": val}
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample {val[1].id}: agreement label must be in [-1, 1], got nan")):
+            run_training(corpus, tiny_config(task="agreement"))
 
     def test_divergence_aborts_with_epoch_index(self, tmp_path):
         spec = SynthSpec(n_samples=6, t_raw=15, fps=5.0, kind="redundant", noise=0.05,
