@@ -125,7 +125,7 @@ def _train_once(corpus: dict, cfg: TrainConfig, out_dir: Path) -> dict:
     write_history_csv(out_dir / "history.csv", result.history)
     metrics = {"metric_name": METRIC_NAMES[cfg.task], "value": result.best_val_metric,
                "n": len(corpus["validation"])}
-    record = metrics_record(cfg.task, cfg.topology, "validation", metrics)
+    record = metrics_record(result.model, "validation", metrics)
     write_metrics_json(out_dir / "metrics.json", record)
     record["params"] = parameter_count(result.model)
     return record
@@ -160,8 +160,8 @@ def _cmd_eval(args) -> int:
     if not samples:
         raise ConfigError(f"split {args.split!r} is empty in {args.manifest}")
     metrics = evaluate_metrics(model, samples, model.task)
-    print(json.dumps(metrics_record(model.task, model.topology.value, args.split, metrics),
-                     sort_keys=True, allow_nan=False))
+    print(json.dumps(metrics_record(model, args.split, metrics), sort_keys=True,
+                     allow_nan=False))
     return 0
 
 

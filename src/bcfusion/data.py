@@ -129,23 +129,24 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
 
 # -- manifests -----------------------------------------------------------------
 
-def _parse_label(raw: str, task: str | None, row: int, path: Path) -> float:
+def _parse_label(raw: str, task: str, row: int, path: Path) -> float:
     try:
         label = float(raw)
     except ValueError as exc:
         raise CorpusError(f"{path}: row {row}: bad label {raw!r}") from exc
-    rule = LABEL_RULES.get(task)
-    if rule is not None and not rule.admits(label):
+    rule = LABEL_RULES[task]
+    if not rule.admits(label):
         raise CorpusError(f"{path}: row {row}: {task} label must be {rule.text}, got {raw}")
     return label
 
 
-def load_manifest(path: str | Path, task: str | None = None) -> list[SampleDescriptor]:
+def load_manifest(path: str | Path, task: str) -> list[SampleDescriptor]:
     """Parse a manifest into descriptors, in file order.
 
-    When ``task`` is given, labels are validated against its domain in
-    :data:`bcfusion.config.LABEL_RULES`.
+    Labels are held to ``task``'s domain in :data:`bcfusion.config.LABEL_RULES`;
+    a task that has none is a ConfigError before the file is opened.
     """
+    check("task", task, one_of(*TASKS))
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -256,7 +257,7 @@ def load_corpus(manifest_path: str | Path, task: str, window_seconds: float = 3.
                 ) -> dict[str, list[ProcessedSample]]:
     """Load every sample and group the preprocessed results by split."""
     corpus: dict[str, list[ProcessedSample]] = {s: [] for s in SPLITS}
-    for desc in load_manifest(manifest_path, task=task):
+    for desc in load_manifest(manifest_path, task):
         raw = load_sample_features(desc, face_dim=face_dim, pose_dim=pose_dim)
         corpus[desc.split].append(preprocess(raw, window_seconds))
     return corpus

@@ -111,6 +111,6 @@ def gradcheck_topology(topology: FusionTopology | str, tol: float = 1e-4,
     weights = loss_weights_for(topology)
 
     def f():
-        return combined_loss(model.forward(face, pose), 1.0, weights, "detection")
+        return combined_loss(model.forward(face, pose), 1.0, weights, model.task)
 
     return finite_diff_gradcheck(f, list(model.named_parameters()), h=h, tol=tol)

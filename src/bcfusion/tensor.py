@@ -343,15 +343,12 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
     if tape is None:
         return Tensor(out_data)
     sx, sr, s_gain, s_bias = _slot(x), _slot(r), _slot(gain), _slot(bias)
-    through = sx is not None or sr is not None
 
     def bw(g: np.ndarray) -> None:
         if s_gain is not None:
             _take(s_gain, np.add.reduce((g * xhat).reshape(-1, d), axis=0))
         if s_bias is not None:
             _take(s_bias, np.add.reduce(g.reshape(-1, d), axis=0))
-        if not through:
-            return
         gx = g * gain.data
         m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True)
         m2 /= d
@@ -360,18 +357,15 @@ def layer_norm(x: Tensor, r: Tensor, gain: Tensor, bias: Tensor,
         gx -= mean
         gx -= xhat * m2
         gx *= inv
-        if sr is None:
-            _take(sx, gx)
-        elif keep is None:  # one array for both summands: x takes a copy
-            if sx is not None:
-                _take(sx, gx.copy())
-            _take(sr, gx)
-        else:
-            gr = gx * keep
-            gr *= scale
-            if sx is not None:
-                _take(sx, gx)
+        if sr is not None:  # one gradient for both summands: r takes its own array
+            if keep is None:
+                gr = gx.copy()
+            else:
+                gr = gx * keep
+                gr *= scale
             _take(sr, gr)
+        if sx is not None:
+            _take(sx, gx)
 
     return _emit(tape, (sx, sr, s_gain, s_bias), out_data, bw)
 

@@ -165,7 +165,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
             np.concatenate([g.reshape(-1) for g in grads[first:stop]])
         if not np.isfinite(g).all():
             i = next(i for i in range(first, stop) if not np.isfinite(grads[i]).all())
-            raise FloatingPointError(f"parameter {i}: non-finite gradient")
+            raise FloatingPointError(f"non-finite gradient of parameter {i}")
         flat_grads.append(g)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
@@ -237,18 +237,18 @@ def check_samples(config: ModelConfig, task: str,
     return groups
 
 
-def _chunks(model: FusionModel, samples: Sequence[ProcessedSample], task: str,
+def _chunks(model: FusionModel, samples: Sequence[ProcessedSample],
             budget: int) -> Iterator[tuple[list[int], Tensor, Tensor]]:
     """The forward passes a set of samples runs as: (indices, face, pose) per chunk.
 
-    The samples are checked and grouped by :func:`check_samples` before the
-    first run.  Each group is cut into the fewest runs whose rows x
-    ``model.max_width`` stay within ``budget`` elements, or one sample each;
-    run sizes differ by at most one, the larger first.  ``face`` and
-    ``pose`` are the run's stacked (B, T, features) inputs, built only as
-    the run is reached.
+    The samples are checked, for the model's config and task, and grouped by
+    :func:`check_samples` before the first run.  Each group is cut into the
+    fewest runs whose rows x ``model.max_width`` stay within ``budget``
+    elements, or one sample each; run sizes differ by at most one, the
+    larger first.  ``face`` and ``pose`` are the run's stacked (B, T,
+    features) inputs, built only as the run is reached.
     """
-    for steps, group in check_samples(model.config, task, samples).items():
+    for steps, group in check_samples(model.config, model.task, samples).items():
         n = -(-len(group) // max(1, budget // (steps * model.max_width)))
         size, extra = divmod(len(group), n)
         lo = 0
@@ -261,7 +261,7 @@ def _chunks(model: FusionModel, samples: Sequence[ProcessedSample], task: str,
 
 def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
                      task: str) -> dict:
-    """Accuracy (detection) or mean squared error (agreement).
+    """Accuracy (detection) or mean squared error (agreement) of ``model`` on ``samples``.
 
     A detection prediction is a logit, and a logit of at least 0 counts as
     a backchannel.  That is a sigmoid of at least 0.5, except for logits just
@@ -269,17 +269,19 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
     sigmoid rounds to exactly 0.5.
 
     The samples are scored in the chunks of :func:`_chunks` under
-    ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths, and a
-    sample that breaks the sample contract, such as a detection label of
-    0.5, is a ValueError naming it before any forward.  A
-    non-finite prediction raises FloatingPointError naming the first sample
-    that has one; so does a non-finite metric, such as finite predictions
-    whose squared error overflows.
+    ``EVAL_CHUNK_ELEMENTS``, so memory stays flat at paper widths.  A
+    ``task`` other than the model's, or a sample that breaks the sample
+    contract, such as a detection label of 0.5, is a ValueError naming it
+    before any forward.  A non-finite prediction raises FloatingPointError
+    naming the first sample that has one; so does a non-finite metric, such
+    as finite predictions whose squared error overflows.
     """
+    if task != model.task:
+        raise ValueError(f"cannot score a {model.task} model as {task}")
     if not samples:
         raise ValueError("cannot evaluate an empty split")
     preds = np.empty(len(samples))
-    for run, face, pose in _chunks(model, samples, task, EVAL_CHUNK_ELEMENTS):
+    for run, face, pose in _chunks(model, samples, EVAL_CHUNK_ELEMENTS):
         preds[run] = model.forward(face, pose).final.data[:, 0]
     bad = np.flatnonzero(~np.isfinite(preds))
     if bad.size:
@@ -300,7 +302,7 @@ def evaluate_metrics(model: FusionModel, samples: Sequence[ProcessedSample],
 # -- training loop -------------------------------------------------------------------
 
 def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
-                       weights: Sequence[float], task: str, rng: np.random.Generator) -> float:
+                       rng: np.random.Generator) -> float:
     """Accumulate the gradient of the batch's mean combined loss on the parameters.
 
     The dropout keep-masks are drawn first, sample by sample in batch order,
@@ -308,21 +310,23 @@ def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
     then runs in the chunks of :func:`_chunks` under ``TRAIN_CHUNK_ELEMENTS``
     (a sample that breaks the sample contract is a ValueError naming it
     before any forward), each on a tape of its own: the forward with its
-    samples' masks stacked per stage, :func:`combined_loss` with the loss weights scaled by the
-    chunk's share of the batch, a finite-loss check, then backward.  The
-    gradients add up on the parameters, and only one chunk's activations
-    live at a time.  Returns the batch loss, the sum of the chunk losses; a
-    non-finite chunk loss raises FloatingPointError before its backward.
+    samples' masks stacked per stage, :func:`combined_loss` for the model's
+    task with its topology's :func:`loss_weights_for` scaled by the chunk's
+    share of the batch, a finite-loss check, then backward.  The gradients
+    add up on the parameters, and only one chunk's activations live at a
+    time.  Returns the batch loss, the sum of the chunk losses; a non-finite
+    chunk loss raises FloatingPointError before its backward.
     """
+    weights = loss_weights_for(model.topology)
     masks = {i: model.dropout_masks(len(s.face_seq), rng) for i, s in enumerate(batch)}
     total = 0.0
-    for run, face, pose in _chunks(model, batch, task, TRAIN_CHUNK_ELEMENTS):
+    for run, face, pose in _chunks(model, batch, TRAIN_CHUNK_ELEMENTS):
         keep = [np.concatenate(stage, axis=1) for stage in zip(*(masks.pop(i) for i in run))]
         share = len(run) / len(batch)
         with Tape() as tape:
             out = model.forward(face, pose, keep=keep)
             loss = combined_loss(out, np.array([[batch[i].label] for i in run]),
-                                 [w * share for w in weights], task)
+                                 [w * share for w in weights], model.task)
         del keep  # the tape alone holds the masks, and backward frees them as it goes
         value = loss.data.item()
         if not np.isfinite(value):
@@ -330,11 +334,6 @@ def minibatch_backward(model: FusionModel, batch: Sequence[ProcessedSample],
         backward(loss, tape)
         total += value
     return total
-
-
-def _diverged(epoch: int, what: str, batch: Sequence[ProcessedSample]) -> RuntimeError:
-    return RuntimeError(f"training diverged at epoch {epoch}: non-finite {what} "
-                        f"on samples {', '.join(s.id for s in batch)}")
 
 
 @dataclass
@@ -363,8 +362,8 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     are cast to ``config.dtype``, which the model and its checkpoint keep.
     A non-finite loss (checked per chunk before its backward) or gradient
     (checked by :func:`adam_step` before it writes anything) raises
-    RuntimeError naming the epoch and the whole batch's sample ids, with no
-    Adam step taken; so does a non-finite validation
+    RuntimeError naming the epoch, what was non-finite and the whole batch's
+    sample ids, with no Adam step taken; so does a non-finite validation
     prediction (naming the sample) or metric.
 
     Memory follows liveness: ``backward`` consumes each chunk's tape and the
@@ -385,7 +384,6 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     check_samples(config.model, config.task, [*train, *val])
 
     model = build_model(config.topology, config.task, config.model, rng_seed=config.seed)
-    weights = loss_weights_for(config.topology)
     params = model.parameters()
     for p in params:
         p.data = p.data.astype(config.dtype, copy=False)
@@ -404,23 +402,21 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
         loss_sum, n_seen = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            try:
-                value = minibatch_backward(model, batch, weights, config.task, dropout_rng)
-            except FloatingPointError:  # a non-finite chunk loss, found before its backward
-                raise _diverged(epoch, "loss", batch) from None
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-            try:
-                adam_step(params, grads, state, config.learning_rate, config.weight_decay)
-            except FloatingPointError:  # a non-finite gradient, found before any write
-                raise _diverged(epoch, "gradient", batch) from None
-            del grads
+            try:  # the gradient list dies with the call, before the next forward
+                value = minibatch_backward(model, batch, dropout_rng)
+                adam_step(params, [p.grad if p.grad is not None else np.zeros_like(p.data)
+                                   for p in params], state, config.learning_rate,
+                          config.weight_decay)
+            except FloatingPointError as exc:
+                raise RuntimeError(f"training diverged at epoch {epoch}: {exc} on samples "
+                                   f"{', '.join(s.id for s in batch)}") from None
             for p in params:
                 p.zero_grad()
             loss_sum += value * len(batch)
             n_seen += len(batch)
         train_loss = loss_sum / n_seen
         try:
-            val_metric = evaluate_metrics(model, val, config.task)["value"]
+            val_metric = evaluate_metrics(model, val, model.task)["value"]
         except FloatingPointError as exc:
             raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
         history.append((epoch, train_loss, val_metric))
@@ -445,9 +441,9 @@ def write_history_csv(path: str | Path, history: Sequence[tuple[int, float, floa
             fh.write("%d,%.17g,%.17g\n" % (epoch, train_loss, val_metric))
 
 
-def metrics_record(task: str, topology: FusionTopology | str, split: str,
-                   metrics: dict) -> dict:
-    return {"task": task, "topology": FusionTopology(topology).value, "split": split,
+def metrics_record(model: FusionModel, split: str, metrics: dict) -> dict:
+    """``metrics`` of ``model`` on ``split``, with the model's task and topology."""
+    return {"task": model.task, "topology": model.topology.value, "split": split,
             "metric_name": metrics["metric_name"], "value": metrics["value"],
             "n": metrics["n"]}
 

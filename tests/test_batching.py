@@ -84,11 +84,11 @@ def loss_and_grads(model, make_losses):
         total += loss.data.item()
 
 
-def step_loss_and_grads(model, batch, weights, task, rng):
+def step_loss_and_grads(model, batch, rng):
     """The loss training's step returns and the gradients it leaves on the parameters."""
     for p in model.parameters():
         p.zero_grad()
-    loss = minibatch_backward(model, batch, weights, task, rng)
+    loss = minibatch_backward(model, batch, rng)
     return loss, {name: p.grad.copy() for name, p in model.named_parameters()}
 
 
@@ -125,8 +125,7 @@ class TestBatchedStep:
         assert model.config.dropout > 0
         batch = make_samples([6, 9, 6, 6, 9], task)
         weights = loss_weights_for(topology)
-        batched, batched_grads = step_loss_and_grads(model, batch, weights, task,
-                                                     np.random.default_rng(5))
+        batched, batched_grads = step_loss_and_grads(model, batch, np.random.default_rng(5))
         looped, looped_grads = loss_and_grads(
             model, lambda: loop_loss(model, batch, weights, task, np.random.default_rng(5)))
         np.testing.assert_allclose(batched, looped, rtol=0, atol=ATOL)
@@ -150,8 +149,7 @@ class TestBatchedStep:
         monkeypatch.setattr(training, "TRAIN_CHUNK_ELEMENTS",
                             {"one_sample": 1, "uneven": 4 * 8 * model.max_width}[budget])
         sizes = counted_forwards(model, monkeypatch)
-        chunked, chunked_grads = step_loss_and_grads(model, batch, weights, task,
-                                                     np.random.default_rng(5))
+        chunked, chunked_grads = step_loss_and_grads(model, batch, np.random.default_rng(5))
         assert sizes == {"one_sample": [(1, 5)] * 2 + [(1, 8)] * 5 + [(1, 3)],
                          "uneven": [(2, 5), (3, 8), (2, 8), (1, 3)]}[budget]
         np.testing.assert_allclose(chunked, one_tape, rtol=0, atol=ATOL)
@@ -172,7 +170,7 @@ class TestBatchedStep:
         weights = loss_weights_for("one_stream")
         batch = make_samples([6, 6, 6], "agreement")
         taped = taped_losses(monkeypatch)
-        minibatch_backward(model, batch, weights, "agreement", np.random.default_rng(0))
+        minibatch_backward(model, batch, np.random.default_rng(0))
         [(_, batched)] = taped
         [keep] = model.dropout_masks(3 * 6, np.random.default_rng(0))
         with Tape() as plain:
@@ -191,8 +189,7 @@ class TestBatchedStep:
         model = build_model(topology, task, CFG, rng_seed=1)
         weights = loss_weights_for(topology)
         taped = taped_losses(monkeypatch)
-        minibatch_backward(model, make_samples([6, 6, 6], task), weights, task,
-                           np.random.default_rng(0))
+        minibatch_backward(model, make_samples([6, 6, 6], task), np.random.default_rng(0))
         [(loss, records)] = taped
         assert loss.data.ndim == 0
         assert [out for _, out, rule in records
@@ -237,7 +234,7 @@ class TestBatchedStep:
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         assert model.dropout_masks(6, rng) == []
-        loss = minibatch_backward(model, batch, weights, "agreement", rng)
+        loss = minibatch_backward(model, batch, rng)
         assert rng.bit_generator.state == state
         out = model.forward(Tensor(np.stack([s.face_seq for s in batch])),
                             Tensor(np.stack([s.pose_seq for s in batch])))
@@ -279,8 +276,7 @@ class TestUnbatchableSample:
                    f"(T, 7) and (T, 5) with T >= 1")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if path == "training":
-                minibatch_backward(model, samples, loss_weights_for(topology),
-                                   "agreement", np.random.default_rng(0))
+                minibatch_backward(model, samples, np.random.default_rng(0))
             else:
                 evaluate_metrics(model, samples, "agreement")
         assert sizes == []
@@ -313,8 +309,7 @@ class TestOutOfDomainLabel:
         message = f"sample bad: {task} label must be {domain}, got {label}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             if path == "training":
-                minibatch_backward(model, samples, loss_weights_for("one_to_one"), task,
-                                   np.random.default_rng(0))
+                minibatch_backward(model, samples, np.random.default_rng(0))
             else:
                 evaluate_metrics(model, samples, task)
         assert sizes == []
@@ -333,7 +328,6 @@ class TestChunkMemory:
         model = build_model("one_to_one", "agreement", cfg, rng_seed=0)
         steps = 20
         batch = make_samples([steps] * 16, "agreement", cfg=cfg)
-        weights = loss_weights_for("one_to_one")
         monkeypatch.setattr(training, "TRAIN_CHUNK_ELEMENTS", 4 * steps * model.max_width)
 
         def step_peak(samples):
@@ -342,7 +336,7 @@ class TestChunkMemory:
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                minibatch_backward(model, samples, weights, "agreement", np.random.default_rng(1))
+                minibatch_backward(model, samples, np.random.default_rng(1))
                 return tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -377,8 +371,7 @@ class TestTrainingLossGradients:
         # the step leaves the gradients it accumulated on the parameters, which the
         # check reads after its own (empty) backward of the returned constant
         report = finite_diff_gradcheck(
-            lambda: Tensor(minibatch_backward(model, batch, weights, task,
-                                              np.random.default_rng(8))),
+            lambda: Tensor(minibatch_backward(model, batch, np.random.default_rng(8))),
             list(model.named_parameters()),
             reference=lambda: Tensor(sum(loss.data.item() for loss in loop_loss(
                 model, batch, weights, task, np.random.default_rng(8)))),
@@ -433,7 +426,7 @@ class TestBatchedEval:
         model = build_model("one_to_two", task, CFG, rng_seed=3)
         samples = make_samples([5, 8, 5, 8, 8, 3, 8, 8, 5], task, seed=4)
         preds = np.empty(len(samples))
-        chunks = training._chunks(model, samples, task, training.EVAL_CHUNK_ELEMENTS)
+        chunks = training._chunks(model, samples, training.EVAL_CHUNK_ELEMENTS)
         for run, face, pose in chunks:
             preds[run] = model.forward(face, pose).final.data[:, 0]
         labels = np.array([s.label for s in samples])

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from bcfusion import tensor as T
+from bcfusion import training
 from bcfusion.config import (MODEL_RULES, TASKS, TRAIN_RULES, ConfigError, ModelConfig,
                              TrainConfig, dataclass_from_mapping, parse_config_file,
                              toy_model_config)
-from bcfusion.data import SPEC_RULES, CorpusError, ProcessedSample, SynthSpec
+from bcfusion.data import SPEC_RULES, CorpusError, ProcessedSample, SynthSpec, load_manifest
 from bcfusion.layers import TransformerLayer
 from bcfusion.models import ALL_TOPOLOGIES, FusionModel, Topology
 from bcfusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, evaluate_metrics,
@@ -75,6 +76,19 @@ class TestSettableSurface:
         assert list(inspect.signature(AdamState.for_params).parameters) == ["params"]
         assert [f.name for f in fields(AdamState)] == ["m", "v", "step"]
         assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+    def test_a_model_is_the_one_source_of_its_task(self):
+        # what takes a model reads its task, topology and loss weights from it; only
+        # evaluate_metrics keeps a task, checked against the model's, for its callers
+        for fn, args in ((training._chunks, ["model", "samples", "budget"]),
+                         (training.minibatch_backward, ["model", "batch", "rng"]),
+                         (training.evaluate_metrics, ["model", "samples", "task"]),
+                         (training.metrics_record, ["model", "split", "metrics"]),
+                         (load_manifest, ["path", "task"])):
+            assert list(inspect.signature(fn).parameters) == args, fn.__name__
+        # a manifest is always read for a task, so its labels are always checked
+        task = inspect.signature(load_manifest).parameters["task"]
+        assert task.default is inspect.Parameter.empty
 
     def test_training_and_eval_call_every_op(self, monkeypatch):
         # an op in the package's op set that no training or eval path calls is dead code

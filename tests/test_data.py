@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from bcfusion.config import ConfigError
 from bcfusion.data import (CorpusError, RawSample, SampleDescriptor, SynthSpec,
                            load_corpus, load_manifest, load_sample_features, preprocess,
                            read_matrix_csv, synth_generate, write_matrix_csv)
@@ -114,7 +115,7 @@ class TestLoadManifest:
                                            ("c", 30, 1, "test")])
         if bom:
             add_byte_order_mark(manifest)
-        descs = load_manifest(manifest)
+        descs = load_manifest(manifest, "detection")
         assert [d.id for d in descs] == ["a", "b", "c"]
         assert descs[0].face_path.exists()
 
@@ -122,11 +123,17 @@ class TestLoadManifest:
         manifest = write_corpus(tmp_path, [("a", 30, 1.5, "train")])
         with pytest.raises(CorpusError, match="row 2"):
             load_manifest(manifest, task="detection")
-        # the same label is fine when no task is given or for agreement... but
         # 1.5 violates the agreement range as well
         with pytest.raises(CorpusError):
             load_manifest(manifest, task="agreement")
-        assert load_manifest(manifest)[0].label == 1.5
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["manifest", "no_file"])
+    def test_unknown_task_is_named_before_the_file_is_opened(self, tmp_path, exists):
+        # a misspelt task must not skip the label check: 7.5 is no label of either task
+        manifest = write_corpus(tmp_path, [("a", 30, 7.5, "train")]) if exists \
+            else tmp_path / "nope.csv"
+        with pytest.raises(ConfigError, match="'detecton'"):
+            load_manifest(manifest, "detecton")
 
     @pytest.mark.parametrize("task, domain", [("detection", "0 or 1"),
                                               ("agreement", "in [-1, 1]")])
@@ -141,18 +148,18 @@ class TestLoadManifest:
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
         with pytest.raises(CorpusError, match="duplicate"):
-            load_manifest(manifest)
+            load_manifest(manifest, "detection")
 
     def test_missing_sample_file_raises_file_error(self, tmp_path):
         manifest = write_corpus(tmp_path, [("a", 30, 1, "train")])
         (tmp_path / "a_pose.csv").unlink()
         with pytest.raises(FileNotFoundError):
-            load_manifest(manifest)
+            load_manifest(manifest, "detection")
 
     def test_split_counts_match_line_counts(self, tmp_path):
         rows = [(f"s{i}", 30, i % 2, "train" if i < 5 else "validation") for i in range(8)]
         manifest = write_corpus(tmp_path, rows)
-        descs = load_manifest(manifest)
+        descs = load_manifest(manifest, "detection")
         by_split = {"train": 0, "validation": 0}
         for d in descs:
             by_split[d.split] += 1
@@ -165,17 +172,17 @@ class TestLoadManifest:
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("id,face,pose\n")
         with pytest.raises(CorpusError, match="header"):
-            load_manifest(manifest)
+            load_manifest(manifest, "detection")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_manifest(tmp_path / "nope.csv")
+            load_manifest(tmp_path / "nope.csv", "detection")
 
 
 class TestLoadSampleFeatures:
     def test_loads_frame_counts(self, tmp_path):
         manifest = write_corpus(tmp_path, [("a", 30, 1, "train")], t=300, face_dim=6, pose_dim=4)
-        raw = load_sample_features(load_manifest(manifest)[0], face_dim=6, pose_dim=4)
+        raw = load_sample_features(load_manifest(manifest, "detection")[0], face_dim=6, pose_dim=4)
         assert raw.face_frames.shape == (300, 6)
         assert raw.pose_frames.shape == (300, 4)
 
@@ -184,13 +191,14 @@ class TestLoadSampleFeatures:
         pose = read_matrix_csv(tmp_path / "a_pose.csv")
         write_matrix_csv(tmp_path / "a_pose.csv", pose[:299])
         with pytest.warns(UserWarning, match="truncating"):
-            raw = load_sample_features(load_manifest(manifest)[0], face_dim=6, pose_dim=4)
+            raw = load_sample_features(load_manifest(manifest, "detection")[0], face_dim=6,
+                                       pose_dim=4)
         assert raw.face_frames.shape[0] == raw.pose_frames.shape[0] == 299
 
     def test_column_mismatch_cites_expected_and_actual(self, tmp_path):
         manifest = write_corpus(tmp_path, [("a", 30, 1, "train")], face_dim=5)
         with pytest.raises(CorpusError, match="expected 6.*got 5"):
-            load_sample_features(load_manifest(manifest)[0], face_dim=6, pose_dim=4)
+            load_sample_features(load_manifest(manifest, "detection")[0], face_dim=6, pose_dim=4)
 
 
 def make_raw(face, pose, fps=30.0, label=1.0):

@@ -243,8 +243,7 @@ class TestPositionalEncodingInPlace:
                 out = model.forward(np.stack([s.face_seq for s in group]),
                                     np.stack([s.pose_seq for s in group]))
                 seen += [p.data.tobytes() for _, p in [*out.intermediates, ("final", out.final)]]
-            loss = minibatch_backward(model, samples, loss_weights_for(topology), "detection",
-                                      np.random.default_rng(3))
+            loss = minibatch_backward(model, samples, np.random.default_rng(3))
             return seen, loss, [(p.grad.dtype, p.grad.tobytes()) for p in model.parameters()]
 
         in_place = run()
@@ -350,7 +349,7 @@ class TestRecordSlots:
             backward(loss, tape)
 
         monkeypatch.setattr(training, "backward", spy)
-        minibatch_backward(model, batch, loss_weights_for(topology), "detection", rng)
+        minibatch_backward(model, batch, rng)
         assert len(slots["attention"]) == len(slots["layer_norm"]) // 2 == len(model.spec.stages)
         assert {len(inputs) for inputs in slots["attention"]} == {6}
         assert {len(inputs) for inputs in slots["layer_norm"]} == {4}

@@ -50,6 +50,49 @@ async def g():
 '''
 
 
+# params (14): the dataclass fields a, b and c (an unannotated class attribute
+# is no field), scaled's by and twice, make's a, rest and named (cls is not
+# counted), the called-decorator dataclass's x, __init__'s y and z, the nested
+# inner's w, and free's p and q; Plain's annotation is no field and the
+# methods' self is not counted.
+PARAMS_FIXTURE = '''from dataclasses import dataclass, field
+import dataclasses
+
+
+@dataclass
+class Spec:
+    a: int
+    b: float = 0.0
+    c: list = field(default_factory=list)
+    NOTE = "no field"
+
+    def scaled(self, by, *, twice=False):
+        return self.a * by
+
+    @classmethod
+    def make(cls, a, *rest, **named):
+        return cls(a)
+
+
+@dataclasses.dataclass(frozen=True)
+class Frozen:
+    x: int
+
+
+class Plain:
+    y: int
+
+    def __init__(self, y, /, z=1):
+        def inner(w):
+            return w
+        self.y = inner(y) + z
+
+
+def free(p, q=2):
+    return p + q
+'''
+
+
 def write_tree(root, files):
     package = root / "src" / "bcfusion"
     package.mkdir(parents=True)
@@ -62,18 +105,24 @@ class TestSrcLines:
     def test_fixture_counts(self):
         assert src_lines.count_lines(FIXTURE) == (8, 9)
 
+    def test_params_fixture_counts(self):
+        assert src_lines.count_params(PARAMS_FIXTURE) == 14
+        assert src_lines.count_params(FIXTURE) == 0  # f(self) and g()
+
     def test_two_trees_print_the_delta_in_all_and_per_file(self, tmp_path, capsys):
         parent = write_tree(tmp_path / "parent", {"a.py": FIXTURE, "b.py": "x = 1\n"})
         change = write_tree(tmp_path / "change", {"a.py": FIXTURE + "# one more\ny = 2\n",
-                                                   "b.py": "x = 1\n", "c.py": '"""New."""\n'})
+                                                   "b.py": "x = 1\n", "c.py": '"""New."""\n',
+                                                   "d.py": PARAMS_FIXTURE})
         assert src_lines.main([str(parent), str(change)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].split() == ["tree", "code", "docs", "total"]
-        assert lines[1].split() == [str(parent), "9", "9", "18"]
-        assert lines[2].split() == [str(change), "10", "11", "21"]
-        assert lines[3].split() == ["delta", str(change), "+1", "+2", "+3"]
-        assert [line.split() for line in lines[4:]] == [["a.py", "+1", "+1", "+2"],
-                                                         ["c.py", "+0", "+1", "+1"]]
+        assert lines[0].split() == ["tree", "code", "docs", "total", "params"]
+        assert lines[1].split() == [str(parent), "9", "9", "18", "0"]
+        assert lines[2].split() == [str(change), "34", "11", "45", "14"]
+        assert lines[3].split() == ["delta", str(change), "+25", "+2", "+27", "+14"]
+        assert [line.split() for line in lines[4:]] == [["a.py", "+1", "+1", "+2", "+0"],
+                                                         ["c.py", "+0", "+1", "+1", "+0"],
+                                                         ["d.py", "+24", "+0", "+24", "+14"]]
 
     def test_a_tree_without_the_package_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no src/bcfusion"):

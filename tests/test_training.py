@@ -228,7 +228,7 @@ class TestAdam:
         assert [len(offsets) - 1 for _, offsets in training._buckets(params, grads, state)] == [3]
         before = [p.data for p in params] + state.m + state.v
         snapshot = [x.tobytes() for x in before]
-        with pytest.raises(FloatingPointError, match=r"^parameter 1: non-finite gradient$"):
+        with pytest.raises(FloatingPointError, match=r"^non-finite gradient of parameter 1$"):
             adam_step(params, grads, state, lr=0.1)
         after = [p.data for p in params] + state.m + state.v
         assert state.step == 1 and all(x is y for x, y in zip(after, before))
@@ -367,8 +367,9 @@ class _StubModel:
     max_width = 1
     config = toy_model_config(face_dim=2, pose_dim=2)
 
-    def __init__(self, predictions):
+    def __init__(self, predictions, task="detection"):
         self.predictions = predictions
+        self.task = task
 
     def forward(self, face_seq, pose_seq, keep=None):
         keys = face_seq.data[:, 0, 0]
@@ -401,7 +402,7 @@ class TestEvaluateMetrics:
 
     def test_exact_regression_gives_zero_mse(self):
         samples = stub_samples([0.25, -0.5])
-        model = _StubModel({0.0: 0.25, 1.0: -0.5})
+        model = _StubModel({0.0: 0.25, 1.0: -0.5}, "agreement")
         metrics = evaluate_metrics(model, samples, "agreement")
         assert metrics["value"] == 0.0 and metrics["metric_name"] == "mse"
 
@@ -409,28 +410,41 @@ class TestEvaluateMetrics:
         with pytest.raises(ValueError):
             evaluate_metrics(_StubModel({}), [], "detection")
 
+    @pytest.mark.parametrize("built, scored", [("detection", "agreement"),
+                                               ("agreement", "detection")])
+    def test_another_task_than_the_models_is_rejected_before_any_forward(self, built, scored,
+                                                                         monkeypatch):
+        # scored as agreement, a detection model's logits would come back as an mse
+        model = build_model("one_stream", built, toy_model_config(face_dim=2, pose_dim=2),
+                            rng_seed=0)
+        monkeypatch.setattr(model, "forward", None)  # a forward would be a TypeError
+        with pytest.raises(ValueError, match=f"^cannot score a {built} model as {scored}$"):
+            evaluate_metrics(model, stub_samples([0, 1, 0]), scored)
+
     @pytest.mark.parametrize("task", ["detection", "agreement"])
     def test_non_finite_prediction_names_the_first_such_sample(self, task):
         # a NaN would count as class 0 in accuracy and poison the mean squared error
         samples = stub_samples([1, 0, 1, 0])
-        model = _StubModel({0.0: 0.9, 1.0: np.nan, 2.0: 0.8, 3.0: np.inf})
+        model = _StubModel({0.0: 0.9, 1.0: np.nan, 2.0: 0.8, 3.0: np.inf}, task)
         with pytest.raises(FloatingPointError, match="^non-finite prediction on sample s1$"):
             evaluate_metrics(model, samples, task)
 
     def test_overflowing_squared_error_is_not_a_score(self):
         samples = stub_samples([0.0, 1.0])
-        model = _StubModel({0.0: 1e200, 1.0: 0.5})
+        model = _StubModel({0.0: 1e200, 1.0: 0.5}, "agreement")
         with pytest.raises(FloatingPointError, match=r"^non-finite mse \(inf\)$"):
             evaluate_metrics(model, samples, "agreement")
 
 
 class TestMetricsRecord:
-    @pytest.mark.parametrize("topology", [FusionTopology.ONE_TO_ONE, "one_to_one"],
-                             ids=["enum", "str"])
-    def test_topology_is_written_by_value(self, topology):
+    @pytest.mark.parametrize("task, topology", [("detection", "one_to_one"),
+                                                ("agreement", "cross_to_one")])
+    def test_topology_is_written_by_value(self, task, topology):
+        # the task and the topology are the model's
+        model = build_model(topology, task, toy_model_config(), rng_seed=0)
         metrics = {"metric_name": "accuracy", "value": 0.5, "n": 4}
-        record = metrics_record("detection", topology, "validation", metrics)
-        assert record == {"task": "detection", "topology": "one_to_one", "split": "validation",
+        record = metrics_record(model, "validation", metrics)
+        assert record == {"task": task, "topology": topology, "split": "validation",
                           "metric_name": "accuracy", "value": 0.5, "n": 4}
 
 
@@ -588,9 +602,11 @@ class TestRunTraining:
         monkeypatch.setattr(training, "build_model", keep_model)
         monkeypatch.setattr(AdamState, "for_params", classmethod(spy_state))
         monkeypatch.setattr(training, "backward", poisoned_backward)
-        with pytest.raises(RuntimeError, match="at epoch 1: non-finite gradient on samples "):
+        with pytest.raises(RuntimeError) as exc:
             run_training(tiny_corpus, tiny_config())
         after = built[0].parameters()
+        assert str(exc.value).startswith(f"training diverged at epoch 1: non-finite gradient "
+                                         f"of parameter {len(after) - 1} on samples ")
         assert len(after) == len(before) and \
             all(p.data is a and p.data.tobytes() == b for p, (a, b) in zip(after, before))
         [state] = states
