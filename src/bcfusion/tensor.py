@@ -34,10 +34,12 @@ projections run the GEMMs, and accumulate their gradients in the order,
 that separate products would.  It picks its head kernel from the operand
 shapes alone (the key count and the head width), and its backward rule
 takes the softmax gradient through the FlashAttention term
-D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022), saving the layer inputs, q,
-k, v, the attention weights and the head outputs.  A rule writes only
-into the slots that exist, so a constant operand costs at most a saved
-array or a discarded product, never a wrong gradient.
+D = rowsum(g_ctx ∘ ctx) (Dao et al. 2022).  It saves the layer inputs,
+q, k, v and each score row's max and exponential sum, and rebuilds the
+attention weights and the head outputs from them in backward, bit for
+bit, rather than keeping them.  A rule writes only into the slots that
+exist, so a constant operand costs at most a saved array or a discarded
+product, never a wrong gradient.
 
 A gradient has one owner: no two slots ever hold one array.  A rule hands a
 slot only an array that nothing else references (a fresh result, or a copy
@@ -448,19 +450,35 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ np.ones(x.shape[-1], x.dtype)).reshape(x.shape[:-1])
 
 
-def _softmax_rows(s: np.ndarray) -> None:
-    """Max-shift, exponentiate and normalise each row of ``s`` in place; ``s`` must
-    be C-contiguous, so that its rows are a view of it."""
-    rows = s.reshape(-1, s.shape[-1])
-    if rows.shape[1] <= SHORT_ROWS:
-        top = rows[:, 0].copy()
-        for j in range(1, rows.shape[1]):
-            np.maximum(top, rows[:, j], out=top)
-    else:
-        top = rows.max(axis=1)
+def _attention_weights(q_h: np.ndarray, k_h: np.ndarray, scale: float,
+                       top: Optional[np.ndarray] = None,
+                       sums: Optional[np.ndarray] = None) -> tuple:
+    """``softmax(q_h k_hᵀ · scale)`` over each row of keys: (p, top, sums), with p
+    C-contiguous of shape (B, H, T_q, T_k) and ``top`` and ``sums`` the rows'
+    maxima and the sums of their shifted exponentials, B·H·T_q entries each.
+
+    Without ``top`` and ``sums`` they are computed; given them, as a backward
+    rule does, the rows are shifted by and divided by them instead.  The ops
+    and their order are the same either way (the product, the scale, the
+    shift, the exponential, the division), so the rebuilt p is the forward's
+    bit for bit."""
+    p = _head_product(q_h, k_h)
+    if scale != 1.0:
+        p *= scale
+    rows = p.reshape(-1, p.shape[-1])
+    if top is None:
+        if rows.shape[1] <= SHORT_ROWS:
+            top = rows[:, 0].copy()
+            for j in range(1, rows.shape[1]):
+                np.maximum(top, rows[:, j], out=top)
+        else:
+            top = rows.max(axis=1)
     rows -= top[:, None]
     np.exp(rows, out=rows)
-    rows /= _row_sums(rows)[:, None]
+    if sums is None:
+        sums = _row_sums(rows)
+    rows /= sums[:, None]
+    return p, top, sums
 
 
 def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -480,14 +498,19 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
     ``SHORT_ROWS`` keys take their max as a running maximum over the key
     columns.  Row sums are one GEMV.
 
-    The rule saves the layer inputs, q, k, v, the attention weights p and
-    the head outputs ``ctx``, whichever operands take a gradient; the four
-    weights are read through their tensors.  It takes the softmax
-    gradient through D = rowsum(g_ctx ∘ ctx) over d_v, which equals
-    rowsum(g_p ∘ p) over T_k (Dao et al., "FlashAttention", 2022), and runs
-    the projection GEMMs, and accumulates their gradients, in the order
-    separate products would: v, k, q.  Each projection's gradient is routed
-    as soon as it is formed, so no two of them are alive at once.
+    The rule saves the layer inputs, q, k, v and two vectors of B·H·T_q
+    entries, the score rows' maxima and the sums of their shifted
+    exponentials, whichever operands take a gradient; the four weights are
+    read through their tensors.  It saves neither the attention weights p
+    (B, H, T_q, T_k) nor the head outputs ``ctx``: it rebuilds p from q, k
+    and the two vectors with the forward's own ops, and ``ctx`` from p and
+    v, bit for bit, and drops each after its last use (the recompute of Dao
+    et al., "FlashAttention", 2022; two batched products per layer).  It
+    takes the softmax gradient through D = rowsum(g_ctx ∘ ctx) over d_v,
+    which equals rowsum(g_p ∘ p) over T_k, and runs the projection GEMMs,
+    and accumulates their gradients, in the order separate products would:
+    v, k, q.  Each projection's gradient is routed as soon as it is formed,
+    so no two of them are alive at once.  Without a tape nothing is kept.
     """
     x_q, x_kv, wq, wk, wv, wo = (as_tensor(t) for t in (x_q, x_kv, wq, wk, wv, wo))
     if any(t.data.ndim != 2 for t in (x_q, x_kv, wq, wk, wv, wo)) or batch < 1 \
@@ -500,10 +523,8 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
                          f"{batch} sequences of {n_heads} equal heads")
     q, k, v = x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data
     scale = 1.0 / math.sqrt(wq.shape[1] // n_heads)
-    p = _head_product(_heads(q, n_heads, batch), _heads(k, n_heads, batch))
-    if scale != 1.0:
-        p *= scale
-    _softmax_rows(p)
+    p, top, sums = _attention_weights(_heads(q, n_heads, batch), _heads(k, n_heads, batch),
+                                      scale)
     ctx = _rows(p @ _heads(v, n_heads, batch))
     out_data = ctx @ wo.data
     tape = _recording(x_q, x_kv, wq, wk, wv, wo)
@@ -513,21 +534,25 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo:
     xq_data, xkv_data, d_v = x_q.data, x_kv.data, wv.shape[1] // n_heads
 
     def bw(g: np.ndarray) -> None:
+        q_h, k_h, v_h = (_heads(a, n_heads, batch) for a in (q, k, v))
+        p = _attention_weights(q_h, k_h, scale, top, sums)[0]
+        ctx = _rows(p @ v_h)
         if s_wo is not None:
             _take(s_wo, ctx.T @ g)
         g_ctx = g @ wo.data.T
         gh = _heads(g_ctx, n_heads, batch)
         _project(_rows(p.swapaxes(-1, -2) @ gh), s_xkv, wv, xkv_data, s_wv)
         dterm = _row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
-        gs = _head_product(gh, _heads(v, n_heads, batch))
+        del ctx
+        gs = _head_product(gh, v_h)
         del g_ctx, gh
         gs -= _heads(dterm, n_heads, batch)
         gs *= p
+        del p
         if scale != 1.0:
             gs *= scale
-        _project(_rows(gs.swapaxes(-1, -2) @ _heads(q, n_heads, batch)),
-                 s_xkv, wk, xkv_data, s_wk)
-        _project(_rows(gs @ _heads(k, n_heads, batch)), s_xq, wq, xq_data, s_wq)
+        _project(_rows(gs.swapaxes(-1, -2) @ q_h), s_xkv, wk, xkv_data, s_wk)
+        _project(_rows(gs @ k_h), s_xq, wq, xq_data, s_wq)
 
     return _emit(tape, (s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo), out_data, bw)
 

@@ -74,10 +74,13 @@ class AdamState:
     """First/second moment buffers and the shared step counter.
 
     A parameter's moments are ``None`` until its first :func:`adam_step`, so
-    they take no memory under the first step's tape.  From then on ``m[i]``
-    and ``v[i]`` are views, shaped like parameter ``i``, of one flat buffer
-    per bucket (see ``ADAM_BUCKET_ELEMENTS``), which every step updates in
-    place.
+    they take no memory under the first step's tape, and each bucket's are
+    allocated only once the step has dropped the gradients of the buckets
+    before it.  From then on ``m[i]`` and ``v[i]`` are views, shaped like
+    parameter ``i``, of one flat buffer per bucket (see
+    ``ADAM_BUCKET_ELEMENTS``), which every step updates in place.  The
+    gradients are not part of the state: a step reads them from the
+    parameters' ``grad``.
     """
 
     m: list[Optional[np.ndarray]]
@@ -89,8 +92,7 @@ class AdamState:
         return cls(m=[None] * len(params), v=[None] * len(params))
 
 
-def _buckets(params: Sequence[Tensor], grads: Sequence[np.ndarray],
-             state: AdamState) -> list[tuple[int, list[int]]]:
+def _buckets(params: Sequence[Tensor], state: AdamState) -> list[tuple[int, list[int]]]:
     """Check every gradient and allocated moment against its parameter's shape
     and dtype, and split the parameters, in order, into buckets.
 
@@ -99,23 +101,28 @@ def _buckets(params: Sequence[Tensor], grads: Sequence[np.ndarray],
     """
     buckets: list[tuple[int, list[int]]] = []
     offsets, dtype = [], None
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        data = p.data
+    for i, (p, m, v) in enumerate(zip(params, state.m, state.v)):
+        data, g = p.data, p.grad
         shape = data.shape
-        if g.shape != shape or g.dtype != data.dtype or (m is not None and (
+        if (g is not None and (g.shape != shape or g.dtype != data.dtype)) or (m is not None and (
                 m.shape != shape or m.dtype != data.dtype or
                 v.shape != shape or v.dtype != data.dtype)):
-            for what, a in (("gradient", g), ("moment", m), ("moment", v)):
-                part = "shape" if a.shape != shape else "dtype"
-                if getattr(a, part) != getattr(data, part):
-                    raise ValueError(f"parameter {i}: {what} {part} {getattr(a, part)} "
-                                     f"!= parameter {part} {getattr(data, part)}")
+            what, a = next((what, a) for what, a in (("gradient", g), ("moment", m), ("moment", v))
+                           if a is not None and (a.shape != shape or a.dtype != data.dtype))
+            part = "shape" if a.shape != shape else "dtype"
+            raise ValueError(f"parameter {i}: {what} {part} {getattr(a, part)} "
+                             f"!= parameter {part} {getattr(data, part)}")
         if buckets and data.dtype == dtype and offsets[-1] + data.size <= ADAM_BUCKET_ELEMENTS:
             offsets.append(offsets[-1] + data.size)
         else:
             offsets, dtype = [0, data.size], data.dtype
             buckets.append((i, offsets))
     return buckets
+
+
+def _flat_grad(p: Tensor) -> np.ndarray:
+    """``p``'s gradient as a flat view, or zeros if it has none."""
+    return np.zeros(p.data.size, p.data.dtype) if p.grad is None else p.grad.reshape(-1)
 
 
 def _moment_buffer(moments: list[Optional[np.ndarray]], first: int, group: Sequence[Tensor],
@@ -139,9 +146,11 @@ def _moment_buffer(moments: list[Optional[np.ndarray]], first: int, group: Seque
     return buf
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
-              lr: float, weight_decay: float = 0.0) -> None:
-    """One bias-corrected Adam update; weight decay enters the gradient (coupled L2).
+def adam_step(params: Sequence[Tensor], state: AdamState, lr: float,
+              weight_decay: float = 0.0) -> None:
+    """One bias-corrected Adam update from the parameters' ``grad``; weight decay
+    enters the gradient (coupled L2).  A parameter without a gradient steps
+    with zeros.
 
     The parameters are updated in buckets (see ``ADAM_BUCKET_ELEMENTS``): one
     pass of the update over each bucket's flat gradient and parameters, with
@@ -149,29 +158,36 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
     allocated moment is checked against its parameter's shape and dtype
     (``ValueError``), and every gradient for non-finite values
     (``FloatingPointError``); both name the parameter's position.  So a
-    rejected step leaves parameters, moments and the step count as they
-    were.  The moments are allocated at a bucket's first update and then
-    updated in place.  Each bucket gets a new array, and each parameter is
-    rebound to its view of it: the old ``p.data`` is never written into, so
-    a caller may keep it as a snapshot.
+    rejected step leaves gradients, parameters, moments and the step count
+    as they were.  An accepted step takes the gradients over: as each
+    bucket is applied, its parameters' ``grad`` is set to None and its flat
+    gradient dropped, so every ``grad`` is None afterwards, and the
+    gradients and the moments that a first step allocates are never all
+    alive at once.  The moments are allocated at a bucket's first update
+    and then updated in place.  Each bucket gets a new array, and each
+    parameter is rebound to its view of it: the old ``p.data`` is never
+    written into, so a caller may keep it as a snapshot.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v):
-        raise ValueError("params, grads, and optimizer state are misaligned")
-    buckets = _buckets(params, grads, state)
+    if not len(params) == len(state.m) == len(state.v):
+        raise ValueError("params and optimizer state are misaligned")
+    buckets = _buckets(params, state)
     flat_grads = []
     for first, offsets in buckets:
         stop = first + len(offsets) - 1
-        g = grads[first].reshape(-1) if stop - first == 1 else \
-            np.concatenate([g.reshape(-1) for g in grads[first:stop]])
+        g = _flat_grad(params[first]) if stop - first == 1 else \
+            np.concatenate([_flat_grad(p) for p in params[first:stop]])
         if not np.isfinite(g).all():
-            i = next(i for i in range(first, stop) if not np.isfinite(grads[i]).all())
+            i = next(i for i in range(first, stop) if not np.isfinite(_flat_grad(params[i])).all())
             raise FloatingPointError(f"non-finite gradient of parameter {i}")
         flat_grads.append(g)
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.step
     bc2 = 1.0 - ADAM_BETA2 ** state.step
-    for (first, offsets), g in zip(buckets, flat_grads):
+    for first, offsets in buckets:
+        g = flat_grads.pop(0)
         group = params[first:first + len(offsets) - 1]
+        for p in group:
+            p.grad = None
         old = group[0].data.reshape(-1) if len(group) == 1 else \
             np.concatenate([p.data.reshape(-1) for p in group])
         m = _moment_buffer(state.m, first, group, offsets)
@@ -185,7 +201,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
         np.multiply(ADAM_BETA1, m, out=m)
         np.add(m, scratch, out=m)
         np.multiply(g, g, out=scratch)
-        del g  # frees a decayed copy before the third array is made
+        del g  # frees the gradient (or its decayed copy) before the third array is made
         np.multiply(1.0 - ADAM_BETA2, scratch, out=scratch)
         np.multiply(ADAM_BETA2, v, out=v)
         np.add(v, scratch, out=v)
@@ -366,11 +382,13 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
     sample ids, with no Adam step taken; so does a non-finite validation
     prediction (naming the sample) or metric.
 
-    Memory follows liveness: ``backward`` consumes each chunk's tape and the
-    step's gradients are dropped after the Adam update, so neither lives on
-    through the next step's forward.  The Adam moments are allocated at the
-    first update, once that step's tape is spent, and updated in place from
-    then on, one flat buffer per bucket.  The best epoch is kept by reference
+    Memory follows liveness: ``backward`` consumes each chunk's tape, and
+    :func:`adam_step` drops each bucket's gradients as it applies them, so
+    neither lives on through the next step's forward.  The Adam moments are
+    allocated at the first update, once that step's tape is spent, and
+    updated in place from then on, one flat buffer per bucket; a first
+    step's new moments replace the gradients bucket by bucket rather than
+    joining them.  The best epoch is kept by reference
     to its parameter arrays, not by a copy: :func:`adam_step` binds the
     parameters to views of new bucket arrays and never writes into the old
     ones, so only an epoch that has since been beaten holds a second set of
@@ -402,16 +420,12 @@ def run_training(corpus: dict[str, list[ProcessedSample]], config: TrainConfig) 
         loss_sum, n_seen = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
             batch = [train[i] for i in order[lo:lo + config.batch_size]]
-            try:  # the gradient list dies with the call, before the next forward
+            try:
                 value = minibatch_backward(model, batch, dropout_rng)
-                adam_step(params, [p.grad if p.grad is not None else np.zeros_like(p.data)
-                                   for p in params], state, config.learning_rate,
-                          config.weight_decay)
+                adam_step(params, state, config.learning_rate, config.weight_decay)
             except FloatingPointError as exc:
                 raise RuntimeError(f"training diverged at epoch {epoch}: {exc} on samples "
                                    f"{', '.join(s.id for s in batch)}") from None
-            for p in params:
-                p.zero_grad()
             loss_sum += value * len(batch)
             n_seen += len(batch)
         train_loss = loss_sum / n_seen

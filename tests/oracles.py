@@ -47,6 +47,57 @@ def attention_weights(logits) -> np.ndarray:
                           np.tile(np.eye(n, dtype=logits.dtype), (b, 1)), 1, b)
 
 
+def _softmax_rows_reference(s):
+    """The in-place row softmax that :func:`attention_saving_weights` runs."""
+    rows = s.reshape(-1, s.shape[-1])
+    if rows.shape[1] <= T.SHORT_ROWS:
+        top = rows[:, 0].copy()
+        for j in range(1, rows.shape[1]):
+            np.maximum(top, rows[:, j], out=top)
+    else:
+        top = rows.max(axis=1)
+    rows -= top[:, None]
+    np.exp(rows, out=rows)
+    rows /= T._row_sums(rows)[:, None]
+
+
+def attention_saving_weights(x_q, x_kv, wq, wk, wv, wo, n_heads, batch):
+    """:func:`tensor.attention` with the rule that keeps the attention weights p and
+    the head outputs ctx on the tape instead of rebuilding them: the same forward
+    and the same backward ops in the same order, so the same gradients bit for
+    bit.  Operands are Tensors; the op is recorded on the active tape."""
+    heads, rows = T._heads, T._rows
+    q, k, v = x_q.data @ wq.data, x_kv.data @ wk.data, x_kv.data @ wv.data
+    scale = 1.0 / math.sqrt(wq.shape[1] // n_heads)
+    p = T._head_product(heads(q, n_heads, batch), heads(k, n_heads, batch))
+    if scale != 1.0:
+        p *= scale
+    _softmax_rows_reference(p)
+    ctx = rows(p @ heads(v, n_heads, batch))
+    out_data = ctx @ wo.data
+    tape = T._recording(x_q, x_kv, wq, wk, wv, wo)
+    s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo = (T._slot(t) for t in (x_q, x_kv, wq, wk, wv, wo))
+    d_v = wv.shape[1] // n_heads
+
+    def bw(g):
+        if s_wo is not None:
+            T._take(s_wo, ctx.T @ g)
+        g_ctx = g @ wo.data.T
+        gh = heads(g_ctx, n_heads, batch)
+        T._project(rows(p.swapaxes(-1, -2) @ gh), s_xkv, wv, x_kv.data, s_wv)
+        dterm = T._row_sums((g_ctx * ctx).reshape(-1, d_v)).reshape(-1, n_heads)
+        gs = T._head_product(gh, heads(v, n_heads, batch))
+        gs -= heads(dterm, n_heads, batch)
+        gs *= p
+        if scale != 1.0:
+            gs *= scale
+        T._project(rows(gs.swapaxes(-1, -2) @ heads(q, n_heads, batch)),
+                   s_xkv, wk, x_kv.data, s_wk)
+        T._project(rows(gs @ heads(k, n_heads, batch)), s_xq, wq, x_q.data, s_wq)
+
+    return T._emit(tape, (s_xq, s_xkv, s_wq, s_wk, s_wv, s_wo), out_data, bw)
+
+
 def weighted_loss_reference(preds, y, weights, kind):
     """Closed-form value and per-head gradients of ``Σₖ wₖ·mean(loss(predₖ, y))``
     over n elements, in plain float64 numpy.  Cross entropy (``"bce"``) on

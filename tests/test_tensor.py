@@ -11,9 +11,9 @@ from bcfusion import tensor as T
 from bcfusion.config import ConfigError, TrainConfig
 from bcfusion.gradcheck import finite_diff_gradcheck
 from bcfusion.tensor import Tape, Tensor, ShapeError, backward
-from oracles import (attention_core, attention_weights, identity_projections,
-                     sdpa_reference, squared_error, sum_of_squares, unit_gradient_loss,
-                     weighted_loss_reference)
+from oracles import (attention_core, attention_saving_weights, attention_weights,
+                     identity_projections, sdpa_reference, squared_error, sum_of_squares,
+                     unit_gradient_loss, weighted_loss_reference)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,6 +161,40 @@ class TestAttentionKernelPaths:
         backward(loss, tape)
         assert out.data.dtype == np.float32
         assert [p.grad.dtype for p in params] == [np.dtype(np.float32)] * 6
+
+
+class TestAttentionSaveSet:
+    """The attention rule saves q, k, v, the layer inputs and two per-row vectors,
+    and rebuilds the attention weights and head outputs bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows, d_head", KERNEL_PATHS, ids=KERNEL_IDS)
+    def test_saves_no_weights_and_matches_the_saving_rule_bitwise(self, rows, d_head, dtype):
+        # every width distinct (inputs 3 and 5, 2 heads of d_head for q and k and of
+        # d_head + 1 for v, output 4), so no saved array can pass for a head output
+        t_q, t_k = ROW_PATHS[rows]
+        batch, h, d_v = (2 if rows.startswith("short") else 1), 2, d_head + 1
+        shapes = [(batch * t_q, 3), (batch * t_k, 5), (3, h * d_head), (5, h * d_head),
+                  (5, h * d_v), (h * d_v, 4)]
+        rng = np.random.default_rng([t_q, t_k, d_head])
+        values = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        target = rng.normal(size=(batch * t_q, 4)).astype(dtype)
+        results = []
+        for op in (T.attention, attention_saving_weights):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in values]
+            with Tape() as tape:
+                out = op(*ts, h, batch)
+                loss = squared_error(out, target)
+            if op is T.attention:
+                saved = [c.cell_contents for c in tape.records[0][2].__closure__]
+            backward(loss, tape)
+            results.append([out.data] + [t.grad for t in ts])
+        assert not any(isinstance(c, (tuple, list, dict)) for c in saved)
+        assert sorted(c.shape for c in saved if isinstance(c, np.ndarray)) == sorted(
+            [shapes[0], shapes[1], (batch * t_q, h * d_head), (batch * t_k, h * d_head),
+             (batch * t_k, h * d_v), (batch * h * t_q,), (batch * h * t_q,)])
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype == dtype and new.tobytes() == old.tobytes()
 
 
 class TestLayerNorm:

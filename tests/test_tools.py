@@ -3,7 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bcfusion import tensor
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -16,6 +19,7 @@ def load_tool(name):
 
 
 src_lines = load_tool("src_lines")
+same_seed_hashes = load_tool("same_seed_hashes")
 
 # docs (9): the module docstring (2), three whole-line comments, the class,
 # method and coroutine docstrings (1 + 2 + 1; a blank docstring line is not
@@ -127,3 +131,23 @@ class TestSrcLines:
     def test_a_tree_without_the_package_is_an_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no src/bcfusion"):
             src_lines.main([str(tmp_path)])
+
+
+def unbound_rule():
+    """A rule whose closure cell was never bound."""
+    def rule(g):
+        return never
+    if False:
+        never = None
+    return rule
+
+
+class TestSavedBytes:
+    def test_counts_each_array_once_wherever_a_rule_holds_it(self):
+        a, b, c, d = (np.zeros(n) for n in (1, 2, 4, 8))  # 8, 16, 32 and 64 bytes
+        nested = (b, [c, (d, a)])
+        rules = [lambda g: a, lambda g: (nested, a, 1.5), unbound_rule()]
+        tape = tensor.Tape()
+        for rule in rules:
+            tape.record((), tensor.Slot(np.dtype(np.float64)), rule)
+        assert same_seed_hashes.saved_bytes(tape) == 8 + 16 + 32 + 64

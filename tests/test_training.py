@@ -48,6 +48,22 @@ def oracle_adam_step(params, grads, state, lr, weight_decay=0.0):
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
 
 
+def oracle_taking_grads(params, state, lr, weight_decay=0.0):
+    """:func:`oracle_adam_step` in :func:`adam_step`'s signature: it takes the
+    parameters' gradients over (zeros where there is none), as ``adam_step`` does."""
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    for p in params:
+        p.grad = None
+    oracle_adam_step(params, grads, state, lr, weight_decay)
+
+
+def adam_with(params, grads, state, lr, weight_decay=0.0):
+    """:func:`adam_step` with copies of ``grads`` handed over as the parameters' gradients."""
+    for p, g in zip(params, grads):
+        p.grad = g.copy()
+    adam_step(params, state, lr, weight_decay)
+
+
 class TestBceLoss:
     def test_coin_flip_prediction(self):
         loss = bce_loss([0.0], 1.0).data.item()
@@ -160,7 +176,7 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(2)], state, lr=0.1, weight_decay=0.0)
+        adam_with([p], [np.zeros(2)], state, lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_zero_learning_rate_changes_nothing(self):
@@ -168,14 +184,14 @@ class TestAdam:
         p = Tensor(rng.normal(size=4), requires_grad=True)
         before = p.data.copy()
         state = AdamState.for_params([p])
-        adam_step([p], [rng.normal(size=4)], state, lr=0.0, weight_decay=0.0)
+        adam_with([p], [rng.normal(size=4)], state, lr=0.0, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_closed_form(self):
         # bias correction makes the first update lr * g / (|g| + eps)
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.for_params([p])
-        adam_step([p], [np.array([1.0])], state, lr=0.1, weight_decay=0.0)
+        adam_with([p], [np.array([1.0])], state, lr=0.1, weight_decay=0.0)
         expected = 1.0 - 0.1 * 1.0 / (1.0 + training.ADAM_EPS)
         assert abs(p.data[0] - expected) < 1e-15
         assert abs(p.data[0] - 0.9) < 1e-7
@@ -184,13 +200,13 @@ class TestAdam:
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.for_params([p])
         for _ in range(500):
-            adam_step([p], [2.0 * p.data], state, lr=0.1, weight_decay=0.0)
+            adam_with([p], [2.0 * p.data], state, lr=0.1, weight_decay=0.0)
         assert abs(p.data[0]) < 1e-3
 
     def test_weight_decay_shrinks_parameters(self):
         p = Tensor(np.array([5.0]), requires_grad=True)
         state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
+        adam_with([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
         assert p.data[0] < 5.0
 
     @pytest.mark.parametrize("order, grads, match", [
@@ -209,28 +225,32 @@ class TestAdam:
         b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         c = Tensor(np.zeros(3), requires_grad=True)
         state = AdamState.for_params([a, b])
-        adam_step([a, b], [np.ones(2), np.ones(3, np.float32)], state, lr=0.1)
-        before = [a.data, b.data, c.data, *state.m, *state.v]
-        snapshot = [x.copy() for x in before]
+        adam_with([a, b], [np.ones(2), np.ones(3, np.float32)], state, lr=0.1)
+        params = [{"a": a, "b": b, "c": c}[k] for k in order]
+        for p, g in zip(params, grads):
+            p.grad = g
+        before = [t.grad for t in (a, b, c)] + [a.data, b.data, c.data, *state.m, *state.v]
+        snapshot = [None if x is None else x.copy() for x in before]
         with pytest.raises(ValueError, match=match):
-            adam_step([{"a": a, "b": b, "c": c}[k] for k in order], grads, state, lr=0.1)
-        after = [a.data, b.data, c.data, *state.m, *state.v]
+            adam_step(params, state, lr=0.1)
+        after = [t.grad for t in (a, b, c)] + [a.data, b.data, c.data, *state.m, *state.v]
         assert state.step == 1 and all(x is y for x, y in zip(after, before))
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(after, snapshot))
+        assert all(x is None or x.tobytes() == y.tobytes() for x, y in zip(after, snapshot))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_mid_bucket_writes_nothing(self, bad):
         params = [Tensor(np.full(n, 1.0), requires_grad=True) for n in (3, 4, 5)]
         state = AdamState.for_params(params)
-        adam_step(params, [np.ones(n) for n in (3, 4, 5)], state, lr=0.1)
-        grads = [np.ones(n) for n in (3, 4, 5)]
-        grads[1][2] = bad
-        assert [len(offsets) - 1 for _, offsets in training._buckets(params, grads, state)] == [3]
-        before = [p.data for p in params] + state.m + state.v
+        adam_with(params, [np.ones(n) for n in (3, 4, 5)], state, lr=0.1)
+        for p in params:
+            p.grad = np.ones(p.data.size)
+        params[1].grad[2] = bad
+        assert [len(offsets) - 1 for _, offsets in training._buckets(params, state)] == [3]
+        before = [p.grad for p in params] + [p.data for p in params] + state.m + state.v
         snapshot = [x.tobytes() for x in before]
         with pytest.raises(FloatingPointError, match=r"^non-finite gradient of parameter 1$"):
-            adam_step(params, grads, state, lr=0.1)
-        after = [p.data for p in params] + state.m + state.v
+            adam_step(params, state, lr=0.1)
+        after = [p.grad for p in params] + [p.data for p in params] + state.m + state.v
         assert state.step == 1 and all(x is y for x, y in zip(after, before))
         assert [x.tobytes() for x in after] == snapshot
 
@@ -255,7 +275,7 @@ class TestAdam:
         ours = [Tensor(a.copy(), requires_grad=True) for a in start]
         theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
         ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
-        sizes = [len(o) - 1 for _, o in training._buckets(ours, start, ours_state)]
+        sizes = [len(o) - 1 for _, o in training._buckets(ours, ours_state)]
         assert sizes == {"one bucket": [2], "several buckets": [2, 1, 2, 1, 1, 1],
                          "misplaced views": [4]}[layout]
         for step in range(5):
@@ -275,8 +295,9 @@ class TestAdam:
                 else:
                     g.flat[:] = special[[0, 1, 2, 5, 6, 4][:g.size]]
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                adam_step(ours, grads, ours_state, 0.01, weight_decay)
+                adam_with(ours, grads, ours_state, 0.01, weight_decay)
                 oracle_adam_step(theirs, grads, their_state, 0.01, weight_decay)
+            assert all(p.grad is None for p in ours)
             for got, want in [([p.data for p in ours], [p.data for p in theirs]),
                               (ours_state.m, their_state.m), (ours_state.v, their_state.v)]:
                 assert [(a.dtype, a.tobytes()) for a in got] == \
@@ -285,7 +306,7 @@ class TestAdam:
 
     def test_a_toy_model_is_one_bucket(self):
         params = build_model("one_to_one", "agreement", toy_model_config(7, 5)).parameters()
-        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        buckets = training._buckets(params, AdamState.for_params(params))
         assert [(first, len(offsets) - 1) for first, offsets in buckets] == [(0, len(params))]
 
     @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
@@ -293,7 +314,7 @@ class TestAdam:
         # an undrawn skeleton has the paper's shapes at no cost in memory
         params = FusionModel(FusionTopology(topology), "detection", ModelConfig(),
                              rng=None).parameters()
-        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        buckets = training._buckets(params, AdamState.for_params(params))
         cap = training.ADAM_BUCKET_ELEMENTS
         stops = list(np.cumsum([len(o) - 1 for _, o in buckets]))
         assert [first for first, _ in buckets] == [0] + stops[:-1] and stops[-1] == len(params)
@@ -307,7 +328,7 @@ class TestAdam:
     def test_no_bucket_mixes_dtypes(self):
         dtypes = [np.float64, np.float64, np.float32, np.float32, np.float64]
         params = [Tensor(np.zeros(3, t), requires_grad=True) for t in dtypes]
-        buckets = training._buckets(params, [p.data for p in params], AdamState.for_params(params))
+        buckets = training._buckets(params, AdamState.for_params(params))
         assert [(first, len(o) - 1) for first, o in buckets] == [(0, 2), (2, 2), (4, 1)]
 
     def test_moments_are_allocated_at_the_first_update_and_kept(self):
@@ -316,7 +337,7 @@ class TestAdam:
         assert state.m == [None] and state.v == [None]
         arrays = [(p.data, None, None)]
         for _ in range(3):
-            adam_step([p], [np.full((2, 3), 0.5)], state, lr=0.1)
+            adam_with([p], [np.full((2, 3), 0.5)], state, lr=0.1)
             arrays.append((p.data, state.m[0], state.v[0]))
         params, ms, vs = zip(*arrays)
         assert len({id(a) for a in params}) == 4
@@ -336,7 +357,7 @@ class TestAdam:
         oracle_adam_step(theirs, grads, their_state, 0.01)
         for _ in range(2):
             grads = [rng.normal(size=a.shape) for a in start]
-            adam_step(ours, grads, ours_state, 0.01)
+            adam_with(ours, grads, ours_state, 0.01)
             oracle_adam_step(theirs, grads, their_state, 0.01)
         for got, want in [([p.data for p in ours], [p.data for p in theirs]),
                           (ours_state.m, their_state.m), (ours_state.v, their_state.v)]:
@@ -349,15 +370,66 @@ class TestAdam:
         p = Tensor(rng.normal(size=(1000, 1000)), requires_grad=True)
         grad = rng.normal(size=(1000, 1000))
         state = AdamState.for_params([p])
-        adam_step([p], [grad], state, 1e-3, weight_decay)
+        adam_with([p], [grad], state, 1e-3, weight_decay)
+        p.grad = grad
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            adam_step([p], [grad], state, 1e-3, weight_decay)
+            adam_step([p], state, 1e-3, weight_decay)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (peak - start) / p.data.nbytes <= 3.0
+
+    def test_an_accepted_step_releases_every_gradient(self):
+        # a bucket of two tensors and two of one: no gradient outlives the step
+        cap = training.ADAM_BUCKET_ELEMENTS
+        params = [Tensor(np.ones(n), requires_grad=True) for n in (3, 4, cap, cap + 1)]
+        state = AdamState.for_params(params)
+        assert [len(o) - 1 for _, o in training._buckets(params, state)] == [2, 1, 1]
+        for step in range(2):
+            for p in params:
+                p.grad = np.full(p.data.size, 0.5)
+            refs = [weakref.ref(p.grad) for p in params]
+            adam_step(params, state, lr=0.1)
+            assert all(p.grad is None for p in params) and all(r() is None for r in refs)
+
+    def test_a_parameter_without_a_gradient_steps_with_zeros(self):
+        # in a bucket with others and in one of its own, at the first and a later step
+        rng = np.random.default_rng(7)
+        cap = training.ADAM_BUCKET_ELEMENTS
+        start = [rng.normal(size=n) for n in (3, 4, cap)]
+        ours = [Tensor(a.copy(), requires_grad=True) for a in start]
+        theirs = [Tensor(a.copy(), requires_grad=True) for a in start]
+        ours_state, their_state = AdamState.for_params(ours), AdamState.for_params(theirs)
+        for missing in (1, 2, 0):
+            grads = [rng.normal(size=a.shape) for a in start]
+            for i, (p, g) in enumerate(zip(ours, grads)):
+                p.grad = None if i == missing else g.copy()
+            grads[missing] = np.zeros_like(start[missing])
+            adam_step(ours, ours_state, 0.01, 5e-4)
+            oracle_adam_step(theirs, grads, their_state, 0.01, 5e-4)
+            for got, want in [([p.data for p in ours], [p.data for p in theirs]),
+                              (ours_state.m, their_state.m), (ours_state.v, their_state.v)]:
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_a_first_step_never_holds_all_gradients_and_moments(self):
+        # six one-tensor buckets: each bucket's gradient is dropped as it is applied,
+        # so the new moments replace the gradients instead of joining them
+        n, buckets = training.ADAM_BUCKET_ELEMENTS, 6
+        tracemalloc.start()
+        try:
+            params = [Tensor(np.ones(n), requires_grad=True) for _ in range(buckets)]
+            for p in params:
+                p.grad = np.full(n, 0.5)
+            state = AdamState.for_params(params)
+            adam_step(params, state, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # parameters, gradients and both moments: what the step would hold at its end
+        # if it dropped no gradient
+        assert peak < 4 * buckets * params[0].data.nbytes
 
 
 class _StubModel:
@@ -635,9 +707,10 @@ class TestRunTraining:
         handed, alive_at_forward = [], []
         build = training.build_model
 
-        def spy_adam(params, grads, *args, **kwargs):
-            handed.append([weakref.ref(g) for g in grads])
-            return adam_step(params, grads, *args, **kwargs)
+        def spy_adam(params, *args, **kwargs):
+            handed.append([weakref.ref(p.grad) for p in params if p.grad is not None])
+            adam_step(params, *args, **kwargs)
+            assert all(p.grad is None for p in params)
 
         def spied_model(*args, **kwargs):
             model = build(*args, **kwargs)
@@ -738,7 +811,7 @@ class TestRunTraining:
                                     for p in result.model.parameters()]
 
         in_place = [trained(topology) for topology in ALL_TOPOLOGIES]
-        monkeypatch.setattr(training, "adam_step", oracle_adam_step)
+        monkeypatch.setattr(training, "adam_step", oracle_taking_grads)
         assert [trained(topology) for topology in ALL_TOPOLOGIES] == in_place
 
     def test_best_model_restored(self, tiny_corpus):

@@ -11,9 +11,10 @@ where the hash covers the run's history (epoch, train loss, validation
 metric, floats by their exact hex form) and every parameter's name, dtype,
 shape and bytes after training, and the tape bytes are those of the
 distinct arrays that the rules of the run's first tape (the first chunk
-of its first step) close over before backward.  A change that claims to keep
-the numerics bit for bit, and what the tape saves, must print the same
-lines as its parent; run this copy of the script in both trees::
+of its first step) close over before backward, directly or inside tuples
+and lists.  A change that claims to keep the numerics bit for bit, and
+what the tape saves, must print the same lines as its parent; run this
+copy of the script in both trees::
 
     python3 tools/same_seed_hashes.py > change.txt
     cp tools/same_seed_hashes.py ../parent/tools/
@@ -57,16 +58,22 @@ def corpus(task: str) -> dict:
 
 
 def saved_bytes(tape: tensor.Tape) -> int:
-    """Bytes of the distinct arrays that the rules on ``tape`` close over."""
+    """Bytes of the distinct arrays that the rules on ``tape`` close over, held
+    directly or inside tuples and lists, however deeply nested."""
     arrays = {}
+    values = []
     for _, _, rule in tape.records:
         for cell in rule.__closure__ or ():
             try:
-                value = cell.cell_contents
+                values.append(cell.cell_contents)
             except ValueError:  # a variable the op never bound
-                continue
-            if isinstance(value, np.ndarray):
-                arrays[id(value)] = value.nbytes
+                pass
+    while values:
+        value = values.pop()
+        if isinstance(value, np.ndarray):
+            arrays[id(value)] = value.nbytes
+        elif isinstance(value, (tuple, list)):
+            values.extend(value)
     return sum(arrays.values())
 
 
